@@ -18,7 +18,6 @@ from .decomposition import (
 from .ensemble import (
     EnsembleScores,
     evaluate_ensemble,
-    maxent_posterior,
     summa_scores,
     woc_scores,
 )
@@ -41,8 +40,6 @@ from .inference import (
 )
 from .moments import (
     ConditionalRankModel,
-    MomentStats,
-    compute_moments,
     covariance_matrix,
     exact_central_moment,
     predicted_central_moment,
@@ -75,7 +72,6 @@ __all__ = [
     "InvalidInput",
     "InvalidPrevalence",
     "LabelVector",
-    "MomentStats",
     "NoSignal",
     "NotConverged",
     "PerformanceReport",
@@ -93,14 +89,12 @@ __all__ = [
     "auroc_from_delta",
     "auroc_rectangle",
     "check_recoverability",
-    "compute_moments",
     "covariance_matrix",
     "delta",
     "evaluate_ensemble",
     "exact_central_moment",
     "leading_singular_pair",
     "mann_whitney_u0",
-    "maxent_posterior",
     "performance_estimates",
     "predicted_central_moment",
     "prevalence_from_moments",

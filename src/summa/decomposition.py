@@ -13,7 +13,9 @@ which is projected gradient descent (unit step) on the off-diagonal
 squared mismatch over the set of symmetric PSD rank-one matrices, so the
 off-diagonal residual never increases.  The analogous loop on the third
 moment tensor replaces the eigenpair step with a symmetric higher-order
-power iteration u <- T(., u, u) / ||T(., u, u)||.
+power iteration u <- T(., u, u) / ||T(., u, u)||; there only the entries
+with three distinct indices are trusted, and every entry with a repeated
+index is re-imputed from the rank-one iterate.
 
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
@@ -24,7 +26,6 @@ diagonal/rank-one split may not be unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -77,14 +78,20 @@ class TensorRecovery:
     residual: float
 
 
-def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput("expected a square matrix")
+def _check_symmetric(array, ndim: int = 2) -> np.ndarray:
+    """Validate a finite, symmetric M x ... x M array of ``ndim`` axes."""
+    a = np.asarray(array, dtype=float)
+    if a.ndim != ndim or len(set(a.shape)) != 1:
+        raise InvalidInput(f"expected a square array with {ndim} axes, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix entries must be finite")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-8 * max(1.0, np.abs(a).max())):
-        raise InvalidInput("matrix must be symmetric")
+        raise InvalidInput("array entries must be finite")
+    atol = 1e-8 * max(1.0, np.abs(a).max())
+    # the adjacent axis swaps generate every permutation of the axes
+    for k in range(ndim - 1):
+        axes = list(range(ndim))
+        axes[k], axes[k + 1] = k + 1, k
+        if not np.allclose(a, a.transpose(axes), rtol=0, atol=atol):
+            raise InvalidInput("array must be symmetric")
     return a
 
 
@@ -201,11 +208,7 @@ def _offdiag_residual(q: np.ndarray, lam: float, u: np.ndarray) -> float:
 
 
 def recover_rank1_matrix(
-    q2,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    power_tol: float = POWER_TOL,
-    power_max_iter: int = POWER_MAX_ITER,
+    q2, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> Rank1Recovery:
     """Recover (lambda, v, D) with Q2 ~ lambda v v^T + diag(D).
 
@@ -234,7 +237,7 @@ def recover_rank1_matrix(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        lam, u = _most_positive_eigenpair(y, tol=power_tol, max_iter=power_max_iter)
+        lam, u = _most_positive_eigenpair(y, tol=POWER_TOL, max_iter=POWER_MAX_ITER)
         if lam <= 0.0:
             # a hollow matrix has trace 0, so this fires only on inputs
             # with no usable positive component at all
@@ -279,27 +282,6 @@ def recover_rank1_matrix(
             partial=result,
         )
     return result
-
-
-def _dense_offdiag_tensor(
-    q3_offdiag: Mapping[tuple[int, int, int], float], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand the sparse triple store into a dense tensor and an
-    off-diagonal (all-indices-distinct) mask."""
-    expected = {(i, j, l) for i in range(m) for j in range(i + 1, m) for l in range(j + 1, m)}
-    keys = set(q3_offdiag)
-    if keys != expected:
-        raise InvalidInput(
-            "need exactly the sorted off-diagonal triples (i < j < l) for "
-            f"{m} methods; {len(expected ^ keys)} keys differ"
-        )
-    dense = np.zeros((m, m, m))
-    mask = np.zeros((m, m, m), dtype=bool)
-    for (i, j, l), value in q3_offdiag.items():
-        for a, b, c in ((i, j, l), (i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)):
-            dense[a, b, c] = value
-            mask[a, b, c] = True
-    return dense, mask
 
 
 def _contract_twice(tensor_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -353,15 +335,13 @@ def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
 
 
 def recover_rank1_tensor(
-    q3_offdiag: Mapping[tuple[int, int, int], float],
-    v_hint: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    power_tol: float = POWER_TOL,
-    power_max_iter: int = HOPM_MAX_ITER,
+    q3, v_hint: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> TensorRecovery:
     """Recover the signed rank-one factor of the third-moment tensor.
 
+    ``q3`` is a finite, symmetric M x M x M array such as
+    :func:`summa.moments.third_moment_offdiag` returns.  Only its
+    distinct-index entries are read; the repeated-index ones are ignored.
     Alternates a higher-order power iteration with re-imputing the
     non-distinct-index entries from the current rank-one iterate.  The
     final direction is sign-aligned to ``v_hint`` (u . hint >= 0) and
@@ -378,8 +358,12 @@ def recover_rank1_tensor(
     if not np.isfinite(norm_hint) or abs(norm_hint - 1.0) > 1e-6:
         raise InvalidInput("v_hint must be a unit vector")
 
-    dense, mask = _dense_offdiag_tensor(q3_offdiag, m)
-    peak = np.abs(dense).max()
+    t = _check_symmetric(q3, ndim=3)
+    if t.shape[0] != m:
+        raise InvalidInput(f"third-moment array of shape {t.shape} does not match {m} methods")
+    i, j, l = np.ogrid[:m, :m, :m]
+    mask = (i != j) & (i != l) & (j != l)
+    peak = np.abs(t[mask]).max()
     if peak <= _SIGNAL_EPS:
         raise NoSignal("all off-diagonal third moments are at machine scale")
 
@@ -391,8 +375,8 @@ def recover_rank1_tensor(
     for iterations in range(1, max_iter + 1):
         # impute entries with repeated indices from the current iterate
         rank1 = lam * np.multiply.outer(u, np.multiply.outer(u, u))
-        completed = np.where(mask, dense, rank1)
-        u = _hopm(completed, u, tol=power_tol, max_iter=power_max_iter)
+        completed = np.where(mask, t, rank1)
+        u = _hopm(completed, u, tol=POWER_TOL, max_iter=HOPM_MAX_ITER)
         lam = float(u @ _contract_twice(completed.reshape(m, m * m), u))
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             converged = True
@@ -402,7 +386,7 @@ def recover_rank1_tensor(
     if float(u @ hint) < 0.0:
         u = -u
         lam = -lam
-    diff = (lam * np.multiply.outer(u, np.multiply.outer(u, u)) - dense)[mask]
+    diff = (lam * np.multiply.outer(u, np.multiply.outer(u, u)) - t)[mask]
     result = TensorRecovery(
         lambda_t=lam,
         u=u,

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .exceptions import DegenerateLabels, InvalidInput
+from .exceptions import InvalidInput
 from .ranking import (
     LabelVector,
     RankMatrix,
@@ -76,29 +75,6 @@ def woc_scores(ranks: RankMatrix) -> EnsembleScores:
     rbar = (ranks.n_samples + 1) / 2.0
     scores = rbar - ranks.ranks.mean(axis=0)
     return EnsembleScores(scores, WOC, ranks.sample_ids)
-
-
-def maxent_posterior(rank: float, delta_i: float, n_samples: int, n_positive: int) -> float:
-    """P(class 1 | rank) under the least-committal rank model.
-
-    The maximum-entropy distribution matching the class frequency and a
-    method's conditional mean ranks is logistic in the rank:
-
-        P(1 | r) = 1 / (1 + exp(3 delta_i (r - rbar) / rbar^2
-                               + log((N - N1) / N1)))
-
-    Diagnostic only; the weighted aggregator already absorbs it to
-    first order.
-    """
-    n = int(n_samples)
-    n1 = int(n_positive)
-    if not 1 <= n1 <= n - 1:
-        raise DegenerateLabels(f"need both classes, got {n1} positives of {n}")
-    if not 1 <= rank <= n:
-        raise InvalidInput(f"rank {rank} outside 1..{n}")
-    rbar = (n + 1) / 2.0
-    z = 3.0 * delta_i * (rank - rbar) / rbar**2 + np.log((n - n1) / n1)
-    return float(expit(-z))
 
 
 def evaluate_ensemble(scores: EnsembleScores, labels) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .decomposition import check_recoverability
 from .exceptions import InvalidInput, InvalidPrevalence, NoSignal
+from .ranking import _default_ids
 
 # Below this beta the sign of lambda_t is noise-dominated (beta is
 # quadratic in lambda_t), so rho is reported as exactly 1/2.
@@ -149,8 +150,7 @@ def performance_estimates(
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
     if method_ids is None:
-        width = max(2, len(str(v.size - 1)))
-        method_ids = tuple(f"m{i:0{width}d}" for i in range(v.size))
+        method_ids = _default_ids("m", v.size)
     if len(method_ids) != v.size:
         raise InvalidInput("method_ids must match the weight vector length")
     if rho is None and beta is None:
@@ -210,8 +210,7 @@ def weights_only_report(
     """
     v = _unit(v)
     if method_ids is None:
-        width = max(2, len(str(v.size - 1)))
-        method_ids = tuple(f"m{i:0{width}d}" for i in range(v.size))
+        method_ids = _default_ids("m", v.size)
     return PerformanceReport(
         method_ids=tuple(method_ids),
         weights=v,

@@ -14,6 +14,11 @@ which class is the majority.
 Covariances are population-normalized (divide by N): that is what makes
 the variance of a tie-free rank row exactly (N^2 - 1) / 12.
 
+Third moments are one dense symmetric M x M x M array.  Only its
+distinct-index entries follow the factorization above; an entry with a
+repeated index pairs a method with itself, so it is left at zero and
+tensor recovery never reads it.
+
 :func:`exact_central_moment` is a brute-force enumeration oracle over a
 small factorized model, kept independent of the closed form above so the
 two can be checked against each other.
@@ -51,54 +56,23 @@ def covariance_matrix(ranks) -> np.ndarray:
     return centered @ centered.T / r.shape[1]
 
 
-def third_moment_offdiag(ranks) -> dict[tuple[int, int, int], float]:
-    """Central third moments for every method triple i < j < l.
+def third_moment_offdiag(ranks) -> np.ndarray:
+    """Central third moments as a dense, symmetric M x M x M array.
 
-    Only off-diagonal entries are computed; index permutations of a
-    triple all share one stored value.
+    Entries with three distinct indices hold the central third moment
+    of those methods; entries with a repeated index are zero.
     """
     r = _as_rank_array(ranks)
     m, n = r.shape
     if m < 3:
         raise TooFewMethods(f"third moments need at least 3 methods, got {m}")
     centered = r - r.mean(axis=1, keepdims=True)
-    out: dict[tuple[int, int, int], float] = {}
+    t = np.zeros((m, m, m))
     for i in range(m - 2):
         for j in range(i + 1, m - 1):
-            pair = centered[i] * centered[j]
-            tail = centered[j + 1:] @ pair / n
-            for l, value in enumerate(tail, start=j + 1):
-                out[(i, j, l)] = float(value)
-    return out
-
-
-def third_moment_lookup(q3: dict[tuple[int, int, int], float], i: int, j: int, l: int) -> float:
-    """Symmetric access into the sparse triple store."""
-    key = tuple(sorted((i, j, l)))
-    if len(set(key)) != 3:
-        raise InvalidInput("third moments are stored for distinct indices only")
-    return q3[key]  # type: ignore[index]
-
-
-@dataclass(frozen=True, eq=False)
-class MomentStats:
-    """Empirical covariance matrix plus sparse off-diagonal third moments."""
-
-    q2: np.ndarray
-    q3_offdiag: dict[tuple[int, int, int], float] | None
-    n_samples: int
-    mean_ranks: np.ndarray
-
-
-def compute_moments(ranks, include_third: bool = True) -> MomentStats:
-    r = _as_rank_array(ranks)
-    q3 = third_moment_offdiag(r) if include_third and r.shape[0] >= 3 else None
-    return MomentStats(
-        q2=covariance_matrix(r),
-        q3_offdiag=q3,
-        n_samples=r.shape[1],
-        mean_ranks=r.mean(axis=1),
-    )
+            t[i, j, j + 1:] = centered[j + 1:] @ (centered[i] * centered[j]) / n
+    # exact: each position receives exactly one nonzero (i < j < l) term
+    return sum(t.transpose(p) for p in itertools.permutations(range(3)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,21 +81,13 @@ def run_pipeline(
 
     if tensor is not None:
         rho_hat, beta = prevalence_from_moments(recovery.lambda_, tensor.lambda_t)
-        degenerate = beta < BETA_DEGENERATE
-        if prevalence is not None:
-            report = performance_estimates(
-                recovery.v, recovery.lambda_, ranks.n_samples,
-                rho=prevalence, beta=beta, rho_assumed=True,
-                rho_degenerate=degenerate, lambda_t=tensor.lambda_t,
-                method_ids=ranks.method_ids,
-            )
-        else:
-            report = performance_estimates(
-                recovery.v, recovery.lambda_, ranks.n_samples,
-                rho=rho_hat, beta=beta, rho_assumed=False,
-                rho_degenerate=degenerate, lambda_t=tensor.lambda_t,
-                method_ids=ranks.method_ids,
-            )
+        report = performance_estimates(
+            recovery.v, recovery.lambda_, ranks.n_samples,
+            rho=rho_hat if prevalence is None else prevalence, beta=beta,
+            rho_assumed=prevalence is not None,
+            rho_degenerate=beta < BETA_DEGENERATE, lambda_t=tensor.lambda_t,
+            method_ids=ranks.method_ids,
+        )
     elif prevalence is not None:
         report = performance_estimates(
             recovery.v, recovery.lambda_, ranks.n_samples,

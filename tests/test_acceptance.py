@@ -264,14 +264,10 @@ def test_noiseless_recovery():
     for m in range(5, 11):
         for _ in range(8):
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
-            triples = {
-                (i, j, l): float(a[i] * a[j] * a[l])
-                for i in range(m)
-                for j in range(i + 1, m)
-                for l in range(j + 1, m)
-            }
             hint = resolve_sign(a / np.linalg.norm(a))
-            rec = recover_rank1_tensor(triples, hint, tol=1e-10)
+            rec = recover_rank1_tensor(
+                np.multiply.outer(a, np.multiply.outer(a, a)), hint, tol=1e-10
+            )
             a_rec = np.cbrt(rec.lambda_t) * rec.u
             worst_tensor = max(worst_tensor, float(np.abs(a_rec - a).max()))
             tensor_trials += 1

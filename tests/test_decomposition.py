@@ -24,14 +24,9 @@ def random_recoverable_q(rng, m):
             return q
 
 
-def offdiag_triples(a):
-    m = a.size
-    return {
-        (i, j, l): float(a[i] * a[j] * a[l])
-        for i in range(m)
-        for j in range(i + 1, m)
-        for l in range(j + 1, m)
-    }
+def cube(a):
+    """Noiseless third-moment tensor a (x) a (x) a."""
+    return np.multiply.outer(a, np.multiply.outer(a, a))
 
 
 class TestLeadingSingularPair:
@@ -200,7 +195,7 @@ class TestRecoverRank1Tensor:
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         a = a / np.linalg.norm(a) * 2.0
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(offdiag_triples(a), ahat, tol=1e-10)
+        rec = recover_rank1_tensor(cube(a), ahat, tol=1e-10)
         assert np.abs(rec.u - ahat).max() < 1e-6
         assert rec.lambda_t == pytest.approx(np.linalg.norm(a) ** 3, rel=1e-6)
         assert rec.converged
@@ -208,7 +203,7 @@ class TestRecoverRank1Tensor:
     def test_hint_alignment_flips_sign(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(offdiag_triples(a), -ahat, tol=1e-10)
+        rec = recover_rank1_tensor(cube(a), -ahat, tol=1e-10)
         assert np.abs(rec.u + ahat).max() < 1e-6
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-6)
 
@@ -216,8 +211,7 @@ class TestRecoverRank1Tensor:
         # tensor built from -a: aligned to +a direction the value is negative
         a = np.array([0.8, 1.2, 0.7, 1.0, 1.4, 0.9])
         ahat = a / np.linalg.norm(a)
-        triples = {k: -v for k, v in offdiag_triples(a).items()}
-        rec = recover_rank1_tensor(triples, ahat, tol=1e-10)
+        rec = recover_rank1_tensor(-cube(a), ahat, tol=1e-10)
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-6)
         assert np.abs(rec.u - ahat).max() < 1e-6
 
@@ -226,29 +220,41 @@ class TestRecoverRank1Tensor:
         for m in range(5, 11):
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             ahat = resolve_sign(a / np.linalg.norm(a))
-            rec = recover_rank1_tensor(offdiag_triples(a), ahat, tol=1e-10)
+            rec = recover_rank1_tensor(cube(a), ahat, tol=1e-10)
             sign = 1.0 if (ahat @ a) > 0 else -1.0
             assert np.abs(rec.u - sign * a / np.linalg.norm(a)).max() < 1e-6, f"M={m}"
             assert rec.lambda_t == pytest.approx(sign * np.linalg.norm(a) ** 3, rel=1e-6)
 
     def test_zero_offdiag_is_no_signal(self):
-        zeros = {k: 0.0 for k in offdiag_triples(np.ones(5))}
-        with pytest.raises(NoSignal):
-            recover_rank1_tensor(zeros, np.full(5, 1 / np.sqrt(5)))
+        # repeated-index entries are never read, so a nonzero diagonal
+        # does not count as signal
+        diagonal_only = np.zeros((5, 5, 5))
+        diagonal_only[np.arange(5), np.arange(5), np.arange(5)] = 1.0
+        for tensor in (np.zeros((5, 5, 5)), diagonal_only):
+            with pytest.raises(NoSignal):
+                recover_rank1_tensor(tensor, np.full(5, 1 / np.sqrt(5)))
 
     def test_four_methods_refused(self):
         a = np.ones(4)
         with pytest.raises(TooFewMethods):
-            recover_rank1_tensor(offdiag_triples(a), np.full(4, 0.5))
+            recover_rank1_tensor(cube(a), np.full(4, 0.5))
 
-    def test_missing_triples_rejected(self):
-        a = np.ones(5)
-        triples = offdiag_triples(a)
-        triples.pop((0, 1, 2))
-        with pytest.raises(InvalidInput):
-            recover_rank1_tensor(triples, np.full(5, 1 / np.sqrt(5)))
+    def test_malformed_tensor_rejected(self):
+        nonsymmetric = cube(np.ones(5))
+        nonsymmetric[0, 1, 2] = 2.0
+        non_finite = cube(np.ones(5))
+        non_finite[0, 0, 0] = np.nan
+        for tensor in (
+            cube(np.ones(6)),
+            np.ones((5, 5)),
+            np.ones((5, 5, 6)),
+            nonsymmetric,
+            non_finite,
+        ):
+            with pytest.raises(InvalidInput):
+                recover_rank1_tensor(tensor, np.full(5, 1 / np.sqrt(5)))
 
     def test_non_unit_hint_rejected(self):
         a = np.ones(5)
         with pytest.raises(InvalidInput):
-            recover_rank1_tensor(offdiag_triples(a), np.ones(5))
+            recover_rank1_tensor(cube(a), np.ones(5))

@@ -1,5 +1,5 @@
-"""Aggregation tests: weighted scores, the unweighted baseline, the
-logistic posterior, and the evaluation wrapper."""
+"""Aggregation tests: weighted scores, the unweighted baseline and the
+evaluation wrapper."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from summa.ensemble import (
     EnsembleScores,
     evaluate_ensemble,
-    maxent_posterior,
     summa_scores,
     woc_scores,
 )
@@ -100,44 +99,6 @@ class TestWocScores:
         out = woc_scores(ranks)
         assert np.allclose(out.scores, 0.0)
         assert np.array_equal(out.labels, [0, 0, 0])
-
-
-class TestMaxentPosterior:
-    def test_uninformative_balanced(self):
-        for r in range(1, 11):
-            assert maxent_posterior(r, 0.0, 10, 5) == pytest.approx(0.5)
-
-    def test_mean_rank_gives_class_frequency(self):
-        n, n1 = 9, 3
-        rbar = (n + 1) / 2
-        assert maxent_posterior(rbar, 2.5, n, n1) == pytest.approx(n1 / n)
-
-    def test_monotone_decreasing_for_positive_delta(self):
-        values = [maxent_posterior(r, 1.5, 20, 8) for r in range(1, 21)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_complement_normalizes(self):
-        p = maxent_posterior(4, 1.2, 15, 6)
-        q = 1 - p
-        assert 0 < p < 1
-        assert p + q == 1.0
-
-    def test_posterior_average_near_class_frequency(self):
-        # averaging over all ranks recovers N1/N to first order in delta
-        n, n1 = 200, 80
-        delta = 0.05 * n / 5  # |delta|/N well under the linear regime
-        mean_p = np.mean([maxent_posterior(r, delta, n, n1) for r in range(1, n + 1)])
-        assert mean_p == pytest.approx(n1 / n, abs=0.02)
-
-    def test_degenerate_counts_rejected(self):
-        with pytest.raises(DegenerateLabels):
-            maxent_posterior(1, 1.0, 10, 0)
-        with pytest.raises(DegenerateLabels):
-            maxent_posterior(1, 1.0, 10, 10)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            maxent_posterior(0, 1.0, 10, 5)
 
 
 class TestEvaluateEnsemble:

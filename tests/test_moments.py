@@ -10,11 +10,9 @@ import pytest
 from summa.exceptions import InvalidInput, TooFewMethods
 from summa.moments import (
     ConditionalRankModel,
-    compute_moments,
     covariance_matrix,
     exact_central_moment,
     predicted_central_moment,
-    third_moment_lookup,
     third_moment_offdiag,
 )
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
@@ -90,14 +88,19 @@ class TestThirdMoment:
         q3 = third_moment_offdiag(ranks)
         assert q3[(0, 1, 2)] == pytest.approx(exact, abs=0.3)
 
-    def test_lookup_symmetric(self):
+    def test_dense_symmetric_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        ranks = rng.random((4, 50))
+        ranks = rng.random((6, 40))
         q3 = third_moment_offdiag(ranks)
-        for key in itertools.permutations((0, 2, 3)):
-            assert third_moment_lookup(q3, *key) == q3[(0, 2, 3)]
-        with pytest.raises(InvalidInput):
-            third_moment_lookup(q3, 0, 0, 1)
+        c = ranks - ranks.mean(axis=1, keepdims=True)
+        for i, j, l in itertools.product(range(6), repeat=3):
+            if len({i, j, l}) == 3:
+                expected = np.mean(c[i] * c[j] * c[l])
+                assert q3[i, j, l] == pytest.approx(expected, rel=1e-12)
+            else:
+                assert q3[i, j, l] == 0.0
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(q3.transpose(axes), q3)
 
     def test_method_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -105,9 +108,7 @@ class TestThirdMoment:
         q3 = third_moment_offdiag(ranks)
         perm = [2, 0, 3, 1]
         q3p = third_moment_offdiag(ranks[perm])
-        for (i, j, l), value in q3p.items():
-            original = tuple(sorted((perm[i], perm[j], perm[l])))
-            assert value == pytest.approx(q3[original], rel=1e-12)
+        np.testing.assert_allclose(q3p, q3[np.ix_(perm, perm, perm)], rtol=1e-12, atol=0)
 
 
 class TestFactorizationIdentity:
@@ -191,15 +192,3 @@ class TestMonteCarloConsistency:
         scaled = [errors[n] * np.sqrt(n) for n in (1_000, 10_000, 100_000)]
         assert max(scaled) < 8 * min(scaled)
         assert errors[100_000] < errors[1_000]
-
-
-def test_compute_moments_bundles_everything():
-    rng = np.random.default_rng(41)
-    ranks = np.array([rng.permutation(np.arange(1, 21)) for _ in range(5)], float)
-    stats = compute_moments(ranks)
-    assert stats.q2.shape == (5, 5)
-    assert stats.n_samples == 20
-    assert len(stats.q3_offdiag) == 10  # C(5,3)
-    assert np.allclose(stats.mean_ranks, 10.5)
-    no_third = compute_moments(ranks, include_third=False)
-    assert no_third.q3_offdiag is None
