@@ -10,7 +10,6 @@ from .decomposition import (
     Rank1Recovery,
     TensorRecovery,
     check_recoverability,
-    leading_singular_pair,
     recover_rank1_matrix,
     recover_rank1_tensor,
     resolve_sign,
@@ -93,7 +92,6 @@ __all__ = [
     "delta",
     "evaluate_ensemble",
     "exact_central_moment",
-    "leading_singular_pair",
     "mann_whitney_u0",
     "performance_estimates",
     "predicted_central_moment",

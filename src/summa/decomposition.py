@@ -85,12 +85,13 @@ def _check_symmetric(array, ndim: int = 2) -> np.ndarray:
         raise InvalidInput(f"expected a square array with {ndim} axes, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("array entries must be finite")
-    atol = 1e-8 * max(1.0, np.abs(a).max())
+    atol = 1e-8 * max(1.0, a.max(), -a.min())
     # the adjacent axis swaps generate every permutation of the axes
     for k in range(ndim - 1):
         axes = list(range(ndim))
         axes[k], axes[k + 1] = k + 1, k
-        if not np.allclose(a, a.transpose(axes), rtol=0, atol=atol):
+        d = a - a.transpose(axes)
+        if max(d.max(), -d.min()) > atol:
             raise InvalidInput("array must be symmetric")
     return a
 
@@ -137,20 +138,6 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
         f"power iteration did not stabilize in {max_iter} iterations",
         partial=(prev_ray if prev_ray is not None else 0.0, v),
     )
-
-
-def leading_singular_pair(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER):
-    """Dominant eigenvalue magnitude and eigenvector by power iteration.
-
-    Deterministic given the fixed all-ones start; convergence is
-    declared when the Rayleigh quotient stabilizes to ``tol``
-    (relative).
-    """
-    a = _check_symmetric(matrix)
-    if np.abs(a).max() == 0.0:
-        raise ZeroMatrix("cannot take the leading singular pair of a zero matrix")
-    ray, v = _power_iteration(a, tol, max_iter)
-    return abs(ray), v
 
 
 def _most_positive_eigenpair(a: np.ndarray, tol: float, max_iter: int):
@@ -299,7 +286,7 @@ def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
     """
     m = tensor.shape[0]
     flat = tensor.reshape(m, m * m)
-    scale = np.abs(tensor).max()
+    scale = max(tensor.max(), -tensor.min())
     u = u0
     u_prev = None
     stall_floor = 1e3 * np.finfo(float).eps * scale
@@ -343,7 +330,8 @@ def recover_rank1_tensor(
     :func:`summa.moments.third_moment_offdiag` returns.  Only its
     distinct-index entries are read; the repeated-index ones are ignored.
     Alternates a higher-order power iteration with re-imputing the
-    non-distinct-index entries from the current rank-one iterate.  The
+    non-distinct-index entries, in a working copy, from the current
+    rank-one iterate; ``q3`` itself is never written.  The
     final direction is sign-aligned to ``v_hint`` (u . hint >= 0) and
     ``lambda_t`` is evaluated on that aligned direction, so its sign is
     meaningful relative to the hint.  Requires M >= 5; with fewer
@@ -367,6 +355,9 @@ def recover_rank1_tensor(
     if peak <= _SIGNAL_EPS:
         raise NoSignal("all off-diagonal third moments are at machine scale")
 
+    # imputation writes to a working copy, never to the caller's array
+    completed = t.copy()
+    a, b, c = np.nonzero(~mask)
     u = hint / norm_hint
     lam = 0.0
     lam_prev = None
@@ -374,8 +365,7 @@ def recover_rank1_tensor(
     converged = False
     for iterations in range(1, max_iter + 1):
         # impute entries with repeated indices from the current iterate
-        rank1 = lam * np.multiply.outer(u, np.multiply.outer(u, u))
-        completed = np.where(mask, t, rank1)
+        completed[a, b, c] = lam * (u[a] * (u[b] * u[c]))
         u = _hopm(completed, u, tol=POWER_TOL, max_iter=HOPM_MAX_ITER)
         lam = float(u @ _contract_twice(completed.reshape(m, m * m), u))
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):

@@ -17,7 +17,10 @@ the variance of a tie-free rank row exactly (N^2 - 1) / 12.
 Third moments are one dense symmetric M x M x M array.  Only its
 distinct-index entries follow the factorization above; an entry with a
 repeated index pairs a method with itself, so it is left at zero and
-tensor recovery never reads it.
+tensor recovery never reads it.  The array is built with one
+matrix-matrix product per leading method i, over the methods after it,
+about M^3 N / 3 multiply-adds in all; each product's upper triangle is
+mirrored into the other positions, so the array is exactly symmetric.
 
 :func:`exact_central_moment` is a brute-force enumeration oracle over a
 small factorized model, kept independent of the closed form above so the
@@ -61,6 +64,13 @@ def third_moment_offdiag(ranks) -> np.ndarray:
 
     Entries with three distinct indices hold the central third moment
     of those methods; entries with a repeated index are zero.
+
+    For each leading method i, the centred rows after it are scaled by
+    row i into one reused buffer, and a single matrix product with those
+    rows gives every (i, j, l) with i < j < l: about M^3 N / 3
+    multiply-adds in all.  The product's strict upper triangle (j < l)
+    is mirrored into the five other axis orders, so the array is exactly
+    symmetric.
     """
     r = _as_rank_array(ranks)
     m, n = r.shape
@@ -68,11 +78,17 @@ def third_moment_offdiag(ranks) -> np.ndarray:
         raise TooFewMethods(f"third moments need at least 3 methods, got {m}")
     centered = r - r.mean(axis=1, keepdims=True)
     t = np.zeros((m, m, m))
+    buf = np.empty((m - 1, n))
     for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            t[i, j, j + 1:] = centered[j + 1:] @ (centered[i] * centered[j]) / n
-    # exact: each position receives exactly one nonzero (i < j < l) term
-    return sum(t.transpose(p) for p in itertools.permutations(range(3)))
+        rest = centered[i + 1:]
+        prod = np.multiply(rest, centered[i], out=buf[: m - i - 1])
+        # keep entry (j, l), j < l, which is c_l . (c_i c_j) / n, and mirror it
+        block = np.triu(prod @ rest.T / n, 1)
+        block += block.T
+        t[i, i + 1:, i + 1:] = block
+        t[i + 1:, i, i + 1:] = block
+        t[i + 1:, i + 1:, i] = block
+    return t
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -265,10 +264,3 @@ def mann_whitney_u0(ranks, labels):
         return float(r[labels.labels == 0].sum() - n0 * (n0 + 1) / 2.0)
     s0 = sum(r for r, lab in zip(ranks, labels.labels) if lab == 0)
     return s0 - (n0 * (n0 + 1)) // 2
-
-
-def reverse_ranks(ranks: Sequence | np.ndarray, n_samples: int):
-    """Map each rank r to N+1-r, flipping the method's sign convention."""
-    if isinstance(ranks, np.ndarray):
-        return n_samples + 1 - ranks
-    return type(ranks)(n_samples + 1 - r for r in ranks)

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from summa.decomposition import (
+    POWER_MAX_ITER,
+    POWER_TOL,
     Rank1Recovery,
+    _check_symmetric,
+    _power_iteration,
     check_recoverability,
-    leading_singular_pair,
     recover_rank1_matrix,
     recover_rank1_tensor,
     resolve_sign,
 )
 from summa.exceptions import InvalidInput, NoSignal, TooFewMethods, ZeroMatrix
+from summa.moments import covariance_matrix, third_moment_offdiag
+from summa.ranking import rank_transform
+from summa.simulation import SimulationConfig, simulate_ensemble
 
 
 def random_recoverable_q(rng, m):
@@ -22,6 +28,12 @@ def random_recoverable_q(rng, m):
         squares = q * q
         if 2 * squares.max() < 0.9 * squares.sum():
             return q
+
+
+def leading_singular_pair(matrix, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Dominant eigenvalue magnitude and eigenvector by power iteration."""
+    ray, v = _power_iteration(_check_symmetric(matrix), tol, max_iter)
+    return abs(ray), v
 
 
 def cube(a):
@@ -233,6 +245,26 @@ class TestRecoverRank1Tensor:
         for tensor in (np.zeros((5, 5, 5)), diagonal_only):
             with pytest.raises(NoSignal):
                 recover_rank1_tensor(tensor, np.full(5, 1 / np.sqrt(5)))
+
+    def test_repeated_index_entries_ignored_and_untouched(self):
+        data = simulate_ensemble(SimulationConfig(n_methods=12, n_samples=400, rho=0.3, seed=5))
+        ranks = rank_transform(data.scores, "strict")
+        hint = recover_rank1_matrix(covariance_matrix(ranks)).v
+        q3 = third_moment_offdiag(ranks)
+        m = q3.shape[0]
+        i, j, l = np.ogrid[:m, :m, :m]
+        repeated = (i == j) | (i == l) | (j == l)
+        # integer products are exact, so the filling is exactly symmetric
+        k = np.random.default_rng(6).integers(-1000, 1000, size=m).astype(float)
+        filled = np.where(repeated, k[i] * k[j] * k[l], q3)
+        before = filled.copy()
+        base = recover_rank1_tensor(q3, hint)
+        rec = recover_rank1_tensor(filled, hint)
+        assert rec.lambda_t == base.lambda_t
+        assert rec.u.tobytes() == base.u.tobytes()
+        assert rec.iterations == base.iterations
+        assert rec.residual == base.residual
+        assert np.array_equal(filled, before)
 
     def test_four_methods_refused(self):
         a = np.ones(4)

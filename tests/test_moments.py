@@ -102,6 +102,22 @@ class TestThirdMoment:
         for axes in itertools.permutations(range(3)):
             assert np.array_equal(q3.transpose(axes), q3)
 
+    def test_blocked_product_matches_brute_force(self):
+        # N = 5000 spans several of the matrix product's blocks along the
+        # sample axis; a shared skewed factor keeps every moment well away
+        # from zero, so a relative tolerance is meaningful
+        rng = np.random.default_rng(17)
+        ranks = rng.exponential(size=5000) + 0.5 * rng.normal(size=(9, 5000))
+        q3 = third_moment_offdiag(ranks)
+        c = ranks - ranks.mean(axis=1, keepdims=True)
+        expected = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
+        i, j, l = np.ogrid[:9, :9, :9]
+        distinct = (i != j) & (i != l) & (j != l)
+        np.testing.assert_allclose(q3[distinct], expected[distinct], rtol=1e-12, atol=0)
+        assert np.all(q3[~distinct] == 0.0)
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(q3, q3.transpose(axes))
+
     def test_method_permutation_invariance(self):
         rng = np.random.default_rng(13)
         ranks = rng.random((4, 60))

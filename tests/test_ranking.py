@@ -22,8 +22,12 @@ from summa.ranking import (
     delta,
     mann_whitney_u0,
     rank_transform,
-    reverse_ranks,
 )
+
+
+def reverse_ranks(ranks, n):
+    """Map each rank r to n + 1 - r, flipping the method's sign convention."""
+    return tuple(n + 1 - r for r in ranks)
 
 
 def ranks_of(scores, policy):
