@@ -35,7 +35,6 @@ from .inference import (
     PerformanceReport,
     performance_estimates,
     prevalence_from_moments,
-    weights_only_report,
 )
 from .moments import (
     ConditionalRankModel,
@@ -105,6 +104,5 @@ __all__ = [
     "simulate_ensemble",
     "summa_scores",
     "third_moment_offdiag",
-    "weights_only_report",
     "woc_scores",
 ]

@@ -131,6 +131,8 @@ def read_labels_table(path: Path, delimiter: str = ","):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 2:
+                raise InvalidInput(f"{path}:{lineno}: expected a sample id and a label")
             sample_ids.append(row[0].strip())
             try:
                 labels.append(int(row[1]))
@@ -445,25 +447,16 @@ def _sweep_replicate(task) -> dict:
     data = simulate_ensemble(config)
     ranks = rank_transform(data.scores, "midrank")
 
-    degraded = 0
     try:
-        result = run_pipeline(ranks, use_tensor=True, tol=tol, max_iter=max_iter)
+        result = run_pipeline(ranks, tol=tol, max_iter=max_iter)
     except SummaError:
-        # tensor path failed; fall back to an assumed balanced prevalence,
-        # which leaves the weight vector (and so the correlation) intact
-        degraded = 1
-        try:
-            result = run_pipeline(
-                ranks, prevalence=0.5, use_tensor=False, tol=tol, max_iter=max_iter
-            )
-        except SummaError:
-            return {
-                "axis": axis, "value": value, "replicate": replicate, "seed": seed,
-                "corr_inferred_true": float("nan"), "summa_auroc": float("nan"),
-                "woc_auroc": float("nan"),
-                "best_base_auroc": float(data.true_aurocs.max()),
-                "rho_true": config.rho, "rho_inferred": float("nan"), "degraded": 2,
-            }
+        return {
+            "axis": axis, "value": value, "replicate": replicate, "seed": seed,
+            "corr_inferred_true": float("nan"), "summa_auroc": float("nan"),
+            "woc_auroc": float("nan"),
+            "best_base_auroc": float(data.true_aurocs.max()),
+            "rho_true": config.rho, "rho_inferred": float("nan"), "degraded": 2,
+        }
 
     aurocs = result.report.aurocs
     corr = float(np.corrcoef(aurocs, data.true_aurocs)[0, 1])
@@ -477,8 +470,9 @@ def _sweep_replicate(task) -> dict:
         "woc_auroc": evaluate_ensemble(result.woc, data.labels),
         "best_base_auroc": float(data.true_aurocs.max()),
         "rho_true": config.rho,
-        "rho_inferred": result.report.rho if result.report.rho is not None else float("nan"),
-        "degraded": degraded,
+        "rho_inferred": result.report.rho,
+        # 1: the tensor stage failed and run_pipeline assumed rho = 1/2
+        "degraded": int(result.tensor is None),
     }
 
 
@@ -500,11 +494,16 @@ def cmd_sweep(args) -> int:
         for vi, value in enumerate(values)
         for rep in range(args.replicates)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
-    else:
-        results = [_sweep_replicate(task) for task in tasks]
+    try:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
+        else:
+            results = [_sweep_replicate(task) for task in tasks]
+    except SummaError as err:
+        manifest.write(error=str(err))
+        print(f"sweep: {err}", file=sys.stderr)
+        return 1
     results.sort(key=lambda row: (values.index(row["value"]), row["replicate"]))
 
     columns = [

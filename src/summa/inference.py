@@ -7,7 +7,7 @@ ratio beta = lambda_t^2 / lambda_e^3 = (1 - 2 rho)^2 / (rho(1-rho))
 pins rho(1-rho) = 1/(beta+4), and the sign of lambda_t selects the
 root: positive lambda_t means the positive class is the majority.
 
-From there ||delta|| = sqrt(lambda_e (beta+4)), each method's
+From there ||delta|| = sqrt(lambda_e / (rho(1-rho))), each method's
 delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.
 """
 
@@ -135,14 +135,15 @@ def performance_estimates(
     notes: tuple[str, ...] = (),
 ) -> PerformanceReport:
     """Per-method delta and AUROC estimates from (v, lambda_e) and a
-    prevalence source.
+    prevalence rho.
 
-    Exactly one of the two routes fixes the scale: a prevalence rho in
-    (0, 1) gives ||delta|| = sqrt(lambda_e / (rho(1-rho))); a measured
-    beta gives the algebraically identical sqrt(lambda_e (beta+4)).
-    When both are present the supplied rho wins and the two implied
-    values of rho(1-rho) are cross-checked (disagreement beyond
-    ``RHO_CROSSCHECK_TOL`` warns, never fails).
+    A rho in (0, 1) fixes the scale ||delta|| = sqrt(lambda_e / (rho(1-rho))).
+    With ``rho=None`` the report carries the unit weight vector only:
+    relative method quality (and the weighted ensemble) need only v,
+    while absolute AUROC values need rho.  A measured ``beta`` is
+    cross-checked against rho (disagreement beyond
+    ``RHO_CROSSCHECK_TOL`` warns, never fails); without one the report
+    carries the beta implied by rho.
     """
     v = _unit(v)
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
@@ -153,77 +154,38 @@ def performance_estimates(
         method_ids = _default_ids("m", v.size)
     if len(method_ids) != v.size:
         raise InvalidInput("method_ids must match the weight vector length")
-    if rho is None and beta is None:
-        raise InvalidInput("need a prevalence or a measured beta to scale deltas")
 
     notes = tuple(notes)
+    delta_norm = deltas = aurocs = None
     if rho is not None:
         if not 0.0 < rho < 1.0:
             raise InvalidPrevalence(f"prevalence must lie in (0, 1), got {rho}")
-        if beta is not None:
-            gap = abs(1.0 / (beta + 4.0) - rho * (1.0 - rho))
-            if gap > RHO_CROSSCHECK_TOL:
-                message = (
-                    "supplied prevalence and measured beta disagree: "
-                    f"rho(1-rho)={rho * (1 - rho):.4f} vs 1/(beta+4)={1 / (beta + 4):.4f}"
-                )
-                warnings.warn(message)
-                notes = notes + (message,)
+        if beta is None:
+            beta = implied_beta(rho)
+        elif abs(1.0 / (beta + 4.0) - rho * (1.0 - rho)) > RHO_CROSSCHECK_TOL:
+            message = (
+                "supplied prevalence and measured beta disagree: "
+                f"rho(1-rho)={rho * (1 - rho):.4f} vs 1/(beta+4)={1 / (beta + 4):.4f}"
+            )
+            warnings.warn(message)
+            notes = notes + (message,)
         delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
-        report_beta = beta if beta is not None else implied_beta(rho)
-    else:
-        delta_norm = float(np.sqrt(lambda_e * (beta + 4.0)))
-        report_beta = beta
+        deltas = v * delta_norm
+        aurocs = deltas / n_samples + 0.5
 
-    deltas = v * delta_norm
-    aurocs = deltas / n_samples + 0.5
     return PerformanceReport(
-        method_ids=method_ids,
+        method_ids=tuple(method_ids),
         weights=v,
         n_samples=int(n_samples),
         lambda_e=float(lambda_e),
         rho=float(rho) if rho is not None else None,
         rho_assumed=bool(rho_assumed and rho is not None),
         rho_degenerate=bool(rho_degenerate),
-        beta=float(report_beta) if report_beta is not None else None,
+        beta=float(beta) if beta is not None else None,
         lambda_t=float(lambda_t) if lambda_t is not None else None,
         delta_norm=delta_norm,
         deltas=deltas,
         aurocs=aurocs,
         recoverability_flagged=check_recoverability(v),
         notes=notes,
-    )
-
-
-def weights_only_report(
-    v,
-    lambda_e: float,
-    n_samples: int,
-    method_ids: tuple[str, ...] | None = None,
-    notes: tuple[str, ...] = (),
-) -> PerformanceReport:
-    """Report carrying only the unit weight vector.
-
-    Used when neither a tensor estimate nor a supplied prevalence is
-    available: relative method quality (and the weighted ensemble) need
-    only v, while absolute AUROC values need rho.
-    """
-    v = _unit(v)
-    if method_ids is None:
-        method_ids = _default_ids("m", v.size)
-    return PerformanceReport(
-        method_ids=tuple(method_ids),
-        weights=v,
-        n_samples=int(n_samples),
-        lambda_e=float(lambda_e),
-        rho=None,
-        rho_assumed=False,
-        rho_degenerate=False,
-        beta=None,
-        lambda_t=None,
-        delta_norm=None,
-        deltas=None,
-        aurocs=None,
-        recoverability_flagged=check_recoverability(v),
-        notes=tuple(notes),
     )

@@ -2,7 +2,8 @@
 
 Wires the stages together: covariance -> rank-one recovery -> (optional)
 third-moment tensor -> prevalence -> per-method report -> aggregate
-scores.  Shared by the command line and the experiment sweeps.
+scores.  Shared by the command line and the experiment sweeps, and the
+one place that chooses the prevalence rho.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from .decomposition import (
     recover_rank1_tensor,
 )
 from .ensemble import EnsembleScores, summa_scores, woc_scores
-from .exceptions import NotConverged, TooFewMethods
-from .inference import (
-    BETA_DEGENERATE,
-    PerformanceReport,
-    performance_estimates,
-    prevalence_from_moments,
-    weights_only_report,
-)
+from .exceptions import NoSignal, NotConverged, TooFewMethods
+from .inference import PerformanceReport, performance_estimates, prevalence_from_moments
 from .moments import covariance_matrix, third_moment_offdiag
 from .ranking import RankMatrix
 
@@ -49,11 +44,14 @@ def run_pipeline(
 ) -> PipelineResult:
     """Estimate method performances and aggregate scores from ranks alone.
 
-    The tensor stage runs when ``use_tensor`` is set and at least
-    ``TENSOR_MIN_METHODS`` methods are present; a user-supplied
-    ``prevalence`` overrides the tensor estimate of rho (the two are
-    cross-checked when both exist).  With neither, the report carries
-    the weight vector only.
+    The only place that chooses rho: a supplied ``prevalence`` wins (a
+    converged tensor cross-checks it); else a converged tensor gives rho
+    through :func:`prevalence_from_moments`; else, if the tensor stage
+    raised :class:`NotConverged` or :class:`NoSignal`, rho is 1/2 with
+    ``rho_degenerate`` set and a note.  The tensor stage runs when
+    ``use_tensor`` is set and at least ``TENSOR_MIN_METHODS`` methods are
+    present; with it off and no prevalence the report carries the weight
+    vector only.
     """
     m = ranks.n_methods
     if use_tensor and prevalence is None and m < TENSOR_MIN_METHODS:
@@ -65,41 +63,40 @@ def run_pipeline(
 
     recovery = recover_rank1_matrix(covariance_matrix(ranks), tol=tol, max_iter=max_iter)
 
-    tensor = None
-    tensor_note = ()
+    tensor = failure = None
     if use_tensor and m >= TENSOR_MIN_METHODS:
         try:
             tensor = recover_rank1_tensor(
                 third_moment_offdiag(ranks), recovery.v, tol=tol, max_iter=max_iter
             )
         except NotConverged:
-            if prevalence is None:
-                raise  # the tensor was the only route to rho
-            # with a supplied prevalence the tensor is only a cross-check;
-            # a non-converged estimate would only produce spurious warnings
-            tensor_note = ("tensor stage did not converge; cross-check skipped",)
+            failure = "did not converge"
+        except NoSignal:
+            failure = "found no signal"
 
+    rho, beta, lambda_t, degenerate, notes = prevalence, None, None, False, ()
     if tensor is not None:
         rho_hat, beta = prevalence_from_moments(recovery.lambda_, tensor.lambda_t)
-        report = performance_estimates(
-            recovery.v, recovery.lambda_, ranks.n_samples,
-            rho=rho_hat if prevalence is None else prevalence, beta=beta,
-            rho_assumed=prevalence is not None,
-            rho_degenerate=beta < BETA_DEGENERATE, lambda_t=tensor.lambda_t,
-            method_ids=ranks.method_ids,
-        )
-    elif prevalence is not None:
-        report = performance_estimates(
-            recovery.v, recovery.lambda_, ranks.n_samples,
-            rho=prevalence, rho_assumed=True, method_ids=ranks.method_ids,
-            notes=tensor_note,
-        )
-    else:
-        report = weights_only_report(
-            recovery.v, recovery.lambda_, ranks.n_samples,
-            method_ids=ranks.method_ids, notes=tensor_note,
-        )
+        lambda_t = tensor.lambda_t
+        # exactly 1/2 comes back only from the degenerate band
+        degenerate = rho_hat == 0.5
+        if rho is None:
+            rho = rho_hat
+    elif failure is not None and rho is not None:
+        # the tensor was only a cross-check; a failed one would only
+        # produce spurious warnings
+        notes = (f"tensor stage {failure}; cross-check skipped",)
+    elif failure is not None:
+        # the tensor was the only route to rho: report 1/2, flagged
+        rho, degenerate = 0.5, True
+        notes = (f"tensor stage {failure}; rho taken as 1/2 and flagged degenerate",)
 
+    report = performance_estimates(
+        recovery.v, recovery.lambda_, ranks.n_samples,
+        rho=rho, beta=beta, rho_assumed=prevalence is not None,
+        rho_degenerate=degenerate, lambda_t=lambda_t,
+        method_ids=ranks.method_ids, notes=notes,
+    )
     return PipelineResult(
         report=report,
         summa=summa_scores(ranks, report.weights),

@@ -103,8 +103,7 @@ class RankMatrix:
         if self.tie_policy not in (STRICT, MIDRANK):
             raise InvalidInput(f"unknown tie policy {self.tie_policy!r}")
         if self.tie_policy == STRICT:
-            expected = np.arange(1, n + 1, dtype=float)
-            if not all(np.array_equal(np.sort(row), expected) for row in ranks):
+            if not (np.sort(ranks, axis=1) == np.arange(1.0, n + 1)).all():
                 raise InvalidInput("strict rows must each be a permutation of 1..N")
         else:
             if np.any(ranks < 1.0) or np.any(ranks > n):

@@ -146,6 +146,38 @@ class TestInfer:
         report = json.loads((inf / "report.json").read_text())
         assert report["n_samples"] == n
 
+    def test_tensor_failure_reports_degenerate_half(self, tmp_path):
+        # the tensor stage does not converge on this balanced design
+        out = simulate(tmp_path, **{"--methods": 12, "--samples": 400,
+                                    "--rho": 0.5, "--seed": 5})
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--output-dir", inf) == 0
+        assert not (inf / "error.json").exists()
+        report = json.loads((inf / "report.json").read_text())
+        assert report["rho"] == 0.5
+        assert report["rho_source"] == "estimated"
+        assert report["rho_degenerate"] is True
+        assert report["lambda_t"] is None
+        assert "tensor" not in report
+        assert len(report["notes"]) == 1
+        assert "error" not in json.loads((inf / "manifest.json").read_text())
+
+    def test_matrix_not_converged_writes_error_json(self, tmp_path):
+        out = simulate(tmp_path, **{"--methods": 30, "--samples": 500})
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--max-iter", 1,
+                   "--output-dir", inf) == 1
+        error = json.loads((inf / "error.json").read_text())
+        assert error["error"] == "NotConverged"
+        partial = error["partial"]
+        assert partial["lambda"] > 0
+        assert len(partial["v"]) == 30
+        assert partial["iterations"] == 1
+        assert partial["residual"] >= 0
+        manifest = json.loads((inf / "manifest.json").read_text())
+        assert "error" in manifest
+        assert "error.json" in manifest["outputs"]
+
     def test_deterministic_outputs(self, tmp_path):
         out = simulate(tmp_path, **{"--methods": 12, "--samples": 400})
         for name in ("a", "b"):
@@ -208,6 +240,17 @@ class TestEvaluate:
         assert run("evaluate", "--scores", scores, "--labels", labels,
                    "--output-dir", tmp_path / "ev") != 0
 
+    def test_label_row_without_label_rejected(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("sample_id,m\ns0,4\ns1,3\n")
+        labels.write_text("sample_id,label\ns0,1\ns1\n")
+        ev = tmp_path / "ev"
+        assert run("evaluate", "--scores", scores, "--labels", labels,
+                   "--output-dir", ev) == 1
+        manifest = json.loads((ev / "manifest.json").read_text())
+        assert "labels.csv:3" in manifest["error"]
+
 
 class TestSweep:
     def test_default_axis_values(self):
@@ -246,3 +289,26 @@ class TestSweep:
         assert run(*common, "--jobs", 2, "--output-dir", tmp_path / "par") == 0
         assert (tmp_path / "seq" / "sweep.csv").read_bytes() == \
             (tmp_path / "par" / "sweep.csv").read_bytes()
+
+    def test_too_few_methods_cell_fails(self, tmp_path):
+        # the tensor stage needs 5 methods, so a 4-method cell has no rho;
+        # replicate 2 has a working matrix stage, the other two do not
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "4",
+                   "--replicates", 3, "--seed", 777,
+                   "--output-dir", sw) == 0
+        rows = (sw / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            cells = row.split(",")
+            assert cells[-1] == "2"
+            assert cells[4] == "nan"
+
+    def test_failure_writes_manifest(self, tmp_path):
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "5",
+                   "--replicates", 1, "--seed", 1, "--rho", 0,
+                   "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "prevalence" in manifest["error"]
+        assert manifest["outputs"] == []

@@ -9,7 +9,6 @@ from summa.inference import (
     BETA_DEGENERATE,
     performance_estimates,
     prevalence_from_moments,
-    weights_only_report,
 )
 
 
@@ -103,15 +102,16 @@ class TestPerformanceEstimates:
         report = performance_estimates(v, 5.0, 200, rho=0.35)
         assert np.array_equal(np.argsort(report.weights), np.argsort(report.aurocs))
 
-    def test_beta_only_path_matches_rho_path(self):
+    def test_measured_beta_scale_matches_rho_scale(self):
+        # rho(1-rho) = 1/(beta+4), so the scale rho fixes is sqrt(lambda_e (beta+4))
         deltas = np.array([3.0, 5.0, 2.0, 7.0, 4.0])
         v = deltas / np.linalg.norm(deltas)
         lambda_e, lambda_t = forward_moments(0.25, deltas)
-        _, beta = prevalence_from_moments(lambda_e, lambda_t)
-        via_beta = performance_estimates(v, lambda_e, 60, beta=beta, rho_assumed=False)
-        via_rho = performance_estimates(v, lambda_e, 60, rho=0.25)
-        assert via_beta.delta_norm == pytest.approx(via_rho.delta_norm, rel=1e-12)
-        assert via_beta.rho is None
+        rho, beta = prevalence_from_moments(lambda_e, lambda_t)
+        report = performance_estimates(v, lambda_e, 60, rho=rho, beta=beta, rho_assumed=False)
+        assert report.delta_norm == pytest.approx(np.sqrt(lambda_e * (beta + 4.0)), rel=1e-12)
+        assert report.delta_norm == pytest.approx(np.linalg.norm(deltas), rel=1e-12)
+        assert report.beta == beta
 
     def test_invalid_prevalence(self):
         v = np.full(4, 0.5)
@@ -119,9 +119,14 @@ class TestPerformanceEstimates:
             with pytest.raises(InvalidPrevalence):
                 performance_estimates(v, 1.0, 10, rho=bad)
 
-    def test_missing_scale_source(self):
+    def test_no_rho_gives_weights_only(self):
+        report = performance_estimates(np.full(4, 0.5), 1.0, 10)
+        assert report.rho is None and report.aurocs is None
+        # the weights-only report is validated like any other
+        with pytest.raises(NoSignal):
+            performance_estimates(np.full(4, 0.5), 0.0, 10)
         with pytest.raises(InvalidInput):
-            performance_estimates(np.full(4, 0.5), 1.0, 10)
+            performance_estimates(np.full(4, 0.5), 1.0, 10, method_ids=("a", "b"))
 
     def test_crosscheck_warns_but_succeeds(self):
         v = np.full(4, 0.5)
@@ -165,7 +170,7 @@ class TestPerformanceEstimates:
 class TestWeightsOnlyReport:
     def test_fields(self):
         v = np.full(4, 0.5)
-        report = weights_only_report(v, 2.0, 30)
+        report = performance_estimates(v, 2.0, 30, rho=None)
         assert report.rho is None
         assert report.deltas is None
         assert report.aurocs is None

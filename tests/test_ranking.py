@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from summa.exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 from summa.ranking import (
     LabelVector,
+    RankMatrix,
     ScoreMatrix,
     auroc_from_delta,
     auroc_rectangle,
@@ -73,6 +74,19 @@ class TestRankTransform:
         rm = rank_transform(ScoreMatrix.from_array(scores), "midrank")
         n = rm.n_samples
         assert np.allclose(rm.ranks.sum(axis=1), n * (n + 1) / 2)
+
+
+class TestRankMatrix:
+    def test_strict_permutations_accepted(self):
+        rm = RankMatrix([[2, 1, 3, 4], [4, 3, 2, 1]], "strict", ("a", "b"), tuple("wxyz"))
+        assert rm.ranks.shape == (2, 4)
+
+    def test_strict_repeated_rank_rejected(self):
+        # the second row keeps the row sum of a permutation but repeats rank 2
+        with pytest.raises(InvalidInput, match="permutation"):
+            RankMatrix([[2, 1, 3, 4], [2, 2, 3, 3]], "strict", ("a", "b"), tuple("wxyz"))
+        with pytest.raises(InvalidInput, match="permutation"):
+            RankMatrix([[2, 1, 3, 4], [1, 2, 3, 5]], "strict", ("a", "b"), tuple("wxyz"))
 
 
 class TestDelta:
