@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +46,10 @@ from .simulation import SimulationConfig, simulate_ensemble
 
 DEFAULT_OUTPUT_DIR_ENV = "SUMMA_OUTPUT_DIR"
 
+# sweep axis -> (the SimulationConfig field it sets, the type of its values)
+_SWEEP_AXES = {"methods": ("n_methods", int), "samples": ("n_samples", int),
+               "prevalence": ("rho", float)}
+
 SWEEP_DEFAULT_VALUES = {
     "methods": [str(v) for v in range(5, 31)],
     "samples": ["30", "250", "1000", "4000"],
@@ -56,10 +61,21 @@ SWEEP_DEFAULT_VALUES = {
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_CHUNK_ROWS = 4096
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _quoted(text: str) -> str:
+    """A CSV cell as ``csv.writer`` quotes it (QUOTE_MINIMAL)."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _jsonable(value):
@@ -70,16 +86,42 @@ def _jsonable(value):
     return value
 
 
-def write_table(path: Path, columns: list[str], rows: list[list], fmt: str):
+def _csv_column(column):
+    """The ``%`` spec of one column and the cells it formats: float64 and
+    integer arrays format in the row's one ``%`` string, any other cell
+    becomes its quoted text first."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return "%.17g", column
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "%d", column
+    text = [_fmt(cell) for cell in column]
+    # one search over the whole column; the common id column needs no quotes
+    if _NEEDS_QUOTES.search("".join(text)):
+        text = [_quoted(cell) for cell in text]
+    return "%s", text
+
+
+def _as_list(cells):
+    """Python scalars for array cells, so no numpy scalar is ever made."""
+    return cells.tolist() if isinstance(cells, np.ndarray) else cells
+
+
+def write_table(path: Path, header: list[str], columns: list, fmt: str):
+    """Write equal-length ``columns`` (sequences or 1-D arrays) under
+    ``header``.  CSV goes out ``_CHUNK_ROWS`` rows at a time, byte for
+    byte what ``csv.writer`` writes for the cells' ``_fmt`` text."""
     if fmt == "csv":
+        specs, cells = zip(*(_csv_column(column) for column in columns))
+        line = ",".join(specs) + "\r\n"
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(cell) for cell in row])
+            handle.write(",".join(_quoted(name) for name in header) + "\r\n")
+            for start in range(0, len(cells[0]), _CHUNK_ROWS):
+                chunk = [_as_list(c[start:start + _CHUNK_ROWS]) for c in cells]
+                handle.write("".join([line % row for row in zip(*chunk)]))
     else:
         records = [
-            {col: _jsonable(cell) for col, cell in zip(columns, row)} for row in rows
+            {col: _jsonable(cell) for col, cell in zip(header, row)}
+            for row in zip(*(_as_list(column) for column in columns))
         ]
         with open(path, "w") as handle:
             json.dump(records, handle, indent=1)
@@ -233,33 +275,21 @@ def cmd_simulate(args) -> int:
         return 1
 
     scores_name = _table_name("scores", args.format)
+    sample_ids, method_ids = data.scores.sample_ids, data.scores.method_ids
     write_table(
         out / scores_name,
-        ["sample_id", *data.scores.method_ids],
-        [
-            [sid, *data.scores.values[:, k]]
-            for k, sid in enumerate(data.scores.sample_ids)
-        ],
+        ["sample_id", *method_ids],
+        [sample_ids, *data.scores.values],
         args.format,
     )
     labels_name = _table_name("labels", args.format)
     write_table(
-        out / labels_name,
-        ["sample_id", "label"],
-        [
-            [sid, int(lab)]
-            for sid, lab in zip(data.scores.sample_ids, data.labels.labels)
-        ],
+        out / labels_name, ["sample_id", "label"], [sample_ids, data.labels.labels],
         args.format,
     )
     aurocs_name = _table_name("true_aurocs", args.format)
     write_table(
-        out / aurocs_name,
-        ["method_id", "auroc"],
-        [
-            [mid, float(a)]
-            for mid, a in zip(data.scores.method_ids, data.true_aurocs)
-        ],
+        out / aurocs_name, ["method_id", "auroc"], [method_ids, data.true_aurocs],
         args.format,
     )
     for name in (scores_name, labels_name, aurocs_name):
@@ -303,16 +333,13 @@ def _write_infer_outputs(out: Path, result, args, manifest: ManifestWriter):
     manifest.add_output("report.json")
 
     methods_name = _table_name("method_estimates", args.format)
-    columns = ["method_id", "weight", "recoverability_flag"]
+    header = ["method_id", "weight", "recoverability_flag"]
     if report.deltas is not None:
-        columns += ["delta", "auroc", "auroc_raw"]
-    rows = []
-    for entry in payload["methods"]:
-        row = [entry["method_id"], entry["weight"], int(entry["recoverability_flag"])]
-        if report.deltas is not None:
-            row += [entry["delta"], entry["auroc"], entry["auroc_raw"]]
-        rows.append(row)
-    write_table(out / methods_name, columns, rows, args.format)
+        header += ["delta", "auroc", "auroc_raw"]
+    entries = payload["methods"]
+    columns = [[entry[name] for entry in entries] for name in header]
+    columns[2] = [int(flag) for flag in columns[2]]
+    write_table(out / methods_name, header, columns, args.format)
     manifest.add_output(methods_name)
 
     sample_ids = result.summa.sample_ids
@@ -320,10 +347,7 @@ def _write_infer_outputs(out: Path, result, args, manifest: ManifestWriter):
     write_table(
         out / scores_name,
         ["sample_id", "summa", "woc"],
-        [
-            [sid, float(result.summa.scores[k]), float(result.woc.scores[k])]
-            for k, sid in enumerate(sample_ids)
-        ],
+        [sample_ids, result.summa.scores, result.woc.scores],
         args.format,
     )
     manifest.add_output(scores_name)
@@ -331,10 +355,7 @@ def _write_infer_outputs(out: Path, result, args, manifest: ManifestWriter):
     write_table(
         out / labels_name,
         ["sample_id", "summa", "woc"],
-        [
-            [sid, int(result.summa.labels[k]), int(result.woc.labels[k])]
-            for k, sid in enumerate(sample_ids)
-        ],
+        [sample_ids, result.summa.labels, result.woc.labels],
         args.format,
     )
     manifest.add_output(labels_name)
@@ -398,22 +419,23 @@ def cmd_evaluate(args) -> int:
         labels = _align_labels(sample_ids, label_ids, labels)
         scores = ScoreMatrix(values, method_ids, sample_ids)
         ranks = rank_transform(scores, "strict")
-        rows = []
-        for i, mid in enumerate(method_ids):
-            auroc = float(auroc_rectangle(ranks.ranks[i], labels))
-            rows.append([mid, auroc, len(labels), labels.n_positive])
+        aurocs = [auroc_rectangle(row, labels) for row in ranks.ranks]
     except SummaError as err:
         manifest.write(error=str(err))
         print(f"evaluate: {err}", file=sys.stderr)
         return 1
 
     metrics_name = _table_name("metrics", args.format)
+    m = len(method_ids)
     write_table(
-        out / metrics_name, ["method_id", "auroc", "n_samples", "n_positive"], rows, args.format
+        out / metrics_name,
+        ["method_id", "auroc", "n_samples", "n_positive"],
+        [method_ids, aurocs, [len(labels)] * m, [labels.n_positive] * m],
+        args.format,
     )
     manifest.add_output(metrics_name)
     manifest.write()
-    print(f"evaluate: wrote {metrics_name} ({len(rows)} methods)")
+    print(f"evaluate: wrote {metrics_name} ({m} methods)")
     return 0
 
 
@@ -426,6 +448,15 @@ def _replicate_seed(base_seed: int, value_index: int, replicate: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _axis_value(axis: str, text: str):
+    """The number a ``--values`` entry sets on the simulation config;
+    ``cmd_sweep`` checks every entry before it builds a task."""
+    try:
+        return _SWEEP_AXES[axis][1](text)
+    except ValueError:
+        raise InvalidInput(f"--values: {text!r} is not a valid {axis} value") from None
+
+
 def _sweep_replicate(task) -> dict:
     """One (axis value, replicate) cell: simulate, infer, evaluate."""
     axis, value, value_index, replicate, base, tol, max_iter = task
@@ -436,12 +467,7 @@ def _sweep_replicate(task) -> dict:
         "auroc_low": base["auroc_low"],
         "auroc_high": base["auroc_high"],
     }
-    if axis == "methods":
-        config_kwargs["n_methods"] = int(value)
-    elif axis == "samples":
-        config_kwargs["n_samples"] = int(value)
-    else:
-        config_kwargs["rho"] = float(value)
+    config_kwargs[_SWEEP_AXES[axis][0]] = _axis_value(axis, value)
     seed = _replicate_seed(base["seed"], value_index, replicate)
     config = SimulationConfig(seed=seed, **config_kwargs)
     data = simulate_ensemble(config)
@@ -476,6 +502,20 @@ def _sweep_replicate(task) -> dict:
     }
 
 
+def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
+    """NaN-skipping median, mean and standard error of one sweep cell's
+    replicates; NaN, without a RuntimeWarning, where too few are finite."""
+    finite = np.count_nonzero(~np.isnan(x))
+    nan = float("nan")
+    median = float(np.nanmedian(x)) if finite else nan
+    mean = float(np.nanmean(x)) if finite else nan
+    if x.size <= 1:
+        se = 0.0
+    else:
+        se = float(np.nanstd(x, ddof=1) / np.sqrt(x.size)) if finite > 1 else nan
+    return median, mean, se
+
+
 def cmd_sweep(args) -> int:
     out = _prepare_output_dir(args)
     manifest = ManifestWriter("sweep", args, out)
@@ -489,12 +529,16 @@ def cmd_sweep(args) -> int:
         "auroc_high": args.auroc_high,
         "seed": args.seed,
     }
-    tasks = [
-        (args.axis, value, vi, rep, base, args.tol, args.max_iter)
-        for vi, value in enumerate(values)
-        for rep in range(args.replicates)
-    ]
     try:
+        for value in values:
+            _axis_value(args.axis, value)
+        if len(set(values)) != len(values):
+            raise InvalidInput("--values: each value may appear only once")
+        tasks = [
+            (args.axis, value, vi, rep, base, args.tol, args.max_iter)
+            for vi, value in enumerate(values)
+            for rep in range(args.replicates)
+        ]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
@@ -506,7 +550,7 @@ def cmd_sweep(args) -> int:
         return 1
     results.sort(key=lambda row: (values.index(row["value"]), row["replicate"]))
 
-    columns = [
+    header = [
         "axis", "value", "replicate", "seed", "corr_inferred_true",
         "summa_auroc", "woc_auroc", "best_base_auroc",
         "rho_true", "rho_inferred", "degraded",
@@ -514,8 +558,8 @@ def cmd_sweep(args) -> int:
     sweep_name = _table_name("sweep", args.format)
     write_table(
         out / sweep_name,
-        columns,
-        [[row[col] for col in columns] for row in results],
+        header,
+        [[row[col] for row in results] for col in header],
         args.format,
     )
     manifest.add_output(sweep_name)
@@ -523,24 +567,19 @@ def cmd_sweep(args) -> int:
     summary_rows = []
     for value in values:
         cell = [row for row in results if row["value"] == value]
-        corr = np.asarray([row["corr_inferred_true"] for row in cell])
-        summa = np.asarray([row["summa_auroc"] for row in cell])
-        woc = np.asarray([row["woc_auroc"] for row in cell])
-        n = len(cell)
-        summary_rows.append([
-            args.axis, value, n,
-            float(np.nanmedian(corr)), float(np.nanmean(corr)),
-            float(np.nanmean(summa)),
-            float(np.nanstd(summa, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            float(np.nanmean(woc)),
-            float(np.nanstd(woc, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-        ])
+        corr_median, corr_mean, _ = _cell_stats(
+            np.asarray([row["corr_inferred_true"] for row in cell]))
+        _, summa_mean, summa_se = _cell_stats(np.asarray([row["summa_auroc"] for row in cell]))
+        _, woc_mean, woc_se = _cell_stats(np.asarray([row["woc_auroc"] for row in cell]))
+        summary_rows.append([args.axis, value, len(cell), corr_median, corr_mean,
+                             summa_mean, summa_se, woc_mean, woc_se])
     summary_name = _table_name("sweep_summary", args.format)
+    header = ["axis", "value", "n", "corr_median", "corr_mean",
+              "summa_mean", "summa_se", "woc_mean", "woc_se"]
     write_table(
         out / summary_name,
-        ["axis", "value", "n", "corr_median", "corr_mean",
-         "summa_mean", "summa_se", "woc_mean", "woc_se"],
-        summary_rows,
+        header,
+        [[row[k] for row in summary_rows] for k in range(len(header))],
         args.format,
     )
     manifest.add_output(summary_name)
@@ -613,8 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="replicate experiments along one axis")
-    p_sweep.add_argument("--axis", choices=("methods", "samples", "prevalence"),
-                         required=True)
+    p_sweep.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p_sweep.add_argument("--values", default=None,
                          help="comma-separated axis values (defaults per axis)")
     p_sweep.add_argument("--replicates", type=int, default=50)

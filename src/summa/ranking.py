@@ -8,6 +8,12 @@ confident belongs to the positive class.  The performance measure
 is positive for an informative method under that convention and relates
 to the area under the ROC curve by ``auroc = delta / n + 1/2``.
 
+Ranks are computed in-house with one ``argsort`` per call.  Equal
+scores (``-0.0`` equals ``0.0``) form a tie group: midrank gives each
+member the group's mean position, strict orders the members by sample
+index.  Both equal ``scipy.stats.rankdata`` of the negated scores with
+``method="average"`` and ``"ordinal"``.
+
 The scalar oracles (:func:`delta`, :func:`auroc_rectangle`,
 :func:`mann_whitney_u0`) propagate exact arithmetic: given Python ints
 or :class:`fractions.Fraction` ranks they return exact rationals, which
@@ -20,12 +26,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 
 STRICT = "strict"
 MIDRANK = "midrank"
+
+_TIES_MESSAGE = "rectangle-rule AUROC is defined only on tie-free rank permutations"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -170,8 +177,29 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
     """
     if tie_policy not in (STRICT, MIDRANK):
         raise InvalidInput(f"unknown tie policy {tie_policy!r}")
-    method = "ordinal" if tie_policy == STRICT else "average"
-    ranks = rankdata(-scores.values, method=method, axis=1)
+    keys = -scores.values
+    m, n = keys.shape
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    tied = ordered[:, 1:] == ordered[:, :-1]  # sorted position k + 1 ties k
+    del ordered
+    by_position = np.broadcast_to(np.arange(1.0, n + 1), (m, n))
+    if tie_policy == STRICT:
+        # re-sort only the rows with ties, stably, so ties keep sample order
+        rows = tied.any(axis=1)
+        order[rows] = np.argsort(keys[rows], axis=1, kind="stable")
+    elif tied.any():
+        # the tie group spanning sorted positions first..last (0-based)
+        # shares the rank (first + last) / 2 + 1, exactly representable
+        positions = np.arange(n)
+        first = np.where(np.pad(tied, ((0, 0), (1, 0))), 0, positions)
+        np.maximum.accumulate(first, axis=1, out=first)
+        last = np.where(np.pad(tied, ((0, 0), (0, 1))), n - 1, positions)[:, ::-1]
+        np.minimum.accumulate(last, axis=1, out=last)
+        first += last[:, ::-1]
+        by_position = (first + 2) * 0.5
+    ranks = np.empty((m, n))
+    np.put_along_axis(ranks, order, by_position, axis=1)
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
 
 
@@ -217,33 +245,50 @@ def _labels_by_rank(ranks, labels: LabelVector) -> list[int]:
         r = float(rank)
         idx = int(r) - 1
         if r != int(r) or not 0 <= idx < n or by_rank[idx] is not None:
-            raise TiesUnsupported(
-                "rectangle-rule AUROC is defined only on tie-free rank permutations"
-            )
+            raise TiesUnsupported(_TIES_MESSAGE)
         by_rank[idx] = int(labels.labels[sample])
     return by_rank  # type: ignore[return-value]
+
+
+def _labels_by_rank_array(ranks: np.ndarray, labels: LabelVector) -> np.ndarray:
+    """Vectorised :func:`_labels_by_rank`: one scatter of the labels."""
+    n = len(labels)
+    r = np.asarray(ranks, dtype=float)
+    if not ((r >= 1) & (r <= n) & (r == np.floor(r))).all():
+        raise TiesUnsupported(_TIES_MESSAGE)
+    index = r.astype(np.intp) - 1
+    if not (np.bincount(index, minlength=n) == 1).all():
+        raise TiesUnsupported(_TIES_MESSAGE)
+    by_rank = np.empty(n, dtype=np.int8)
+    by_rank[index] = labels.labels
+    return by_rank
 
 
 def auroc_rectangle(ranks, labels) -> float | Fraction:
     """Rectangle-rule AUROC: sum of TPR * (FPR step) walking ranks 1..N.
 
     Exact oracle against which the delta-based estimate is validated;
-    requires strict (permutation) ranks.
+    requires strict (permutation) ranks.  ndarray ranks count the
+    concordant pairs in integers and return their correctly rounded
+    ratio, the float of the exact result.
     """
     labels = LabelVector.coerce(labels)
     labels.require_both_classes()
     if len(labels) != len(ranks):
         raise InvalidInput("ranks and labels must have equal length")
-    by_rank = _labels_by_rank(ranks, labels)
+    pairs = labels.n_positive * labels.n_negative
+    if isinstance(ranks, np.ndarray):
+        by_rank = _labels_by_rank_array(ranks, labels)
+        true_pos = np.cumsum(by_rank, dtype=np.int64)
+        return int(true_pos[by_rank == 0].sum()) / pairs
     true_pos = 0
     concordant = 0
-    for lab in by_rank:
+    for lab in _labels_by_rank(ranks, labels):
         if lab == 1:
             true_pos += 1
         else:
             concordant += true_pos
-    value = _ratio(concordant, labels.n_positive * labels.n_negative)
-    return float(value) if isinstance(ranks, np.ndarray) else value
+    return Fraction(concordant, pairs)
 
 
 def mann_whitney_u0(ranks, labels):

@@ -1,13 +1,16 @@
 """Command-line workflow tests: file outputs, manifests, determinism,
 and error exit codes.  Commands run in-process through main(argv)."""
 
+import csv
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from summa.cli import main, read_matrix_table
+from summa.cli import _CHUNK_ROWS, main, read_matrix_table, write_table
 
 
 def run(*argv):
@@ -25,6 +28,71 @@ def simulate(tmp_path, out="sim", **kwargs):
         argv += [key, value]
     assert run(*argv) == 0
     return tmp_path / out
+
+
+def reference_csv(path, header, columns):
+    """The writer ``write_table`` must match: csv.writer over each cell's
+    ``.17g`` (floats) or ``str`` text."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([format(c, ".17g") if isinstance(c, float) else str(c)
+                             for c in row])
+
+
+def reference_json(path, header, columns):
+    def plain(cell):
+        if isinstance(cell, float) and math.isnan(cell):
+            return None
+        return cell.item() if isinstance(cell, np.generic) else cell
+
+    with open(path, "w") as handle:
+        json.dump([{h: plain(c) for h, c in zip(header, row)} for row in zip(*columns)],
+                  handle, indent=1)
+        handle.write("\n")
+
+
+def awkward_table(n):
+    """Columns of every kind write_table meets, over ``n`` rows."""
+    rng = np.random.default_rng(0)
+    ids = (["a,b", 'say "hi"', " padded ", "line\nbreak", ""]
+           + [f"s{k}" for k in range(n)])[:n]
+    floats = np.concatenate([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324],
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n),
+    ])[:n]
+    mixed = [None, 3, 2.5, np.float64(0.1), np.int64(-7), np.float32(0.1), True,
+             np.nan, -np.inf]
+    mixed = (mixed * (n // len(mixed) + 1))[:n]
+    return (
+        ["sample id", 'quote"d', "comma,col", "int8", "int64", "mixed"],
+        [tuple(ids), floats, floats[::-1].copy(),
+         rng.integers(0, 2, size=n).astype(np.int8),
+         rng.integers(-2**62, 2**62, size=n), mixed],
+    )
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n", [1, 7, 2 * _CHUNK_ROWS + 3])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, n):
+        header, columns = awkward_table(n)
+        write_table(tmp_path / "new.csv", header, columns, "csv")
+        reference_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_round_trips_floats(self, tmp_path):
+        values = np.random.default_rng(1).standard_normal((3, 50))
+        write_table(tmp_path / "t.csv", ["sample_id", "a", "b", "c"],
+                    [[f"s{k}" for k in range(50)], *values], "csv")
+        _, _, read = read_matrix_table(tmp_path / "t.csv")
+        assert read.tobytes() == values.tobytes()
+
+    def test_json_unchanged(self, tmp_path):
+        header, columns = awkward_table(23)
+        write_table(tmp_path / "new.json", header, columns, "json")
+        reference_json(tmp_path / "ref.json", header, columns)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestSimulate:
@@ -303,6 +371,51 @@ class TestSweep:
             cells = row.split(",")
             assert cells[-1] == "2"
             assert cells[4] == "nan"
+
+    def test_all_failed_cell_summary_is_nan_without_warnings(self, tmp_path):
+        sw = tmp_path / "sw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("sweep", "--axis", "methods", "--values", "4,8",
+                       "--replicates", 3, "--seed", 777, "--samples", 250,
+                       "--output-dir", sw) == 0
+        summary = (sw / "sweep_summary.csv").read_text().splitlines()
+        assert summary[1] == "methods,4,3,nan,nan,nan,nan,nan,nan"
+        # one of the three 8-method replicates is finite: a mean, no spread
+        cells = summary[2].split(",")
+        assert cells[5] != "nan" and cells[6] == "nan"
+
+    def test_single_failed_replicate_has_zero_se(self, tmp_path):
+        sw = tmp_path / "sw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("sweep", "--axis", "methods", "--values", "4",
+                       "--replicates", 1, "--seed", 777,
+                       "--output-dir", sw) == 0
+        summary = (sw / "sweep_summary.csv").read_text().splitlines()
+        assert summary[1] == "methods,4,1,nan,nan,nan,0,nan,0"
+
+    @pytest.mark.parametrize("axis, value", [
+        ("methods", "5.5"), ("samples", "many"), ("prevalence", "half"),
+    ])
+    def test_bad_axis_value_rejected(self, tmp_path, capsys, axis, value):
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", axis, "--values", f"5,{value}",
+                   "--replicates", 1, "--seed", 1, "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert value in manifest["error"]
+        assert manifest["outputs"] == []
+        assert not (sw / "sweep.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_repeated_value_rejected(self, tmp_path):
+        # a repeated value would merge two cells into one summary row, twice
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "8,5,8",
+                   "--replicates", 1, "--seed", 3, "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "once" in manifest["error"]
+        assert not (sw / "sweep.csv").exists()
 
     def test_failure_writes_manifest(self, tmp_path):
         sw = tmp_path / "sw"

@@ -6,12 +6,19 @@ grids; the full N <= 8 sweep lives in the acceptance suite.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
+
+import summa
 
 from summa.exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 from summa.ranking import (
@@ -76,6 +83,56 @@ class TestRankTransform:
         assert np.allclose(rm.ranks.sum(axis=1), n * (n + 1) / 2)
 
 
+# few distinct values, so most rows tie; -0.0 and 0.0 compare equal
+TIE_PRONE = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRankTransformOracle:
+    """Ranks equal scipy's ``rankdata`` bit for bit; it is the oracle only."""
+
+    @staticmethod
+    def assert_matches_rankdata(scores):
+        sm = ScoreMatrix.from_array(scores)
+        for policy, method in (("midrank", "average"), ("strict", "ordinal")):
+            ours = rank_transform(sm, policy).ranks
+            theirs = rankdata(-sm.values, method=method, axis=1).astype(float)
+            assert ours.tobytes() == theirs.tobytes(), policy
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 40), st.data())
+    def test_matches_rankdata(self, m, n, data):
+        scores = data.draw(st.lists(TIE_PRONE, min_size=m * n, max_size=m * n))
+        self.assert_matches_rankdata(np.reshape(scores, (m, n)))
+
+    @pytest.mark.parametrize("scores", [
+        [[0.0, -0.0]],
+        [[-0.0, 0.0, -0.0, 1.0, 0.0]],
+        [[3.0, 3.0]],
+        [[2.0, 1.0]],
+        [[1.0] * 9],
+        [[1.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 1.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 0.5, 9.0]],
+    ])
+    def test_edge_rows_match_rankdata(self, scores):
+        self.assert_matches_rankdata(np.asarray(scores))
+
+    def test_wide_rows_with_and_without_ties(self):
+        rng = np.random.default_rng(3)
+        scores = rng.standard_normal((6, 5000))
+        self.assert_matches_rankdata(scores)
+        self.assert_matches_rankdata(np.round(scores, 1))
+
+
+def test_import_leaves_scipy_stats_out():
+    code = "import sys, summa, summa.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(summa.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 class TestRankMatrix:
     def test_strict_permutations_accepted(self):
         rm = RankMatrix([[2, 1, 3, 4], [4, 3, 2, 1]], "strict", ("a", "b"), tuple("wxyz"))
@@ -137,6 +194,36 @@ class TestAurocRectangle:
     def test_ties_rejected(self):
         with pytest.raises(TiesUnsupported):
             auroc_rectangle([1.5, 1.5, 3], [1, 0, 1])
+
+    @pytest.mark.parametrize("ranks", [
+        [1.5, 1.5, 3.0],   # midranks
+        [1.0, 2.5, 3.0],   # non-integer, yet it truncates to a permutation
+        [1.0, 1.0, 3.0],   # a repeated rank
+        [2.0, 3.0, 3.0],
+        [0.0, 1.0, 2.0],   # out of range, below
+        [1.0, 2.0, 4.0],   # out of range, above
+        [1.0, 2.0, np.nan],
+        [1.0, 2.0, np.inf],
+    ])
+    def test_array_path_rejects_non_permutations(self, ranks):
+        with pytest.raises(TiesUnsupported):
+            auroc_rectangle(np.asarray(ranks), [1, 0, 1])
+        if np.all(np.isfinite(ranks)):
+            with pytest.raises(TiesUnsupported):
+                auroc_rectangle(ranks, [1, 0, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(2, 300))
+    def test_array_path_is_float_of_exact_path(self, seed, n):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(np.arange(1, n + 1)).astype(float)
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.choice(n, size=2, replace=False)] = (0, 1)
+        value = auroc_rectangle(perm, labels)
+        exact = auroc_rectangle([int(r) for r in perm], labels)
+        assert isinstance(exact, Fraction)
+        assert type(value) is float
+        assert value == float(exact)
 
 
 class TestMannWhitney:
