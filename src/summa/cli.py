@@ -530,6 +530,8 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
     }
     try:
+        if args.replicates < 1:
+            raise InvalidInput(f"--replicates must be at least 1, got {args.replicates}")
         for value in values:
             _axis_value(args.axis, value)
         if len(set(values)) != len(values):

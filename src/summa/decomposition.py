@@ -17,6 +17,11 @@ power iteration u <- T(., u, u) / ||T(., u, u)||; there only the entries
 with three distinct indices are trusted, and every entry with a repeated
 index is re-imputed from the rank-one iterate.
 
+The tensor is never an input.  Its contractions T(., w, w) are taken in
+sample form from the centred rank matrix C, in O(MN) each; the dense
+M x M x M array is built only as a cache, once enough contractions have
+been made to pay for it and only when it is no larger than C.
+
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
 and :func:`check_recoverability` flags coordinates so dominant that the
@@ -25,6 +30,7 @@ diagonal/rank-one split may not be unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +75,8 @@ class TensorRecovery:
     ``u`` is sign-aligned to the supplied hint vector, so ``lambda_t``
     is positive exactly when the positive class is the majority
     (the third central moment carries a (2 rho - 1) factor).
+    ``residual`` is the fixed-point residual ||T(., u, u) - lambda_t u||
+    of the completed tensor at the final iterate.
     """
 
     lambda_t: float
@@ -78,22 +86,24 @@ class TensorRecovery:
     residual: float
 
 
-def _check_symmetric(array, ndim: int = 2) -> np.ndarray:
-    """Validate a finite, symmetric M x ... x M array of ``ndim`` axes."""
-    a = np.asarray(array, dtype=float)
-    if a.ndim != ndim or len(set(a.shape)) != 1:
-        raise InvalidInput(f"expected a square array with {ndim} axes, got shape {a.shape}")
+def _check_symmetric(matrix) -> np.ndarray:
+    """Validate a finite, symmetric M x M matrix."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInput("array entries must be finite")
+        raise InvalidInput("matrix entries must be finite")
     atol = 1e-8 * max(1.0, a.max(), -a.min())
-    # the adjacent axis swaps generate every permutation of the axes
-    for k in range(ndim - 1):
-        axes = list(range(ndim))
-        axes[k], axes[k + 1] = k + 1, k
-        d = a - a.transpose(axes)
-        if max(d.max(), -d.min()) > atol:
-            raise InvalidInput("array must be symmetric")
+    d = a - a.T
+    if max(d.max(), -d.min()) > atol:
+        raise InvalidInput("matrix must be symmetric")
     return a
+
+
+def _check_max_iter(max_iter: int):
+    # the recoveries report their last iterate, so they need one
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
@@ -111,7 +121,7 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
     prev_ray = None
     for _ in range(max_iter):
         w = a @ v
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w @ w)
         if norm_w <= stall_floor:
             if restart >= m:
                 raise ZeroMatrix("all start vectors annihilated by the matrix")
@@ -125,9 +135,8 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
         # require both value and direction to settle: the Rayleigh
         # quotient alone converges quadratically faster than the vector,
         # and the step length (not its cosine) is what bounds the error
-        step = min(
-            float(np.linalg.norm(v_new - v)), float(np.linalg.norm(v_new + v))
-        )
+        d_minus, d_plus = v_new - v, v_new + v
+        step = min(math.sqrt(d_minus @ d_minus), math.sqrt(d_plus @ d_plus))
         v = v_new
         if prev_ray is not None and step <= tol * 10 and (
             abs(ray - prev_ray) <= tol * max(1.0, abs(ray))
@@ -206,6 +215,7 @@ def recover_rank1_matrix(
     unknowns, so the completion has no redundancy to validate against
     (and (q, D) vs (-q, D) already shows it is not unique).
     """
+    _check_max_iter(max_iter)
     q = _check_symmetric(q2)
     m = q.shape[0]
     if m < 4:
@@ -271,12 +281,101 @@ def recover_rank1_matrix(
     return result
 
 
-def _contract_twice(tensor_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """T(., u, u) via one matvec on the (M, M*M) unfolding."""
-    return tensor_flat @ np.multiply.outer(u, u).ravel()
+class _CompletedTensor:
+    """The third-moment tensor with its repeated-index entries imputed,
+    contracted twice from the centred rank matrix C (M x N).
+
+    The sample tensor S = (1/N) sum_k c_k (x) c_k (x) c_k holds the
+    central third moments at distinct indices and pairs a method with
+    itself at repeated ones; the completed tensor keeps S at distinct
+    indices and takes lambda u_a u_b u_c at repeated ones.  In sample
+    form
+
+        S(., w, w) = C ((C^T w)^2) / N,
+
+    and by inclusion-exclusion over i = j, i = l and j = l, a symmetric
+    tensor whose (i, i, l) entries form the matrix B contributes
+    2 w * (B w) + B^T w^2 - 2 diag(B) w^2 at repeated indices.  Swapping
+    S's repeated-index entries, B = A with A = (C o C) C^T / N, for the
+    imputation, B = lambda u^2 u^T, therefore adds that expression with
+    D = lambda u^2 u^T - A in place of B.  D is rebuilt once per outer
+    iteration by :meth:`impute`; a contraction then costs about 2MN
+    multiply-adds plus two M x M products.
+
+    Building the dense distinct-index array costs about M^3 N / 3
+    multiply-adds and makes each later contraction M^3, so the array is
+    built after M^2 / 6 contractions, when their cost has matched the
+    build's, and only when M^2 <= N, so that it is never larger than C.
+    From then on :meth:`impute` writes the repeated-index entries in
+    place.
+    """
+
+    def __init__(self, c: np.ndarray):
+        m, n = c.shape
+        self.c = c
+        self.n = n
+        cc = c * c
+        self.a = cc @ c.T / n
+        cc *= np.abs(c)
+        # Hoelder: |mean(c_i c_j c_l)| <= max_i mean |c_i|^3
+        self.moment_bound = float(cc.mean(axis=1).max())
+        self.build_after = m * m / 6 if m * m <= n else math.inf
+        self.contractions = 0
+        self.dense = None
+        self.impute(0.0, np.zeros(m))
+
+    def impute(self, lam: float, u: np.ndarray):
+        """Take lam * u (x) u (x) u at the repeated-index entries."""
+        self.imputed = lam * np.outer(u * u, u)
+        self.scale = max(self.moment_bound, abs(lam) * float(np.abs(u).max()) ** 3)
+        if self.dense is not None:
+            for view in self.repeated:
+                view[...] = self.imputed
+            return
+        self.pairs = self.imputed - self.a
+        self.hollow = self.pairs.copy()
+        np.fill_diagonal(self.hollow, 0.0)
+
+    def contract(self, w: np.ndarray) -> np.ndarray:
+        """T(., w, w) of the completed tensor."""
+        if self.dense is None and self.contractions >= self.build_after:
+            self._build()
+        self.contractions += 1
+        if self.dense is not None:
+            return self.flat @ np.multiply.outer(w, w).ravel()
+        s = w @ self.c
+        t = self.c @ (s * s) / self.n
+        # 2 w * (D w) - 2 diag(D) w^2 is 2 w * (hollow(D) w)
+        t += (w * w) @ self.pairs
+        t += 2.0 * w * (self.hollow @ w)
+        return t
+
+    def _build(self):
+        """The dense distinct-index array, with one matrix product per
+        leading method i over the methods after it; each product's upper
+        triangle is mirrored, so the array is exactly symmetric."""
+        c, n = self.c, self.n
+        m = c.shape[0]
+        t = np.zeros((m, m, m))
+        buf = np.empty((m - 1, n))
+        for i in range(m - 2):
+            rest = c[i + 1:]
+            prod = np.multiply(rest, c[i], out=buf[: m - i - 1])
+            # keep entry (j, l), j < l, which is c_l . (c_i c_j) / n, and mirror it
+            block = np.triu(prod @ rest.T / n, 1)
+            block += block.T
+            t[i, i + 1:, i + 1:] = block
+            t[i + 1:, i, i + 1:] = block
+            t[i + 1:, i + 1:, i] = block
+        self.dense = t
+        self.flat = t.reshape(m, m * m)
+        # writable views of the (i, i, l), (i, l, i) and (l, i, i) entries
+        self.repeated = tuple(np.einsum(f"{k}->il", t) for k in ("iil", "ili", "lii"))
+        for view in self.repeated:
+            view[...] = self.imputed
 
 
-def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
+def _hopm(tensor: _CompletedTensor, u0: np.ndarray, tol: float, max_iter: int):
     """Symmetric higher-order power iteration for the dominant rank-one factor.
 
     Plain iteration can fall into a period-2 cycle when no direction
@@ -284,17 +383,15 @@ def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
     averaging the two alternating iterates.  The caller's outer loop
     owns the final convergence judgement.
     """
-    m = tensor.shape[0]
-    flat = tensor.reshape(m, m * m)
-    scale = max(tensor.max(), -tensor.min())
+    m = u0.size
     u = u0
     u_prev = None
-    stall_floor = 1e3 * np.finfo(float).eps * scale
+    stall_floor = 1e3 * np.finfo(float).eps * tensor.scale
     restart = -1
     lam_prev = None
     for _ in range(max_iter):
-        w = _contract_twice(flat, u)
-        norm_w = float(np.linalg.norm(w))
+        w = tensor.contract(u)
+        norm_w = math.sqrt(w @ w)
         if norm_w <= stall_floor:
             restart += 1
             if restart >= m:
@@ -311,7 +408,7 @@ def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
         if u_prev is not None and abs(float(u_next @ u_prev)) > 1.0 - 1e-12:
             # u_{k+2} = u_k but u_{k+1} != u_k: split the cycle
             mid = u + u_next
-            norm_mid = float(np.linalg.norm(mid))
+            norm_mid = math.sqrt(mid @ mid)
             if norm_mid > 1e-12:
                 return mid / norm_mid
             return u_next
@@ -322,22 +419,23 @@ def _hopm(tensor: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
 
 
 def recover_rank1_tensor(
-    q3, v_hint: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    c, v_hint: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> TensorRecovery:
     """Recover the signed rank-one factor of the third-moment tensor.
 
-    ``q3`` is a finite, symmetric M x M x M array such as
-    :func:`summa.moments.third_moment_offdiag` returns.  Only its
-    distinct-index entries are read; the repeated-index ones are ignored.
+    ``c`` is a finite M x N matrix of centred rank rows such as
+    :func:`summa.moments.third_moment_offdiag` returns; the tensor is
+    (1/N) sum_k c_k (x) c_k (x) c_k, of which only the distinct-index
+    entries are used (a noiseless a (x) a (x) a is ``a[:, None]``).
     Alternates a higher-order power iteration with re-imputing the
-    non-distinct-index entries, in a working copy, from the current
-    rank-one iterate; ``q3`` itself is never written.  The
+    repeated-index entries from the current rank-one iterate.  The
     final direction is sign-aligned to ``v_hint`` (u . hint >= 0) and
     ``lambda_t`` is evaluated on that aligned direction, so its sign is
     meaningful relative to the hint.  Requires M >= 5; with fewer
     methods the off-diagonal triples carry no redundancy over the
     unknowns (the 4-method case has exactly 4 triples for 5 unknowns).
     """
+    _check_max_iter(max_iter)
     hint = np.asarray(v_hint, dtype=float)
     m = hint.size
     if m < 5:
@@ -346,43 +444,38 @@ def recover_rank1_tensor(
     if not np.isfinite(norm_hint) or abs(norm_hint - 1.0) > 1e-6:
         raise InvalidInput("v_hint must be a unit vector")
 
-    t = _check_symmetric(q3, ndim=3)
-    if t.shape[0] != m:
-        raise InvalidInput(f"third-moment array of shape {t.shape} does not match {m} methods")
-    i, j, l = np.ogrid[:m, :m, :m]
-    mask = (i != j) & (i != l) & (j != l)
-    peak = np.abs(t[mask]).max()
-    if peak <= _SIGNAL_EPS:
-        raise NoSignal("all off-diagonal third moments are at machine scale")
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[0] != m or c.shape[1] < 1:
+        raise InvalidInput(f"centred rank matrix of shape {c.shape} does not match {m} methods")
+    if not np.all(np.isfinite(c)):
+        raise InvalidInput("centred rank entries must be finite")
 
-    # imputation writes to a working copy, never to the caller's array
-    completed = t.copy()
-    a, b, c = np.nonzero(~mask)
+    tensor = _CompletedTensor(c)
     u = hint / norm_hint
     lam = 0.0
     lam_prev = None
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        # impute entries with repeated indices from the current iterate
-        completed[a, b, c] = lam * (u[a] * (u[b] * u[c]))
-        u = _hopm(completed, u, tol=POWER_TOL, max_iter=HOPM_MAX_ITER)
-        lam = float(u @ _contract_twice(completed.reshape(m, m * m), u))
+        tensor.impute(lam, u)
+        u = _hopm(tensor, u, tol=POWER_TOL, max_iter=HOPM_MAX_ITER)
+        w = tensor.contract(u)
+        lam = float(u @ w)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             converged = True
             break
         lam_prev = lam
 
+    fit = w - lam * u
     if float(u @ hint) < 0.0:
         u = -u
         lam = -lam
-    diff = (lam * np.multiply.outer(u, np.multiply.outer(u, u)) - t)[mask]
     result = TensorRecovery(
         lambda_t=lam,
         u=u,
         iterations=iterations,
         converged=converged,
-        residual=float(np.linalg.norm(diff)),
+        residual=math.sqrt(fit @ fit),
     )
     if not converged:
         raise NotConverged(

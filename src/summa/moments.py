@@ -14,13 +14,13 @@ which class is the majority.
 Covariances are population-normalized (divide by N): that is what makes
 the variance of a tie-free rank row exactly (N^2 - 1) / 12.
 
-Third moments are one dense symmetric M x M x M array.  Only its
-distinct-index entries follow the factorization above; an entry with a
-repeated index pairs a method with itself, so it is left at zero and
-tensor recovery never reads it.  The array is built with one
-matrix-matrix product per leading method i, over the methods after it,
-about M^3 N / 3 multiply-adds in all; each product's upper triangle is
-mirrored into the other positions, so the array is exactly symmetric.
+Third moments are never stored as an M x M x M array here:
+:func:`third_moment_offdiag` returns the centred rank matrix C, and the
+tensor (1/N) sum_k c_k (x) c_k (x) c_k is contracted from it, in O(MN)
+per contraction, by :func:`summa.decomposition.recover_rank1_tensor`.
+Only its distinct-index entries follow the factorization above; an
+entry with a repeated index pairs a method with itself, and tensor
+recovery imputes it from its rank-one iterate instead.
 
 :func:`exact_central_moment` is a brute-force enumeration oracle over a
 small factorized model, kept independent of the closed form above so the
@@ -60,35 +60,17 @@ def covariance_matrix(ranks) -> np.ndarray:
 
 
 def third_moment_offdiag(ranks) -> np.ndarray:
-    """Central third moments as a dense, symmetric M x M x M array.
+    """Centred rank rows C (M x N), the sample form of the third moments.
 
-    Entries with three distinct indices hold the central third moment
-    of those methods; entries with a repeated index are zero.
-
-    For each leading method i, the centred rows after it are scaled by
-    row i into one reused buffer, and a single matrix product with those
-    rows gives every (i, j, l) with i < j < l: about M^3 N / 3
-    multiply-adds in all.  The product's strict upper triangle (j < l)
-    is mirrored into the five other axis orders, so the array is exactly
-    symmetric.
+    The central third moment of methods i, j, l is mean(c_i c_j c_l);
+    :func:`summa.decomposition.recover_rank1_tensor` contracts the
+    tensor of those moments straight from C.
     """
     r = _as_rank_array(ranks)
-    m, n = r.shape
+    m = r.shape[0]
     if m < 3:
         raise TooFewMethods(f"third moments need at least 3 methods, got {m}")
-    centered = r - r.mean(axis=1, keepdims=True)
-    t = np.zeros((m, m, m))
-    buf = np.empty((m - 1, n))
-    for i in range(m - 2):
-        rest = centered[i + 1:]
-        prod = np.multiply(rest, centered[i], out=buf[: m - i - 1])
-        # keep entry (j, l), j < l, which is c_l . (c_i c_j) / n, and mirror it
-        block = np.triu(prod @ rest.T / n, 1)
-        block += block.T
-        t[i, i + 1:, i + 1:] = block
-        t[i + 1:, i, i + 1:] = block
-        t[i + 1:, i + 1:, i] = block
-    return t
+    return r - r.mean(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,26 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _rows_are_permutations(ranks: np.ndarray) -> bool:
+    """Whether every row of ``ranks`` is a permutation of 1..N.
+
+    The entries must be integers in 1..N (NaN fails the range test);
+    then, with row k offset by kN, the M N flat positions they name
+    must all be hit, which for M N in-range positions means each once.
+    """
+    rows = ranks.reshape(-1, ranks.shape[-1])
+    m, n = rows.shape
+    if not (rows.min() >= 1 and rows.max() <= n):
+        return False
+    index = rows.astype(np.intp)
+    if not (index == rows).all():
+        return False
+    index += np.arange(-1, m * n - 1, n)[:, None]
+    seen = np.zeros(m * n, dtype=bool)
+    seen[index.ravel()] = True
+    return bool(seen.all())
+
+
 def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
     width = max(2, len(str(n - 1)))
     return tuple(f"{prefix}{i:0{width}d}" for i in range(n))
@@ -110,7 +130,7 @@ class RankMatrix:
         if self.tie_policy not in (STRICT, MIDRANK):
             raise InvalidInput(f"unknown tie policy {self.tie_policy!r}")
         if self.tie_policy == STRICT:
-            if not (np.sort(ranks, axis=1) == np.arange(1.0, n + 1)).all():
+            if not _rows_are_permutations(ranks):
                 raise InvalidInput("strict rows must each be a permutation of 1..N")
         else:
             if np.any(ranks < 1.0) or np.any(ranks > n):
@@ -254,13 +274,10 @@ def _labels_by_rank_array(ranks: np.ndarray, labels: LabelVector) -> np.ndarray:
     """Vectorised :func:`_labels_by_rank`: one scatter of the labels."""
     n = len(labels)
     r = np.asarray(ranks, dtype=float)
-    if not ((r >= 1) & (r <= n) & (r == np.floor(r))).all():
-        raise TiesUnsupported(_TIES_MESSAGE)
-    index = r.astype(np.intp) - 1
-    if not (np.bincount(index, minlength=n) == 1).all():
+    if not _rows_are_permutations(r):
         raise TiesUnsupported(_TIES_MESSAGE)
     by_rank = np.empty(n, dtype=np.int8)
-    by_rank[index] = labels.labels
+    by_rank[r.astype(np.intp) - 1] = labels.labels
     return by_rank
 
 

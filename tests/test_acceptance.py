@@ -265,9 +265,8 @@ def test_noiseless_recovery():
         for _ in range(8):
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             hint = resolve_sign(a / np.linalg.norm(a))
-            rec = recover_rank1_tensor(
-                np.multiply.outer(a, np.multiply.outer(a, a)), hint, tol=1e-10
-            )
+            # one sample a: the tensor (1/N) sum_k c_k c_k c_k is a (x) a (x) a
+            rec = recover_rank1_tensor(a[:, None], hint, tol=1e-10)
             a_rec = np.cbrt(rec.lambda_t) * rec.u
             worst_tensor = max(worst_tensor, float(np.abs(a_rec - a).max()))
             tensor_trials += 1

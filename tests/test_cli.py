@@ -246,6 +246,14 @@ class TestInfer:
         assert "error" in manifest
         assert "error.json" in manifest["outputs"]
 
+    def test_no_iterations_rejected(self, tmp_path):
+        out = simulate(tmp_path)
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--max-iter", 0,
+                   "--output-dir", inf) == 1
+        manifest = json.loads((inf / "manifest.json").read_text())
+        assert "max_iter" in manifest["error"]
+
     def test_deterministic_outputs(self, tmp_path):
         out = simulate(tmp_path, **{"--methods": 12, "--samples": 400})
         for name in ("a", "b"):
@@ -407,6 +415,17 @@ class TestSweep:
         assert manifest["outputs"] == []
         assert not (sw / "sweep.csv").exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_replicates_rejected(self, tmp_path, count):
+        # a cell without replicates would write a NaN row with a zero standard error
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "5",
+                   "--replicates", count, "--seed", 1, "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "--replicates" in manifest["error"]
+        assert manifest["outputs"] == []
+        assert not (sw / "sweep_summary.csv").exists()
 
     def test_repeated_value_rejected(self, tmp_path):
         # a repeated value would merge two cells into one summary row, twice

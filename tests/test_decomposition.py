@@ -9,6 +9,7 @@ from summa.decomposition import (
     POWER_TOL,
     Rank1Recovery,
     _check_symmetric,
+    _CompletedTensor,
     _power_iteration,
     check_recoverability,
     recover_rank1_matrix,
@@ -36,9 +37,24 @@ def leading_singular_pair(matrix, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     return abs(ray), v
 
 
-def cube(a):
-    """Noiseless third-moment tensor a (x) a (x) a."""
-    return np.multiply.outer(a, np.multiply.outer(a, a))
+def one_sample(a):
+    """Centred rank matrix of one sample: its tensor is a (x) a (x) a."""
+    return np.asarray(a, dtype=float)[:, None]
+
+
+def skewed_centred(rng, m, n):
+    """Centred rows sharing a skewed factor, so no third moment is near zero."""
+    rows = rng.exponential(size=n) + 0.5 * rng.normal(size=(m, n))
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+def completed_brute_force(c, lam, u):
+    """Distinct-index sample moments, lam u_a u_b u_c at repeated indices."""
+    m = c.shape[0]
+    t = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
+    i, j, l = np.ogrid[:m, :m, :m]
+    repeated = (i == j) | (i == l) | (j == l)
+    return np.where(repeated, lam * u[i] * u[j] * u[l], t)
 
 
 class TestLeadingSingularPair:
@@ -207,15 +223,17 @@ class TestRecoverRank1Tensor:
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         a = a / np.linalg.norm(a) * 2.0
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(cube(a), ahat, tol=1e-10)
+        rec = recover_rank1_tensor(one_sample(a), ahat, tol=1e-10)
         assert np.abs(rec.u - ahat).max() < 1e-6
         assert rec.lambda_t == pytest.approx(np.linalg.norm(a) ** 3, rel=1e-6)
         assert rec.converged
+        # the fixed-point residual ||T(., u, u) - lambda_t u|| vanishes here
+        assert rec.residual <= 1e-8 * rec.lambda_t
 
     def test_hint_alignment_flips_sign(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(cube(a), -ahat, tol=1e-10)
+        rec = recover_rank1_tensor(one_sample(a), -ahat, tol=1e-10)
         assert np.abs(rec.u + ahat).max() < 1e-6
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-6)
 
@@ -223,7 +241,7 @@ class TestRecoverRank1Tensor:
         # tensor built from -a: aligned to +a direction the value is negative
         a = np.array([0.8, 1.2, 0.7, 1.0, 1.4, 0.9])
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(-cube(a), ahat, tol=1e-10)
+        rec = recover_rank1_tensor(-one_sample(a), ahat, tol=1e-10)
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-6)
         assert np.abs(rec.u - ahat).max() < 1e-6
 
@@ -232,61 +250,107 @@ class TestRecoverRank1Tensor:
         for m in range(5, 11):
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             ahat = resolve_sign(a / np.linalg.norm(a))
-            rec = recover_rank1_tensor(cube(a), ahat, tol=1e-10)
+            rec = recover_rank1_tensor(one_sample(a), ahat, tol=1e-10)
             sign = 1.0 if (ahat @ a) > 0 else -1.0
             assert np.abs(rec.u - sign * a / np.linalg.norm(a)).max() < 1e-6, f"M={m}"
             assert rec.lambda_t == pytest.approx(sign * np.linalg.norm(a) ** 3, rel=1e-6)
 
     def test_zero_offdiag_is_no_signal(self):
-        # repeated-index entries are never read, so a nonzero diagonal
-        # does not count as signal
-        diagonal_only = np.zeros((5, 5, 5))
-        diagonal_only[np.arange(5), np.arange(5), np.arange(5)] = 1.0
-        for tensor in (np.zeros((5, 5, 5)), diagonal_only):
+        # two varying methods give nonzero repeated-index moments but no
+        # distinct-index one; identical symmetric rows give none at all
+        two_rows = np.zeros((5, 30))
+        two_rows[:2] = np.random.default_rng(3).normal(size=(2, 30))
+        strict_row = np.arange(1.0, 10.0) - 5.0
+        for c in (np.zeros((5, 30)), two_rows, np.tile(strict_row, (5, 1))):
             with pytest.raises(NoSignal):
-                recover_rank1_tensor(tensor, np.full(5, 1 / np.sqrt(5)))
+                recover_rank1_tensor(c, np.full(5, 1 / np.sqrt(5)))
 
     def test_repeated_index_entries_ignored_and_untouched(self):
+        # a sample column with at most two nonzero methods moves only
+        # repeated-index moments, so appending such columns instead of
+        # zero columns must leave the recovery as it is, and C unwritten
         data = simulate_ensemble(SimulationConfig(n_methods=12, n_samples=400, rho=0.3, seed=5))
         ranks = rank_transform(data.scores, "strict")
         hint = recover_rank1_matrix(covariance_matrix(ranks)).v
-        q3 = third_moment_offdiag(ranks)
-        m = q3.shape[0]
-        i, j, l = np.ogrid[:m, :m, :m]
-        repeated = (i == j) | (i == l) | (j == l)
-        # integer products are exact, so the filling is exactly symmetric
-        k = np.random.default_rng(6).integers(-1000, 1000, size=m).astype(float)
-        filled = np.where(repeated, k[i] * k[j] * k[l], q3)
+        c = third_moment_offdiag(ranks)
+        rng = np.random.default_rng(6)
+        extra = np.zeros((12, 40))
+        for k in range(40):
+            extra[rng.choice(12, size=2, replace=False), k] = rng.integers(-200, 200, size=2)
+        padded = np.hstack([c, np.zeros((12, 40))])
+        filled = np.hstack([c, extra])
         before = filled.copy()
-        base = recover_rank1_tensor(q3, hint)
+        base = recover_rank1_tensor(padded, hint)
         rec = recover_rank1_tensor(filled, hint)
-        assert rec.lambda_t == base.lambda_t
-        assert rec.u.tobytes() == base.u.tobytes()
+        assert rec.lambda_t == pytest.approx(base.lambda_t, rel=1e-12)
+        assert np.abs(rec.u - base.u).max() < 1e-10
         assert rec.iterations == base.iterations
-        assert rec.residual == base.residual
         assert np.array_equal(filled, before)
 
     def test_four_methods_refused(self):
         a = np.ones(4)
         with pytest.raises(TooFewMethods):
-            recover_rank1_tensor(cube(a), np.full(4, 0.5))
+            recover_rank1_tensor(one_sample(a), np.full(4, 0.5))
 
     def test_malformed_tensor_rejected(self):
-        nonsymmetric = cube(np.ones(5))
-        nonsymmetric[0, 1, 2] = 2.0
-        non_finite = cube(np.ones(5))
-        non_finite[0, 0, 0] = np.nan
-        for tensor in (
-            cube(np.ones(6)),
-            np.ones((5, 5)),
-            np.ones((5, 5, 6)),
-            nonsymmetric,
-            non_finite,
+        rows = np.random.default_rng(4).normal(size=(5, 20))
+        nan_entry, inf_entry = rows.copy(), rows.copy()
+        nan_entry[0, 3] = np.nan
+        inf_entry[4, 0] = np.inf
+        for c in (
+            rows[:4],
+            np.vstack([rows, rows[:1]]),
+            rows[:, :0],
+            rows[:, 0],
+            one_sample(np.ones(5))[..., None],
+            nan_entry,
+            inf_entry,
         ):
             with pytest.raises(InvalidInput):
-                recover_rank1_tensor(tensor, np.full(5, 1 / np.sqrt(5)))
+                recover_rank1_tensor(c, np.full(5, 1 / np.sqrt(5)))
+
+    def test_no_iterations_rejected(self):
+        a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
+        ahat = a / np.linalg.norm(a)
+        for max_iter in (0, -1):
+            with pytest.raises(InvalidInput):
+                recover_rank1_matrix(np.outer(a, a), max_iter=max_iter)
+            with pytest.raises(InvalidInput):
+                recover_rank1_tensor(one_sample(a), ahat, max_iter=max_iter)
 
     def test_non_unit_hint_rejected(self):
         a = np.ones(5)
         with pytest.raises(InvalidInput):
-            recover_rank1_tensor(cube(a), np.ones(5))
+            recover_rank1_tensor(one_sample(a), np.ones(5))
+
+
+class TestCompletedTensor:
+    def test_contraction_matches_brute_force_before_and_after_build(self):
+        rng = np.random.default_rng(12)
+        c = skewed_centred(rng, 6, 200)
+        for lam in (0.0, 2.5, -40.0):
+            tensor = _CompletedTensor(c)
+            # contractions 1-6 in sample form, the build at the 7th, and
+            # a re-imputation written into the dense array
+            for _ in range(3):
+                u = rng.normal(size=6)
+                u /= np.linalg.norm(u)
+                tensor.impute(lam, u)
+                expected = completed_brute_force(c, lam, u)
+                for _ in range(5):
+                    w = rng.normal(size=6)
+                    got = tensor.contract(w)
+                    want = np.einsum("ijl,j,l->i", expected, w, w)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert tensor.dense is not None
+
+    def test_dense_array_built_after_m_squared_over_six_contractions(self):
+        rng = np.random.default_rng(13)
+        for n, built_at in ((36, 7), (1000, 7), (35, None), (1, None)):
+            tensor = _CompletedTensor(skewed_centred(rng, 6, n) if n > 1 else np.ones((6, 1)))
+            for k in range(1, 100):
+                tensor.contract(np.full(6, 1 / np.sqrt(6)))
+                if k == built_at:
+                    assert tensor.dense is not None, f"N={n}"
+                    break
+                assert tensor.dense is None, f"N={n}, contraction {k}"

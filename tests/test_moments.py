@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from summa.decomposition import _CompletedTensor
 from summa.exceptions import InvalidInput, TooFewMethods
 from summa.moments import (
     ConditionalRankModel,
@@ -16,6 +17,18 @@ from summa.moments import (
     third_moment_offdiag,
 )
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
+
+
+def moment(c, i, j, l):
+    """Central third moment of methods i, j, l from the centred rows."""
+    return float(np.mean(c[i] * c[j] * c[l]))
+
+
+def dense_offdiag(ranks):
+    """The dense distinct-index array that tensor recovery caches."""
+    tensor = _CompletedTensor(third_moment_offdiag(ranks))
+    tensor._build()
+    return tensor.dense
 
 
 def random_model(rng, n_methods=3, support=6, rho=None):
@@ -69,30 +82,31 @@ class TestThirdMoment:
         # third central moment of a symmetric distribution is zero
         n = 9
         row = np.arange(1, n + 1, dtype=float)
-        q3 = third_moment_offdiag(np.array([row, row, row]))
-        assert q3[(0, 1, 2)] == pytest.approx(0.0, abs=1e-12)
+        c = third_moment_offdiag(np.array([row, row, row]))
+        assert moment(c, 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_prevalence_vanishes_in_expectation(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, n_methods=3, support=8, rho=0.5)
         ranks, _ = model.sample(200_000, rng)
-        q3 = third_moment_offdiag(ranks)
+        c = third_moment_offdiag(ranks)
         scale = abs(model.delta(0) * model.delta(1) * model.delta(2))
-        assert abs(q3[(0, 1, 2)]) < 0.05 * max(scale, 1.0)
+        assert abs(moment(c, 0, 1, 2)) < 0.05 * max(scale, 1.0)
 
     def test_matches_enumeration_on_sampled_data(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, n_methods=3, support=5, rho=0.3)
         exact = exact_central_moment(model, (0, 1, 2))
         ranks, _ = model.sample(100_000, rng)
-        q3 = third_moment_offdiag(ranks)
-        assert q3[(0, 1, 2)] == pytest.approx(exact, abs=0.3)
+        c = third_moment_offdiag(ranks)
+        assert moment(c, 0, 1, 2) == pytest.approx(exact, abs=0.3)
 
     def test_dense_symmetric_matches_brute_force(self):
         rng = np.random.default_rng(9)
         ranks = rng.random((6, 40))
-        q3 = third_moment_offdiag(ranks)
         c = ranks - ranks.mean(axis=1, keepdims=True)
+        assert np.array_equal(third_moment_offdiag(ranks), c)
+        q3 = dense_offdiag(ranks)
         for i, j, l in itertools.product(range(6), repeat=3):
             if len({i, j, l}) == 3:
                 expected = np.mean(c[i] * c[j] * c[l])
@@ -108,7 +122,7 @@ class TestThirdMoment:
         # from zero, so a relative tolerance is meaningful
         rng = np.random.default_rng(17)
         ranks = rng.exponential(size=5000) + 0.5 * rng.normal(size=(9, 5000))
-        q3 = third_moment_offdiag(ranks)
+        q3 = dense_offdiag(ranks)
         c = ranks - ranks.mean(axis=1, keepdims=True)
         expected = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
         i, j, l = np.ogrid[:9, :9, :9]
@@ -121,9 +135,10 @@ class TestThirdMoment:
     def test_method_permutation_invariance(self):
         rng = np.random.default_rng(13)
         ranks = rng.random((4, 60))
-        q3 = third_moment_offdiag(ranks)
         perm = [2, 0, 3, 1]
-        q3p = third_moment_offdiag(ranks[perm])
+        assert np.array_equal(third_moment_offdiag(ranks[perm]), third_moment_offdiag(ranks)[perm])
+        q3 = dense_offdiag(ranks)
+        q3p = dense_offdiag(ranks[perm])
         np.testing.assert_allclose(q3p, q3[np.ix_(perm, perm, perm)], rtol=1e-12, atol=0)
 
 

@@ -144,6 +144,32 @@ class TestRankMatrix:
             RankMatrix([[2, 1, 3, 4], [2, 2, 3, 3]], "strict", ("a", "b"), tuple("wxyz"))
         with pytest.raises(InvalidInput, match="permutation"):
             RankMatrix([[2, 1, 3, 4], [1, 2, 3, 5]], "strict", ("a", "b"), tuple("wxyz"))
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="permutation"):
+                RankMatrix([[2, 1, 3, 4], [1, 2, bad, 4]], "strict", ("a", "b"), tuple("wxyz"))
+
+    def test_strict_check_matches_sorted_rows(self):
+        # the sorted-row comparison is the reference predicate
+        rng = np.random.default_rng(44)
+        for _ in range(2000):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            rows = np.array([rng.permutation(n) + 1.0 for _ in range(m)])
+            k = rng.integers(0, 5)
+            cell = rng.integers(m), rng.integers(n)
+            if k == 1:
+                rows[cell] = rng.integers(-1, n + 3)
+            elif k == 2:
+                rows[cell] += 0.5
+            elif k == 3:
+                rows[cell] = rng.choice([np.nan, np.inf, -np.inf])
+            expected = bool((np.sort(rows, axis=1) == np.arange(1.0, n + 1)).all())
+            ids = tuple(f"s{i}" for i in range(n))
+            try:
+                RankMatrix(rows, "strict", tuple(f"m{i}" for i in range(m)), ids)
+                accepted = True
+            except InvalidInput:
+                accepted = False
+            assert accepted == expected, rows
 
 
 class TestDelta:

@@ -1,20 +1,35 @@
-"""The traced benchmark run rebinds summa functions by (module, name);
-every such name must still exist, or a rename silently breaks it."""
+"""The traced benchmark run rebinds summa functions by (module, name) and
+reads their arguments and results in count functions; every such name
+must still exist, and every count function must still accept what the
+call passes, or a change silently breaks the traced run."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import summa
+from summa import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_wrap_points_resolve(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrap_points_resolve(tracing):
     points = [(mod, name) for mod, name, _, _ in tracing.WRAP_POINTS if mod != "bench"]
     assert points
     missing = [
@@ -22,3 +37,32 @@ def test_wrap_points_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(mod), name, None))
     ]
     assert not missing, f"benchmark wrap points no longer resolve: {missing}"
+
+
+def test_count_functions_return(tracing, tmp_path):
+    bench = types.SimpleNamespace(
+        simulate_ensemble=summa.simulate_ensemble,
+        rank_transform=summa.rank_transform,
+        run_pipeline=summa.run_pipeline,
+        evaluate_ensemble=summa.evaluate_ensemble,
+    )
+    tracer = tracing.Tracer()
+    tracer.install(bench)
+    try:
+        data = bench.simulate_ensemble(
+            summa.SimulationConfig(n_methods=8, n_samples=200, rho=0.3, seed=3))
+        bench.run_pipeline(bench.rank_transform(data.scores, "midrank"))
+        sim, inf = tmp_path / "sim", tmp_path / "inf"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--methods", "8", "--samples", "200",
+                             "--seed", "3", "--output-dir", str(sim)]) == 0
+            assert cli.main(["infer", str(sim / "scores.csv"), "--output-dir", str(inf)]) == 0
+            assert cli.main(["evaluate", "--scores", str(inf / "ensemble_scores.csv"),
+                             "--labels", str(sim / "labels.csv"),
+                             "--output-dir", str(tmp_path / "ev")]) == 0
+    finally:
+        tracer.uninstall()
+    counted = {layer for _, _, layer, count in tracing.WRAP_POINTS if count is not None}
+    uncounted = counted - {span.name for span in tracer.spans if span.counts}
+    assert not uncounted, f"no counts recorded for {sorted(uncounted)}"
+    assert summa.pipeline.recover_rank1_tensor is summa.decomposition.recover_rank1_tensor
