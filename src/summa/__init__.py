@@ -36,22 +36,13 @@ from .inference import (
     performance_estimates,
     prevalence_from_moments,
 )
-from .moments import (
-    ConditionalRankModel,
-    covariance_matrix,
-    exact_central_moment,
-    predicted_central_moment,
-    third_moment_offdiag,
-)
+from .moments import covariance_matrix, third_moment_offdiag
 from .pipeline import PipelineResult, run_pipeline
 from .ranking import (
     LabelVector,
     RankMatrix,
     ScoreMatrix,
-    auroc_from_delta,
     auroc_rectangle,
-    delta,
-    mann_whitney_u0,
     rank_transform,
 )
 from .simulation import (
@@ -64,7 +55,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionalRankModel",
     "DegenerateLabels",
     "EnsembleScores",
     "InvalidInput",
@@ -84,16 +74,11 @@ __all__ = [
     "TiesUnsupported",
     "TooFewMethods",
     "ZeroMatrix",
-    "auroc_from_delta",
     "auroc_rectangle",
     "check_recoverability",
     "covariance_matrix",
-    "delta",
     "evaluate_ensemble",
-    "exact_central_moment",
-    "mann_whitney_u0",
     "performance_estimates",
-    "predicted_central_moment",
     "prevalence_from_moments",
     "rank_transform",
     "recover_rank1_matrix",

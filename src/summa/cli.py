@@ -4,7 +4,10 @@ Every command writes its outputs plus a ``manifest.json`` echoing the
 full configuration, the library version, sha256 digests of any inputs,
 and the wall-clock duration, so a run can be reproduced from (inputs,
 manifest) alone.  Data outputs from ``simulate`` and ``infer`` are
-byte-identical across reruns with the same seed and inputs.
+byte-identical across reruns with the same seed and inputs.  A command
+that fails still writes the manifest, with an ``error`` entry (plus
+``error.json`` when an iteration ran out), prints one line to stderr
+and exits with code 1.
 
 File formats (all stable):
 
@@ -221,7 +224,12 @@ class ManifestWriter:
         self.outputs: list[str] = []
 
     def add_input(self, path: Path):
-        self.inputs[str(path)] = _sha256(path)
+        """Digest an input before the command reads it, so an unreadable
+        input fails here as an :class:`InvalidInput`."""
+        try:
+            self.inputs[str(path)] = _sha256(path)
+        except OSError as err:
+            raise InvalidInput(f"{path}: {err.strerror or err}") from None
 
     def add_output(self, name: str):
         self.outputs.append(name)
@@ -246,33 +254,20 @@ class ManifestWriter:
         return path
 
 
-def _prepare_output_dir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    out = _prepare_output_dir(args)
-    manifest = ManifestWriter("simulate", args, out)
-    try:
-        config = SimulationConfig(
-            n_methods=args.methods,
-            n_samples=args.samples,
-            rho=args.rho,
-            auroc_low=args.auroc_low,
-            auroc_high=args.auroc_high,
-            seed=args.seed,
-        )
-        data = simulate_ensemble(config)
-    except SummaError as err:
-        manifest.write(error=str(err))
-        print(f"simulate: {err}", file=sys.stderr)
-        return 1
+def cmd_simulate(args, out: Path, manifest: ManifestWriter) -> str:
+    config = SimulationConfig(
+        n_methods=args.methods,
+        n_samples=args.samples,
+        rho=args.rho,
+        auroc_low=args.auroc_low,
+        auroc_high=args.auroc_high,
+        seed=args.seed,
+    )
+    data = simulate_ensemble(config)
 
     scores_name = _table_name("scores", args.format)
     sample_ids, method_ids = data.scores.sample_ids, data.scores.method_ids
@@ -294,9 +289,7 @@ def cmd_simulate(args) -> int:
     )
     for name in (scores_name, labels_name, aurocs_name):
         manifest.add_output(name)
-    manifest.write()
-    print(f"simulate: wrote {scores_name}, {labels_name}, {aurocs_name} to {out}")
-    return 0
+    return f"simulate: wrote {scores_name}, {labels_name}, {aurocs_name} to {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -361,69 +354,36 @@ def _write_infer_outputs(out: Path, result, args, manifest: ManifestWriter):
     manifest.add_output(labels_name)
 
 
-def cmd_infer(args) -> int:
-    out = _prepare_output_dir(args)
-    manifest = ManifestWriter("infer", args, out)
-    try:
-        ranks = _load_rank_matrix(args, manifest)
-        result = run_pipeline(
-            ranks,
-            prevalence=args.prevalence,
-            use_tensor=not args.no_tensor,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
-    except NotConverged as err:
-        diagnostics = {"error": type(err).__name__, "message": str(err)}
-        partial = err.partial
-        if partial is not None and hasattr(partial, "lambda_"):
-            diagnostics["partial"] = {
-                "lambda": partial.lambda_,
-                "v": [float(x) for x in partial.v],
-                "iterations": partial.iterations,
-                "residual": partial.residual,
-            }
-        with open(out / "error.json", "w") as handle:
-            json.dump(diagnostics, handle, indent=1)
-        manifest.add_output("error.json")
-        manifest.write(error=str(err))
-        print(f"infer: {err}", file=sys.stderr)
-        return 1
-    except SummaError as err:
-        manifest.write(error=str(err))
-        print(f"infer: {err}", file=sys.stderr)
-        return 1
-
+def cmd_infer(args, out: Path, manifest: ManifestWriter) -> str:
+    ranks = _load_rank_matrix(args, manifest)
+    result = run_pipeline(
+        ranks,
+        prevalence=args.prevalence,
+        use_tensor=not args.no_tensor,
+        tol=args.tol,
+        max_iter=args.max_iter,
+    )
     _write_infer_outputs(out, result, args, manifest)
-    manifest.write()
     rho = result.report.rho
     rho_text = "n/a" if rho is None else f"{rho:.4f}"
-    print(f"infer: {ranks.n_methods} methods, {ranks.n_samples} samples, rho={rho_text}")
-    return 0
+    return f"infer: {ranks.n_methods} methods, {ranks.n_samples} samples, rho={rho_text}"
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
-def cmd_evaluate(args) -> int:
-    out = _prepare_output_dir(args)
-    manifest = ManifestWriter("evaluate", args, out)
-    try:
-        scores_path = Path(args.scores)
-        labels_path = Path(args.labels)
-        manifest.add_input(scores_path)
-        manifest.add_input(labels_path)
-        method_ids, sample_ids, values = read_matrix_table(scores_path, args.delimiter)
-        label_ids, labels = read_labels_table(labels_path, args.delimiter)
-        labels = _align_labels(sample_ids, label_ids, labels)
-        scores = ScoreMatrix(values, method_ids, sample_ids)
-        ranks = rank_transform(scores, "strict")
-        aurocs = [auroc_rectangle(row, labels) for row in ranks.ranks]
-    except SummaError as err:
-        manifest.write(error=str(err))
-        print(f"evaluate: {err}", file=sys.stderr)
-        return 1
+def cmd_evaluate(args, out: Path, manifest: ManifestWriter) -> str:
+    scores_path = Path(args.scores)
+    labels_path = Path(args.labels)
+    manifest.add_input(scores_path)
+    manifest.add_input(labels_path)
+    method_ids, sample_ids, values = read_matrix_table(scores_path, args.delimiter)
+    label_ids, labels = read_labels_table(labels_path, args.delimiter)
+    labels = _align_labels(sample_ids, label_ids, labels)
+    scores = ScoreMatrix(values, method_ids, sample_ids)
+    ranks = rank_transform(scores, "strict")
+    aurocs = [auroc_rectangle(row, labels) for row in ranks.ranks]
 
     metrics_name = _table_name("metrics", args.format)
     m = len(method_ids)
@@ -434,9 +394,7 @@ def cmd_evaluate(args) -> int:
         args.format,
     )
     manifest.add_output(metrics_name)
-    manifest.write()
-    print(f"evaluate: wrote {metrics_name} ({m} methods)")
-    return 0
+    return f"evaluate: wrote {metrics_name} ({m} methods)"
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +474,7 @@ def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
     return median, mean, se
 
 
-def cmd_sweep(args) -> int:
-    out = _prepare_output_dir(args)
-    manifest = ManifestWriter("sweep", args, out)
+def cmd_sweep(args, out: Path, manifest: ManifestWriter) -> str:
     values = args.values.split(",") if args.values else SWEEP_DEFAULT_VALUES[args.axis]
     values = [v.strip() for v in values if v.strip()]
     base = {
@@ -529,27 +485,26 @@ def cmd_sweep(args) -> int:
         "auroc_high": args.auroc_high,
         "seed": args.seed,
     }
-    try:
-        if args.replicates < 1:
-            raise InvalidInput(f"--replicates must be at least 1, got {args.replicates}")
-        for value in values:
-            _axis_value(args.axis, value)
-        if len(set(values)) != len(values):
-            raise InvalidInput("--values: each value may appear only once")
-        tasks = [
-            (args.axis, value, vi, rep, base, args.tol, args.max_iter)
-            for vi, value in enumerate(values)
-            for rep in range(args.replicates)
-        ]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
-        else:
-            results = [_sweep_replicate(task) for task in tasks]
-    except SummaError as err:
-        manifest.write(error=str(err))
-        print(f"sweep: {err}", file=sys.stderr)
-        return 1
+    if args.replicates < 1:
+        raise InvalidInput(f"--replicates must be at least 1, got {args.replicates}")
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
+    for value in values:
+        _axis_value(args.axis, value)
+    if len(set(values)) != len(values):
+        raise InvalidInput("--values: each value may appear only once")
+    tasks = [
+        (args.axis, value, vi, rep, base, args.tol, args.max_iter)
+        for vi, value in enumerate(values)
+        for rep in range(args.replicates)
+    ]
+    # a fork-started pool launches every worker on its first task
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
+    else:
+        results = [_sweep_replicate(task) for task in tasks]
     results.sort(key=lambda row: (values.index(row["value"]), row["replicate"]))
 
     header = [
@@ -585,9 +540,7 @@ def cmd_sweep(args) -> int:
         args.format,
     )
     manifest.add_output(summary_name)
-    manifest.write()
-    print(f"sweep: {len(results)} rows over {len(values)} values -> {sweep_name}")
-    return 0
+    return f"sweep: {len(results)} rows over {len(values)} values -> {sweep_name}"
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated axis values (defaults per axis)")
     p_sweep.add_argument("--replicates", type=int, default=50)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes")
+                         help="at most this many parallel worker processes")
     p_sweep.add_argument("--tol", type=float, default=1e-6)
     p_sweep.add_argument("--max-iter", type=int, default=1000)
     _add_sim_config_args(p_sweep)
@@ -669,14 +622,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_error_json(out: Path, err: NotConverged):
+    """The failed iteration's state, for a run that ran out of iterations."""
+    diagnostics = {"error": type(err).__name__, "message": str(err)}
+    partial = err.partial
+    if partial is not None and hasattr(partial, "lambda_"):
+        diagnostics["partial"] = {
+            "lambda": partial.lambda_,
+            "v": [float(x) for x in partial.v],
+            "iterations": partial.iterations,
+            "residual": partial.residual,
+        }
+    with open(out / "error.json", "w") as handle:
+        json.dump(diagnostics, handle, indent=1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every :class:`SummaError` it raises becomes a
+    manifest ``error``, one stderr line and exit code 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = ManifestWriter(args.command, args, out)
     try:
-        return args.func(args)
-    except InvalidInput as err:
+        if len(getattr(args, "delimiter", ",")) != 1:
+            raise InvalidInput(f"--delimiter must be one character, got {args.delimiter!r}")
+        summary = args.func(args, out, manifest)
+    except SummaError as err:
+        if isinstance(err, NotConverged):
+            _write_error_json(out, err)
+            manifest.add_output("error.json")
+        manifest.write(error=str(err))
         print(f"{args.command}: {err}", file=sys.stderr)
         return 1
+    manifest.write()
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

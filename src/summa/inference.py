@@ -13,7 +13,6 @@ delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .ranking import _default_ids
 BETA_DEGENERATE = 1e-3
 
 # rho(1-rho) disagreement between a measured beta and a user-supplied
-# prevalence beyond this triggers a warning.
+# prevalence beyond this adds a note to the report.
 RHO_CROSSCHECK_TOL = 0.05
 
 
@@ -142,7 +141,7 @@ def performance_estimates(
     relative method quality (and the weighted ensemble) need only v,
     while absolute AUROC values need rho.  A measured ``beta`` is
     cross-checked against rho (disagreement beyond
-    ``RHO_CROSSCHECK_TOL`` warns, never fails); without one the report
+    ``RHO_CROSSCHECK_TOL`` adds a note, never fails); without one the report
     carries the beta implied by rho.
     """
     v = _unit(v)
@@ -167,7 +166,6 @@ def performance_estimates(
                 "supplied prevalence and measured beta disagree: "
                 f"rho(1-rho)={rho * (1 - rho):.4f} vs 1/(beta+4)={1 / (beta + 4):.4f}"
             )
-            warnings.warn(message)
             notes = notes + (message,)
         delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
         deltas = v * delta_norm

@@ -84,7 +84,7 @@ def run_pipeline(
             rho = rho_hat
     elif failure is not None and rho is not None:
         # the tensor was only a cross-check; a failed one would only
-        # produce spurious warnings
+        # produce spurious notes
         notes = (f"tensor stage {failure}; cross-check skipped",)
     elif failure is not None:
         # the tensor was the only route to rho: report 1/2, flagged

@@ -1,4 +1,4 @@
-"""Score-to-rank transformation and supervised performance oracles.
+"""Score-to-rank transformation and the rectangle-rule AUROC.
 
 Ranks run 1..N per method, rank 1 being the sample the method is most
 confident belongs to the positive class.  The performance measure
@@ -14,16 +14,15 @@ member the group's mean position, strict orders the members by sample
 index.  Both equal ``scipy.stats.rankdata`` of the negated scores with
 ``method="average"`` and ``"ordinal"``.
 
-The scalar oracles (:func:`delta`, :func:`auroc_rectangle`,
-:func:`mann_whitney_u0`) propagate exact arithmetic: given Python ints
-or :class:`fractions.Fraction` ranks they return exact rationals, which
-the equivalence tests rely on.  ndarray inputs take a fast float path.
+:func:`auroc_rectangle` is the one supervised measure here: it scores
+a tie-free rank row against known labels, for ``summa evaluate`` and
+:func:`summa.ensemble.evaluate_ensemble`.  It counts concordant pairs
+in integers, so its float is the correctly rounded exact AUROC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 
 STRICT = "strict"
 MIDRANK = "midrank"
-
-_TIES_MESSAGE = "rectangle-rule AUROC is defined only on tie-free rank permutations"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -223,105 +220,22 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
 
 
-def _ratio(num, den):
-    # Integer numerator and denominator stay exact.
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
-
-
-def delta(ranks, labels) -> float | Fraction:
-    """Difference of class-conditional mean ranks, <r|0> - <r|1>.
-
-    Positive when the method tends to rank positive samples first.
-    ndarray ranks return a float; sequences of ints or Fractions return
-    the exact rational value.
-    """
-    labels = LabelVector.coerce(labels)
-    labels.require_both_classes()
-    if len(labels) != len(ranks):
-        raise InvalidInput("ranks and labels must have equal length")
-    if isinstance(ranks, np.ndarray):
-        r = np.asarray(ranks, dtype=float)
-        mask = labels.labels == 0
-        return float(r[mask].mean() - r[~mask].mean())
-    s0 = sum(r for r, lab in zip(ranks, labels.labels) if lab == 0)
-    s1 = sum(r for r, lab in zip(ranks, labels.labels) if lab == 1)
-    return _ratio(s0, labels.n_negative) - _ratio(s1, labels.n_positive)
-
-
-def auroc_from_delta(delta_value, n_samples: int):
-    """AUROC implied by a conditional mean-rank difference: delta/N + 1/2."""
-    if n_samples < 2:
-        raise InvalidInput("need at least 2 samples")
-    return delta_value / n_samples + Fraction(1, 2)
-
-
-def _labels_by_rank(ranks, labels: LabelVector) -> list[int]:
-    """Class label of the sample at each rank position 1..N, strict only."""
-    n = len(labels)
-    by_rank: list[int | None] = [None] * n
-    for sample, rank in enumerate(ranks):
-        r = float(rank)
-        idx = int(r) - 1
-        if r != int(r) or not 0 <= idx < n or by_rank[idx] is not None:
-            raise TiesUnsupported(_TIES_MESSAGE)
-        by_rank[idx] = int(labels.labels[sample])
-    return by_rank  # type: ignore[return-value]
-
-
-def _labels_by_rank_array(ranks: np.ndarray, labels: LabelVector) -> np.ndarray:
-    """Vectorised :func:`_labels_by_rank`: one scatter of the labels."""
-    n = len(labels)
-    r = np.asarray(ranks, dtype=float)
-    if not _rows_are_permutations(r):
-        raise TiesUnsupported(_TIES_MESSAGE)
-    by_rank = np.empty(n, dtype=np.int8)
-    by_rank[r.astype(np.intp) - 1] = labels.labels
-    return by_rank
-
-
-def auroc_rectangle(ranks, labels) -> float | Fraction:
+def auroc_rectangle(ranks, labels) -> float:
     """Rectangle-rule AUROC: sum of TPR * (FPR step) walking ranks 1..N.
 
-    Exact oracle against which the delta-based estimate is validated;
-    requires strict (permutation) ranks.  ndarray ranks count the
-    concordant pairs in integers and return their correctly rounded
-    ratio, the float of the exact result.
+    Requires strict (permutation) ranks.  The concordant pairs are
+    counted in integers and their ratio correctly rounded, so the
+    result is the float nearest the exact rational AUROC.
     """
     labels = LabelVector.coerce(labels)
     labels.require_both_classes()
-    if len(labels) != len(ranks):
+    r = np.asarray(ranks, dtype=float)
+    if len(labels) != len(r):
         raise InvalidInput("ranks and labels must have equal length")
-    pairs = labels.n_positive * labels.n_negative
-    if isinstance(ranks, np.ndarray):
-        by_rank = _labels_by_rank_array(ranks, labels)
-        true_pos = np.cumsum(by_rank, dtype=np.int64)
-        return int(true_pos[by_rank == 0].sum()) / pairs
-    true_pos = 0
-    concordant = 0
-    for lab in _labels_by_rank(ranks, labels):
-        if lab == 1:
-            true_pos += 1
-        else:
-            concordant += true_pos
-    return Fraction(concordant, pairs)
-
-
-def mann_whitney_u0(ranks, labels):
-    """Mann-Whitney U statistic of the negative class.
-
-    U0 = sum of class-0 ranks - N0(N0+1)/2, which satisfies
-    U0 = (N1 N0 / N)(delta + N/2) and auroc = U0 / (N0 N1).
-    Integer ranks give an exact integer result.
-    """
-    labels = LabelVector.coerce(labels)
-    labels.require_both_classes()
-    if len(labels) != len(ranks):
-        raise InvalidInput("ranks and labels must have equal length")
-    n0 = labels.n_negative
-    if isinstance(ranks, np.ndarray):
-        r = np.asarray(ranks, dtype=float)
-        return float(r[labels.labels == 0].sum() - n0 * (n0 + 1) / 2.0)
-    s0 = sum(r for r, lab in zip(ranks, labels.labels) if lab == 0)
-    return s0 - (n0 * (n0 + 1)) // 2
+    if not _rows_are_permutations(r):
+        raise TiesUnsupported(
+            "rectangle-rule AUROC is defined only on tie-free rank permutations")
+    by_rank = np.empty(len(labels), dtype=np.int8)  # the label at each rank
+    by_rank[r.astype(np.intp) - 1] = labels.labels
+    true_pos = np.cumsum(by_rank, dtype=np.int64)
+    return int(true_pos[by_rank == 0].sum()) / (labels.n_positive * labels.n_negative)

@@ -18,21 +18,19 @@ from summa.decomposition import recover_rank1_matrix, recover_rank1_tensor, reso
 from summa.ensemble import evaluate_ensemble
 from summa.exceptions import SummaError
 from summa.inference import BETA_DEGENERATE
-from summa.moments import (
+from summa.pipeline import run_pipeline
+from summa.ranking import LabelVector, rank_transform
+from summa.simulation import SimulationConfig, simulate_ensemble
+
+from oracles import (
     ConditionalRankModel,
+    auroc_from_delta,
+    delta,
+    exact_auroc_rectangle,
     exact_central_moment,
+    mann_whitney_u0,
     predicted_central_moment,
 )
-from summa.pipeline import run_pipeline
-from summa.ranking import (
-    LabelVector,
-    auroc_from_delta,
-    auroc_rectangle,
-    delta,
-    mann_whitney_u0,
-    rank_transform,
-)
-from summa.simulation import SimulationConfig, simulate_ensemble
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -104,21 +102,21 @@ def _all_labelings(n):
             yield bits
 
 
-def _library_triple(ranks, lv):
-    """The three library routes as exact rationals."""
+def _exact_triple(ranks, lv):
+    """The three routes as exact rationals."""
     via_delta = auroc_from_delta(delta(ranks, lv), len(lv))
-    via_rect = auroc_rectangle(ranks, lv)
+    via_rect = exact_auroc_rectangle(ranks, lv)
     via_u = Fraction(mann_whitney_u0(ranks, lv), lv.n_negative * lv.n_positive)
     return via_delta, via_rect, via_u
 
 
 def _direct_exhaustive(n) -> int:
-    """All permutations x labelings through the library, exact equality."""
+    """All permutations x labelings through the oracles, exact equality."""
     checked = 0
     for labels in _all_labelings(n):
         lv = LabelVector(np.array(labels))
         for perm in itertools.permutations(range(1, n + 1)):
-            a, b, c = _library_triple(perm, lv)
+            a, b, c = _exact_triple(perm, lv)
             assert a == b == c
             checked += 1
     return checked
@@ -158,12 +156,12 @@ def _vectorized_exhaustive(n) -> int:
 
 
 def _representative_classes(n) -> int:
-    """Library calls on one representative of every value class.
+    """Oracle calls on one representative of every value class.
 
     All three statistics depend on (permutation, labeling) only through
     the labeling and the set of ranks held by class 0 (witnessed
     directly for N <= 6 by the full sweep), so checking one permutation
-    per (labeling, class-0 rank set) pins the library to the integer
+    per (labeling, class-0 rank set) pins the oracles to the integer
     identities verified vectorized above, across every distinct input
     class.
     """
@@ -179,7 +177,7 @@ def _representative_classes(n) -> int:
                 perm[sample] = rank
             for sample, rank in zip(ones, sorted(all_ranks - set(rank_set))):
                 perm[sample] = rank
-            a, b, c = _library_triple(tuple(perm), lv)
+            a, b, c = _exact_triple(tuple(perm), lv)
             assert a == b == c
             s0 = sum(rank_set)
             u0 = s0 - len(zeros) * (len(zeros) + 1) // 2
@@ -199,7 +197,7 @@ def test_oracle_equivalence_exhaustive():
         "oracle-equivalence",
         ok,
         f"{direct} direct cases (N<=6), {vectorized} exact-integer cases "
-        f"(N=7,8), {grounded} library-grounded value classes, "
+        f"(N=7,8), {grounded} oracle-grounded value classes, "
         f"runtime {elapsed:.2f}s (< 60s)",
     )
 

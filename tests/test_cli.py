@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from summa import cli
 from summa.cli import _CHUNK_ROWS, main, read_matrix_table, write_table
 
 
@@ -328,6 +329,64 @@ class TestEvaluate:
         assert "labels.csv:3" in manifest["error"]
 
 
+class TestFailures:
+    """Every failure exits 1, records the manifest error and prints one
+    stderr line instead of a traceback."""
+
+    @staticmethod
+    def assert_reported(out, capsys, command, fragment):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert fragment in manifest["error"]
+        assert manifest["outputs"] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_infer_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "inf"
+        assert run("infer", missing, "--output-dir", out) == 1
+        self.assert_reported(out, capsys, "infer", str(missing))
+
+    def test_missing_evaluate_scores(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\ns0,1\ns1,0\n")
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "ev"
+        assert run("evaluate", "--scores", missing, "--labels", labels,
+                   "--output-dir", out) == 1
+        self.assert_reported(out, capsys, "evaluate", str(missing))
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_not_one_character(self, tmp_path, capsys, delimiter):
+        sim = simulate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "inf"
+        assert run("infer", sim / "scores.csv", "--delimiter", delimiter,
+                   "--output-dir", out) == 1
+        self.assert_reported(out, capsys, "infer", "--delimiter")
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it
+    was asked for and maps in this process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
 class TestSweep:
     def test_default_axis_values(self):
         from summa.cli import SWEEP_DEFAULT_VALUES
@@ -365,6 +424,36 @@ class TestSweep:
         assert run(*common, "--jobs", 2, "--output-dir", tmp_path / "par") == 0
         assert (tmp_path / "seq" / "sweep.csv").read_bytes() == \
             (tmp_path / "par" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 8, [3]),   # no more workers than tasks
+        (2, 8, [2]),
+        (64, 2, [2]),   # no more workers than processors
+        (64, 1, []),    # one processor: serial, no pool
+        (1, 8, []),
+    ])
+    def test_jobs_is_an_upper_bound(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        monkeypatch.setattr(RecordingPool, "workers", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        common = ["sweep", "--axis", "methods", "--values", "5,8,12",
+                  "--replicates", 1, "--seed", 9, "--samples", 200]
+        assert run(*common, "--jobs", jobs, "--output-dir", tmp_path / "par") == 0
+        assert RecordingPool.workers == workers
+        assert run(*common, "--output-dir", tmp_path / "seq") == 0
+        for name in ("sweep.csv", "sweep_summary.csv"):
+            assert (tmp_path / "seq" / name).read_bytes() == \
+                (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_no_jobs_rejected(self, tmp_path, jobs):
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "5",
+                   "--replicates", 1, "--seed", 1, "--jobs", jobs,
+                   "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "--jobs" in manifest["error"]
+        assert manifest["outputs"] == []
 
     def test_too_few_methods_cell_fails(self, tmp_path):
         # the tensor stage needs 5 methods, so a 4-method cell has no rho;

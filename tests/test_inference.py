@@ -1,6 +1,8 @@
 """Prevalence and AUROC inference tests, built around forward/backward
 round trips through the moment formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,11 +130,12 @@ class TestPerformanceEstimates:
         with pytest.raises(InvalidInput):
             performance_estimates(np.full(4, 0.5), 1.0, 10, method_ids=("a", "b"))
 
-    def test_crosscheck_warns_but_succeeds(self):
+    def test_crosscheck_notes_but_succeeds(self):
         v = np.full(4, 0.5)
         # beta measured for rho=0.1 but user claims 0.5
         beta = (1 - 0.2) ** 2 / (0.1 * 0.9)
-        with pytest.warns(UserWarning, match="disagree"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = performance_estimates(v, 1.0, 10, rho=0.5, beta=beta)
         assert report.rho == 0.5
         assert any("disagree" in note for note in report.notes)

@@ -9,14 +9,10 @@ import pytest
 
 from summa.decomposition import _CompletedTensor
 from summa.exceptions import InvalidInput, TooFewMethods
-from summa.moments import (
-    ConditionalRankModel,
-    covariance_matrix,
-    exact_central_moment,
-    predicted_central_moment,
-    third_moment_offdiag,
-)
+from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
+
+from oracles import ConditionalRankModel, exact_central_moment, predicted_central_moment
 
 
 def moment(c, i, j, l):

@@ -7,13 +7,15 @@ import pytest
 
 from summa.exceptions import InvalidInput
 from summa.moments import covariance_matrix
-from summa.ranking import auroc_rectangle, delta, rank_transform
+from summa.ranking import auroc_rectangle, rank_transform
 from summa.simulation import (
     SimulationConfig,
     SimulatedDataset,
     separation_for_auroc,
     simulate_ensemble,
 )
+
+from oracles import delta
 
 
 class TestSeparationForAuroc:
