@@ -7,7 +7,8 @@ manifest) alone.  Data outputs from ``simulate`` and ``infer`` are
 byte-identical across reruns with the same seed and inputs.  A command
 that fails still writes the manifest, with an ``error`` entry (plus
 ``error.json`` when an iteration ran out), prints one line to stderr
-and exits with code 1.
+and exits with code 1; where the output directory cannot be made, only
+the stderr line and the exit code remain.
 
 File formats (all stable):
 
@@ -29,12 +30,15 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .decomposition import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .ensemble import evaluate_ensemble
 from .exceptions import InvalidInput, NotConverged, SummaError
 from .pipeline import run_pipeline
@@ -135,11 +139,21 @@ def _table_name(stem: str, fmt: str) -> str:
     return f"{stem}.{fmt}"
 
 
+@contextmanager
+def _csv_rows(path: Path, delimiter: str):
+    """A ``csv.reader`` over ``path``; text that does not decode becomes
+    an :class:`InvalidInput` naming the file."""
+    with open(path, newline="") as handle:
+        try:
+            yield csv.reader(handle, delimiter=delimiter)
+        except UnicodeDecodeError as err:
+            raise InvalidInput(f"{path}: not {err.encoding} text ({err.reason})") from None
+
+
 def read_matrix_table(path: Path, delimiter: str = ","):
     """Read a sample-by-method table: header of method ids, first column
     of sample ids, numeric cells."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+    with _csv_rows(path, delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -166,8 +180,7 @@ def read_matrix_table(path: Path, delimiter: str = ","):
 
 
 def read_labels_table(path: Path, delimiter: str = ","):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+    with _csv_rows(path, delimiter) as reader:
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise InvalidInput(f"{path}: expected 'sample_id,label' table")
@@ -258,8 +271,8 @@ class ManifestWriter:
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, out: Path, manifest: ManifestWriter) -> str:
-    config = SimulationConfig(
+def _simulation_config(args) -> SimulationConfig:
+    return SimulationConfig(
         n_methods=args.methods,
         n_samples=args.samples,
         rho=args.rho,
@@ -267,7 +280,10 @@ def cmd_simulate(args, out: Path, manifest: ManifestWriter) -> str:
         auroc_high=args.auroc_high,
         seed=args.seed,
     )
-    data = simulate_ensemble(config)
+
+
+def cmd_simulate(args, out: Path, manifest: ManifestWriter) -> str:
+    data = simulate_ensemble(_simulation_config(args))
 
     scores_name = _table_name("scores", args.format)
     sample_ids, method_ids = data.scores.sample_ids, data.scores.method_ids
@@ -416,18 +432,9 @@ def _axis_value(axis: str, text: str):
 
 
 def _sweep_replicate(task) -> dict:
-    """One (axis value, replicate) cell: simulate, infer, evaluate."""
-    axis, value, value_index, replicate, base, tol, max_iter = task
-    config_kwargs = {
-        "n_methods": base["methods"],
-        "n_samples": base["samples"],
-        "rho": base["rho"],
-        "auroc_low": base["auroc_low"],
-        "auroc_high": base["auroc_high"],
-    }
-    config_kwargs[_SWEEP_AXES[axis][0]] = _axis_value(axis, value)
-    seed = _replicate_seed(base["seed"], value_index, replicate)
-    config = SimulationConfig(seed=seed, **config_kwargs)
+    """One (axis value, replicate) cell: simulate, infer, evaluate.  The
+    task is ``(axis, value text, replicate, config, tol, max_iter)``."""
+    axis, value, replicate, config, tol, max_iter = task
     data = simulate_ensemble(config)
     ranks = rank_transform(data.scores, "midrank")
 
@@ -435,7 +442,7 @@ def _sweep_replicate(task) -> dict:
         result = run_pipeline(ranks, tol=tol, max_iter=max_iter)
     except SummaError:
         return {
-            "axis": axis, "value": value, "replicate": replicate, "seed": seed,
+            "axis": axis, "value": value, "replicate": replicate, "seed": config.seed,
             "corr_inferred_true": float("nan"), "summa_auroc": float("nan"),
             "woc_auroc": float("nan"),
             "best_base_auroc": float(data.true_aurocs.max()),
@@ -448,7 +455,7 @@ def _sweep_replicate(task) -> dict:
         "axis": axis,
         "value": value,
         "replicate": replicate,
-        "seed": seed,
+        "seed": config.seed,
         "corr_inferred_true": corr,
         "summa_auroc": evaluate_ensemble(result.summa, data.labels),
         "woc_auroc": evaluate_ensemble(result.woc, data.labels),
@@ -477,25 +484,22 @@ def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
 def cmd_sweep(args, out: Path, manifest: ManifestWriter) -> str:
     values = args.values.split(",") if args.values else SWEEP_DEFAULT_VALUES[args.axis]
     values = [v.strip() for v in values if v.strip()]
-    base = {
-        "methods": args.methods,
-        "samples": args.samples,
-        "rho": args.rho,
-        "auroc_low": args.auroc_low,
-        "auroc_high": args.auroc_high,
-        "seed": args.seed,
-    }
     if args.replicates < 1:
         raise InvalidInput(f"--replicates must be at least 1, got {args.replicates}")
     if args.jobs < 1:
         raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
-    for value in values:
-        _axis_value(args.axis, value)
+    numbers = [_axis_value(args.axis, value) for value in values]
     if len(set(values)) != len(values):
         raise InvalidInput("--values: each value may appear only once")
+    # building every task's config checks it, so an invalid cell fails
+    # the sweep before any replicate runs
+    field = _SWEEP_AXES[args.axis][0]
+    base = _simulation_config(args)
     tasks = [
-        (args.axis, value, vi, rep, base, args.tol, args.max_iter)
-        for vi, value in enumerate(values)
+        (args.axis, value, rep,
+         replace(base, **{field: number, "seed": _replicate_seed(args.seed, vi, rep)}),
+         args.tol, args.max_iter)
+        for vi, (value, number) in enumerate(zip(values, numbers))
         for rep in range(args.replicates)
     ]
     # a fork-started pool launches every worker on its first task
@@ -505,7 +509,6 @@ def cmd_sweep(args, out: Path, manifest: ManifestWriter) -> str:
             results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
     else:
         results = [_sweep_replicate(task) for task in tasks]
-    results.sort(key=lambda row: (values.index(row["value"]), row["replicate"]))
 
     header = [
         "axis", "value", "replicate", "seed", "corr_inferred_true",
@@ -593,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="known positive-class prevalence (skips tensor estimate of rho)")
     p_inf.add_argument("--no-tensor", action="store_true",
                        help="skip the third-moment stage entirely")
-    p_inf.add_argument("--tol", type=float, default=1e-6)
-    p_inf.add_argument("--max-iter", type=int, default=1000)
+    p_inf.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_inf.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_inf.add_argument("--delimiter", default=",")
     _add_common_output_args(p_inf)
     p_inf.set_defaults(func=cmd_infer)
@@ -613,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replicates", type=int, default=50)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="at most this many parallel worker processes")
-    p_sweep.add_argument("--tol", type=float, default=1e-6)
-    p_sweep.add_argument("--max-iter", type=int, default=1000)
+    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_sweep.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     _add_sim_config_args(p_sweep)
     _add_common_output_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -643,7 +646,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        # no manifest can go where the directory could not be made
+        print(f"{args.command}: {out}: {err.strerror or err}", file=sys.stderr)
+        return 1
     manifest = ManifestWriter(args.command, args, out)
     try:
         if len(getattr(args, "delimiter", ",")) != 1:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     Rank1Recovery,
     TensorRecovery,
     recover_rank1_matrix,
@@ -39,8 +41,8 @@ def run_pipeline(
     *,
     prevalence: float | None = None,
     use_tensor: bool = True,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PipelineResult:
     """Estimate method performances and aggregate scores from ranks alone.
 

@@ -3,8 +3,10 @@
 Each simulated method draws Gaussian scores with unit variance: negative
 samples from N(0, 1) and positive samples from N(d_i, 1), where the
 separation d_i = sqrt(2) * PhiInv(auroc_i) makes the method's population
-AUROC exactly the requested target.  Methods sample independently given
-the labels, so conditional independence holds by construction.
+AUROC exactly the requested target.  PhiInv is the standard library's
+``statistics.NormalDist().inv_cdf``, so the module needs numpy alone.
+Methods sample independently given the labels, so conditional
+independence holds by construction.
 
 Randomness comes from counter-based Philox streams (numpy's
 ``Philox4x64``) keyed as (seed, stream): stream ``i`` feeds method i's
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import InvalidInput
 from .ranking import LabelVector, ScoreMatrix, _default_ids
@@ -76,12 +77,17 @@ def separation_for_auroc(target_auroc: float) -> float:
 
     For unit-variance classes separated by d, the probability that a
     positive sample outscores a negative one is Phi(d / sqrt(2)), so
-    d = sqrt(2) * PhiInv(target).  PhiInv is scipy's ``ndtri``, a
-    rational minimax approximation good far beyond 1e-9.
+    d = sqrt(2) * PhiInv(target).  PhiInv is the standard library's
+    ``NormalDist().inv_cdf`` (Wichura's AS241 rational approximation,
+    good to about 1e-16 relative); the result is exactly 0.0 at 1/2.
     """
+    # imported here: statistics loads fractions and decimal, which infer
+    # and evaluate never need
+    from statistics import NormalDist
+
     if not 0.0 < target_auroc < 1.0:
         raise InvalidInput(f"AUROC target must lie in (0, 1), got {target_auroc}")
-    return float(np.sqrt(2.0) * ndtri(target_auroc))
+    return float(np.sqrt(2.0) * NormalDist().inv_cdf(target_auroc))
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:

@@ -8,12 +8,13 @@ bit-for-bit; thresholds below are the release contract.
 import itertools
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from summa.cli import _sweep_replicate, main
+from summa.cli import _SWEEP_AXES, _axis_value, _replicate_seed, _sweep_replicate, main
 from summa.decomposition import recover_rank1_matrix, recover_rank1_tensor, resolve_sign
 from summa.ensemble import evaluate_ensemble
 from summa.exceptions import SummaError
@@ -318,19 +319,22 @@ def test_prevalence_recovery():
 # ---------------------------------------------------------------------------
 
 REPLICATES = 30
-SWEEP_BASE = {
-    "methods": 30, "samples": 1000, "rho": 0.5,
-    "auroc_low": 0.4, "auroc_high": 0.8, "seed": 777,
-}
+SWEEP_BASE = SimulationConfig(
+    n_methods=30, n_samples=1000, rho=0.5, auroc_low=0.4, auroc_high=0.8, seed=777,
+)
 
 
 def _axis_medians(axis, values):
     medians = {}
+    field = _SWEEP_AXES[axis][0]
     for vi, value in enumerate(values):
         corrs = [
-            _sweep_replicate((axis, value, vi, rep, SWEEP_BASE, 1e-6, 1000))[
-                "corr_inferred_true"
-            ]
+            _sweep_replicate((
+                axis, value, rep,
+                replace(SWEEP_BASE, **{field: _axis_value(axis, value),
+                                       "seed": _replicate_seed(SWEEP_BASE.seed, vi, rep)}),
+                1e-6, 1000,
+            ))["corr_inferred_true"]
             for rep in range(REPLICATES)
         ]
         medians[value] = float(np.nanmedian(corrs))

@@ -4,6 +4,9 @@ and error exit codes.  Commands run in-process through main(argv)."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -367,6 +370,54 @@ class TestFailures:
         self.assert_reported(out, capsys, "infer", "--delimiter")
         assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        # no manifest can be written there, but the failure is still one line
+        afile = tmp_path / "afile"
+        afile.write_text("taken\n")
+        assert run("simulate", "--seed", 1, "--output-dir", afile) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulate: {afile}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert afile.read_text() == "taken\n"
+
+    @pytest.mark.parametrize("bad", ["infer input", "evaluate labels"])
+    def test_input_not_utf8(self, tmp_path, capsys, bad):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\x00bad,\x81\n")
+        out = tmp_path / "out"
+        if bad == "infer input":
+            command, argv = "infer", ["infer", binary]
+        else:
+            sim = simulate(tmp_path)
+            capsys.readouterr()
+            command = "evaluate"
+            argv = ["evaluate", "--scores", sim / "scores.csv", "--labels", binary]
+        assert run(*argv, "--output-dir", out) == 1
+        self.assert_reported(out, capsys, command, str(binary))
+
+
+def test_runs_without_scipy(tmp_path):
+    # any import of scipy or a scipy submodule raises in this interpreter
+    code = """
+import sys
+sys.modules["scipy"] = None
+from summa.cli import main
+for argv in (
+    ["simulate", "--methods", "8", "--samples", "200", "--seed", "5", "--output-dir", "sim"],
+    ["infer", "sim/scores.csv", "--output-dir", "inf"],
+    ["evaluate", "--scores", "sim/scores.csv", "--labels", "sim/labels.csv",
+     "--output-dir", "ev"],
+    ["sweep", "--axis", "methods", "--values", "6", "--replicates", "1", "--seed", "5",
+     "--samples", "200", "--output-dir", "sw"],
+):
+    assert main(argv) == 0, argv
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sw" / "sweep.csv").exists()
+
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count it
@@ -523,6 +574,20 @@ class TestSweep:
                    "--replicates", 1, "--seed", 3, "--output-dir", sw) == 1
         manifest = json.loads((sw / "manifest.json").read_text())
         assert "once" in manifest["error"]
+        assert not (sw / "sweep.csv").exists()
+
+    def test_invalid_cell_fails_before_any_replicate(self, tmp_path, monkeypatch):
+        # the 0.001 cell leaves the positive class empty at N=400
+        calls = []
+        monkeypatch.setattr(cli, "simulate_ensemble", calls.append)
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "prevalence", "--values", "0.3,0.001",
+                   "--samples", 400, "--methods", 12, "--replicates", 20, "--seed", 1,
+                   "--output-dir", sw) == 1
+        assert calls == []
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "leave one class empty" in manifest["error"]
+        assert manifest["outputs"] == []
         assert not (sw / "sweep.csv").exists()
 
     def test_failure_writes_manifest(self, tmp_path):

@@ -126,11 +126,12 @@ class TestRankTransformOracle:
 
 def test_import_leaves_scipy_stats_out():
     code = ("import sys, summa, summa.cli; "
-            "print('scipy.stats' in sys.modules, 'fractions' in sys.modules)")
+            "print('scipy.stats' in sys.modules, 'fractions' in sys.modules, "
+            "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     src = str(Path(summa.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 class TestRankMatrix:

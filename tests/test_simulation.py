@@ -4,6 +4,7 @@ sampled moments and the conditional-independence factorization."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from summa.exceptions import InvalidInput
 from summa.moments import covariance_matrix
@@ -30,6 +31,19 @@ class TestSeparationForAuroc:
 
     def test_frozen_value(self):
         assert separation_for_auroc(0.8) == pytest.approx(1.19023, abs=5e-6)
+
+    def test_matches_scipy_ndtri(self):
+        # scipy's ndtri is the oracle only; the package never imports scipy
+        p = np.concatenate([
+            np.linspace(1e-12, 1 - 1e-12, 4001),
+            np.logspace(-12, -1, 500),
+            1 - np.logspace(-12, -1, 500),
+            [0.5],
+        ])
+        ours = np.array([separation_for_auroc(x) for x in p])
+        theirs = np.sqrt(2.0) * ndtri(p)
+        assert ours[p == 0.5].tolist() == [0.0]
+        np.testing.assert_allclose(ours, theirs, rtol=4e-15, atol=0)
 
     def test_monte_carlo_oracle(self):
         # independent check: fraction of positive-negative pairs where the
