@@ -17,6 +17,9 @@ File formats (all stable):
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
   round-trip exactly.
+* tables are read with ``csv`` for the header record and one
+  ``np.loadtxt`` pass for the body, which takes ``"`` quoting as
+  ``csv.writer`` writes it; a body error names its data row.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import os
 import re
 import sys
 import time
+import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -139,70 +143,88 @@ def _table_name(stem: str, fmt: str) -> str:
     return f"{stem}.{fmt}"
 
 
-@contextmanager
-def _csv_rows(path: Path, delimiter: str):
-    """A ``csv.reader`` over ``path``; text that does not decode becomes
-    an :class:`InvalidInput` naming the file."""
-    with open(path, newline="") as handle:
-        try:
-            yield csv.reader(handle, delimiter=delimiter)
-        except UnicodeDecodeError as err:
-            raise InvalidInput(f"{path}: not {err.encoding} text ({err.reason})") from None
+# np.loadtxt counts rows from 0 in a conversion error and from 1 in a
+# cell-count error; both skip blank lines, as the "data row" of a
+# message does
+_CONVERSION_ERROR = re.compile(r"(could not convert .*) at row (\d+), column (\d+)")
+_CELL_COUNT_ERROR = re.compile(
+    r"(?:columns changed from \d+ to \d+|columns but \d+ were found"
+    r"|invalid column index \d+) at row (\d+)")
+
+
+def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
+                usecols: tuple[int, ...] | None = None, converters: dict | None = None):
+    """Read a delimited table: the header record with ``csv.reader``, then
+    the body in one ``np.loadtxt`` pass on the same handle.
+
+    Returns the header and one record per data row: ``id``, the stripped
+    first cell, and ``v``, the cells after it as ``value_type`` (every
+    header column, or only ``usecols[1:]``), each through its entry of
+    ``converters`` where it has one.  Every failure is an
+    :class:`InvalidInput` naming the file, and a body error names its
+    data row, counted from 1 over the non-blank records."""
+    try:
+        with open(path, newline="") as handle:
+            header = next(csv.reader(handle, delimiter=delimiter), None)
+            if header is None:
+                raise InvalidInput(f"{path}: empty table")
+            if len(header) < 2:
+                raise InvalidInput(f"{path}: {header_error}")
+            shape = (len(header) - 1,) if usecols is None else ()
+            with warnings.catch_warnings():
+                # an empty body is reported below, as "no data rows"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(
+                    handle, dtype=[("id", object), ("v", value_type, shape)],
+                    delimiter=delimiter, quotechar='"', comments=None,
+                    usecols=usecols, ndmin=1,
+                    converters={0: str.strip, **(converters or {})},
+                )
+    except UnicodeDecodeError as err:
+        raise InvalidInput(f"{path}: not {err.encoding} text ({err.reason})") from None
+    except (ValueError, csv.Error) as err:
+        text = str(err)
+        if match := _CONVERSION_ERROR.search(text):
+            where = f"data row {int(match[2]) + 1}, column {match[3]}: {match[1]}"
+        elif match := _CELL_COUNT_ERROR.search(text):
+            cells = len(header) if usecols is None else f"at least {len(usecols)}"
+            where = f"data row {match[1]}: expected {cells} cells"
+        else:
+            where = text
+        raise InvalidInput(f"{path}: {where}") from None
+    if body.size == 0:
+        raise InvalidInput(f"{path}: no data rows")
+    return header, body
 
 
 def read_matrix_table(path: Path, delimiter: str = ","):
     """Read a sample-by-method table: header of method ids, first column
     of sample ids, numeric cells."""
-    with _csv_rows(path, delimiter) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInput(f"{path}: empty table") from None
-        if len(header) < 2:
-            raise InvalidInput(f"{path}: need a sample-id column plus method columns")
-        method_ids = tuple(h.strip() for h in header[1:])
-        sample_ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidInput(f"{path}:{lineno}: expected {len(header)} cells")
-            sample_ids.append(row[0].strip())
-            try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError as err:
-                raise InvalidInput(f"{path}:{lineno}: {err}") from None
-    if not rows:
-        raise InvalidInput(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float).T  # -> methods x samples
-    return method_ids, tuple(sample_ids), values
+    header, body = _read_table(path, delimiter, float,
+                               "need a sample-id column plus method columns")
+    method_ids = tuple(h.strip() for h in header[1:])
+    return method_ids, tuple(body["id"].tolist()), body["v"].T  # -> methods x samples
 
 
 def read_labels_table(path: Path, delimiter: str = ","):
-    with _csv_rows(path, delimiter) as reader:
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise InvalidInput(f"{path}: expected 'sample_id,label' table")
-        sample_ids = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise InvalidInput(f"{path}:{lineno}: expected a sample id and a label")
-            sample_ids.append(row[0].strip())
-            try:
-                labels.append(int(row[1]))
-            except ValueError as err:
-                raise InvalidInput(f"{path}:{lineno}: {err}") from None
-    return tuple(sample_ids), LabelVector(np.asarray(labels))
+    """Read a ``sample_id,label`` table; cells after the label are ignored."""
+    # int() rejects "0.5" and "1.0", which older numpy releases truncate
+    # into an int field with only a DeprecationWarning
+    _, body = _read_table(path, delimiter, int, "expected 'sample_id,label' table",
+                          usecols=(0, 1), converters={1: int})
+    return tuple(body["id"].tolist()), LabelVector(body["v"])
 
 
 def _align_labels(sample_ids, label_ids, labels: LabelVector) -> LabelVector:
     if label_ids == sample_ids:
         return labels
     index = {sid: k for k, sid in enumerate(label_ids)}
+    # a repeated id would pair with whichever label row came last
+    for table, ids, distinct in (("scores", sample_ids, set(sample_ids)),
+                                 ("labels", label_ids, index)):
+        if len(distinct) < len(ids):
+            sid = next(sid for sid, count in Counter(ids).items() if count > 1)
+            raise InvalidInput(f"sample id {sid!r} appears more than once in {table}")
     missing = [sid for sid in sample_ids if sid not in index]
     if missing or len(label_ids) != len(sample_ids):
         raise InvalidInput(
@@ -654,8 +676,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     manifest = ManifestWriter(args.command, args, out)
     try:
-        if len(getattr(args, "delimiter", ",")) != 1:
-            raise InvalidInput(f"--delimiter must be one character, got {args.delimiter!r}")
+        delimiter = getattr(args, "delimiter", ",")
+        if len(delimiter) != 1:
+            raise InvalidInput(f"--delimiter must be one character, got {delimiter!r}")
+        if delimiter in '"\r\n':
+            raise InvalidInput(f"--delimiter cannot be a quote or a line break, got {delimiter!r}")
         summary = args.func(args, out, manifest)
     except SummaError as err:
         if isinstance(err, NotConverged):

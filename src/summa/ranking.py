@@ -60,7 +60,7 @@ def _rows_are_permutations(ranks: np.ndarray) -> bool:
 
 def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
     width = max(2, len(str(n - 1)))
-    return tuple(f"{prefix}{i:0{width}d}" for i in range(n))
+    return tuple([prefix + str(i).zfill(width) for i in range(n)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from summa import cli
-from summa.cli import _CHUNK_ROWS, main, read_matrix_table, write_table
+from summa.cli import _CHUNK_ROWS, main, read_labels_table, read_matrix_table, write_table
+from summa.exceptions import InvalidInput
 
 
 def run(*argv):
@@ -97,6 +100,121 @@ class TestWriteTable:
         write_table(tmp_path / "new.json", header, columns, "json")
         reference_json(tmp_path / "ref.json", header, columns)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# ids that need every kind of CSV quoting, and padding the reader strips
+ID_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n;')), max_size=8)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestReadTables:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3), st.data())
+    def test_round_trip_through_write_table(self, tmp_path, m, data):
+        ids = data.draw(st.lists(ID_TEXT, min_size=1, max_size=12))
+        n = len(ids)
+        values = np.array(data.draw(st.lists(FINITE, min_size=m * n, max_size=m * n)),
+                          dtype=float).reshape(m, n)
+        methods = data.draw(st.lists(ID_TEXT, min_size=m, max_size=m))
+        path = tmp_path / "t.csv"
+        write_table(path, ["sample_id", *methods], [ids, *values], "csv")
+        method_ids, sample_ids, read = read_matrix_table(path)
+        assert method_ids == tuple(name.strip() for name in methods)
+        assert sample_ids == tuple(sid.strip() for sid in ids)
+        assert read.shape == (m, n)
+        assert np.ascontiguousarray(read).tobytes() == values.tobytes()
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b\r\n\r\ns0,1,2\r\n\r\n\r\n s1 ,3,4\n\n")
+        method_ids, sample_ids, values = read_matrix_table(path)
+        assert method_ids == ("a", "b")
+        assert sample_ids == ("s0", "s1")
+        assert values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("delimiter", [";", "\t"])
+    def test_other_delimiters(self, tmp_path, delimiter):
+        path = tmp_path / "t.csv"
+        rows = [["sample_id", "a", "b"], ["s,0", "1.5", "-2"], ['"s1"', "3e2", "4"]]
+        path.write_text("".join(delimiter.join(row) + "\n" for row in rows))
+        method_ids, sample_ids, values = read_matrix_table(path, delimiter)
+        assert method_ids == ("a", "b")
+        assert sample_ids == ("s,0", "s1")
+        assert values.tolist() == [[1.5, 300.0], [-2.0, 4.0]]
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b\r\n\r\n")
+        with pytest.raises(InvalidInput, match="no data rows") as err:
+            read_matrix_table(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("s2,5", "expected 3 cells"),
+        ("s2,5,6,7", "expected 3 cells"),
+        ("s2,5,x", "could not convert"),
+    ])
+    def test_bad_row_after_blank_line_names_data_row(self, tmp_path, row, reason):
+        # data rows count the non-blank records after the header, from 1
+        path = tmp_path / "t.csv"
+        path.write_text(f"sample_id,a,b\ns0,1,2\n\ns1,3,4\n\n{row}\ns3,7,8\n")
+        with pytest.raises(InvalidInput) as err:
+            read_matrix_table(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: ")
+        assert reason in message
+        assert "data row 3" in message
+
+    def test_bad_label_after_blank_line_names_data_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\ns0,1\n\ns1,yes\n")
+        with pytest.raises(InvalidInput, match="could not convert") as err:
+            read_labels_table(path)
+        assert f"{path}: data row 2" in str(err.value)
+
+    @pytest.mark.parametrize("label", ["0.5", "1.0", "1.7", "1e0"])
+    def test_non_integer_label_rejected(self, tmp_path, label):
+        # a label must be an integer, as int() reads it
+        path = tmp_path / "labels.csv"
+        path.write_text(f"sample_id,label\ns0,1\n\ns1,{label}\ns2,0\n")
+        with pytest.raises(InvalidInput, match="could not convert") as err:
+            read_labels_table(path)
+        assert f"{path}: data row 2, column 2" in str(err.value)
+
+    @pytest.mark.parametrize("reader", [read_matrix_table, read_labels_table])
+    def test_undecodable_data_row(self, tmp_path, reader):
+        # far enough into the file that the header decodes cleanly
+        path = tmp_path / "t.csv"
+        rows = b"".join(b"s%d,1\n" % k for k in range(5000))
+        path.write_bytes(b"sample_id,label\n" + rows + b"s5000,\xff1\n")
+        with pytest.raises(InvalidInput, match="not utf-8 text") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+
+    def test_oversized_header_cell(self, tmp_path):
+        # csv's field limit applies to the header record only
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id," + "x" * 200_000 + "\n" + "y" * 200_000 + ",1\n")
+        with pytest.raises(InvalidInput, match="field limit") as err:
+            read_matrix_table(path)
+        assert str(path) in str(err.value)
+        path.write_text("sample_id,a\n" + "y" * 200_000 + ",1\n")
+        assert read_matrix_table(path)[1] == ("y" * 200_000,)
+
+    def test_third_label_column_ignored(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label,note\ns0,1,first\n\n s1 ,0\ns2,1,x,y\n")
+        sample_ids, labels = read_labels_table(path)
+        assert sample_ids == ("s0", "s1", "s2")
+        assert labels.labels.tolist() == [1, 0, 1]
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # float() reads "1_0" as 10.0; numpy's float syntax has no "_"
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a\ns0,1_0\n")
+        with pytest.raises(InvalidInput, match="data row 1, column 2"):
+            read_matrix_table(path)
 
 
 class TestSimulate:
@@ -312,6 +430,24 @@ class TestEvaluate:
         assert run("evaluate", "--scores", scores, "--labels", labels,
                    "--output-dir", tmp_path / "ev") != 0
 
+    @pytest.mark.parametrize("score_ids, label_rows, repeated", [
+        (["a", "b", "b"], ["b,0", "a,1", "a,1"], "'b' appears more than once in scores"),
+        (["a", "b", "c"], ["b,0", "a,1", "a,1"], "'a' appears more than once in labels"),
+    ])
+    def test_repeated_ids_rejected(self, tmp_path, score_ids, label_rows, repeated):
+        # before, a,b,b against b:0,a:1,a:1 paired silently with n_positive 1
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("sample_id,m\n" + "".join(
+            f"{sid},{k}\n" for k, sid in enumerate(score_ids)))
+        labels.write_text("sample_id,label\n" + "".join(row + "\n" for row in label_rows))
+        ev = tmp_path / "ev"
+        assert run("evaluate", "--scores", scores, "--labels", labels,
+                   "--output-dir", ev) == 1
+        manifest = json.loads((ev / "manifest.json").read_text())
+        assert repeated in manifest["error"]
+        assert not (ev / "metrics.csv").exists()
+
     def test_single_class_rejected(self, tmp_path):
         scores = tmp_path / "scores.csv"
         labels = tmp_path / "labels.csv"
@@ -329,7 +465,7 @@ class TestEvaluate:
         assert run("evaluate", "--scores", scores, "--labels", labels,
                    "--output-dir", ev) == 1
         manifest = json.loads((ev / "manifest.json").read_text())
-        assert "labels.csv:3" in manifest["error"]
+        assert "labels.csv: data row 2: expected at least 2 cells" in manifest["error"]
 
 
 class TestFailures:
@@ -360,7 +496,8 @@ class TestFailures:
                    "--output-dir", out) == 1
         self.assert_reported(out, capsys, "evaluate", str(missing))
 
-    @pytest.mark.parametrize("delimiter", [";;", ""])
+    # a quote or a line break cannot separate cells either
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r"])
     def test_delimiter_not_one_character(self, tmp_path, capsys, delimiter):
         sim = simulate(tmp_path)
         capsys.readouterr()

@@ -26,6 +26,7 @@ from summa.ranking import (
     RankMatrix,
     ScoreMatrix,
     auroc_rectangle,
+    _default_ids,
     rank_transform,
 )
 
@@ -132,6 +133,12 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False False False"
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 10**4])
+def test_default_ids_match_format_spec(n):
+    width = max(2, len(str(n - 1)))
+    assert _default_ids("s", n) == tuple(f"s{i:0{width}d}" for i in range(n))
 
 
 class TestRankMatrix:
