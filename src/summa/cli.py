@@ -3,7 +3,9 @@
 Every command writes its outputs plus a ``manifest.json`` echoing the
 full configuration, the library version, sha256 digests of any inputs,
 and the wall-clock duration, so a run can be reproduced from (inputs,
-manifest) alone.  Data outputs from ``simulate`` and ``infer`` are
+manifest) alone.  One writer, :class:`ManifestWriter`, writes every
+output file and lists it in the manifest, so the list is exactly what
+was written.  Data outputs from ``simulate`` and ``infer`` are
 byte-identical across reruns with the same seed and inputs.  A command
 that fails still writes the manifest, with an ``error`` entry (plus
 ``error.json`` when an iteration ran out), prints one line to stderr
@@ -17,6 +19,7 @@ File formats (all stable):
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
   round-trip exactly.
+* every JSON file is indented by one space and ends in a newline.
 * tables are read with ``csv`` for the header record and one
   ``np.loadtxt`` pass for the body, which takes ``"`` quoting as
   ``csv.writer`` writes it; a body error names its data row.
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decomposition import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .decomposition import DEFAULT_MAX_ITER, DEFAULT_TOL, check_iteration_controls
 from .ensemble import evaluate_ensemble
 from .exceptions import InvalidInput, NotConverged, SummaError
 from .pipeline import run_pipeline
@@ -117,6 +120,12 @@ def _as_list(cells):
     return cells.tolist() if isinstance(cells, np.ndarray) else cells
 
 
+def _write_json(path: Path, obj):
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=1)
+        handle.write("\n")
+
+
 def write_table(path: Path, header: list[str], columns: list, fmt: str):
     """Write equal-length ``columns`` (sequences or 1-D arrays) under
     ``header``.  CSV goes out ``_CHUNK_ROWS`` rows at a time, byte for
@@ -130,17 +139,10 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str):
                 chunk = [_as_list(c[start:start + _CHUNK_ROWS]) for c in cells]
                 handle.write("".join([line % row for row in zip(*chunk)]))
     else:
-        records = [
+        _write_json(path, [
             {col: _jsonable(cell) for col, cell in zip(header, row)}
             for row in zip(*(_as_list(column) for column in columns))
-        ]
-        with open(path, "w") as handle:
-            json.dump(records, handle, indent=1)
-            handle.write("\n")
-
-
-def _table_name(stem: str, fmt: str) -> str:
-    return f"{stem}.{fmt}"
+        ])
 
 
 # np.loadtxt counts rows from 0 in a conversion error and from 1 in a
@@ -244,16 +246,19 @@ def _sha256(path: Path) -> str:
 
 
 class ManifestWriter:
+    """Writes a command's output files into ``output_dir``, lists each
+    one, and finally writes ``manifest.json`` over the list."""
+
     def __init__(self, command: str, args: argparse.Namespace, output_dir: Path):
         self.command = command
         self.output_dir = output_dir
+        self.format = args.format
         self.started = time.perf_counter()
         self.started_utc = datetime.now(timezone.utc).isoformat()
-        skip = {"func"}
         self.config = {
             key: (str(value) if isinstance(value, Path) else value)
             for key, value in sorted(vars(args).items())
-            if key not in skip
+            if key != "func"
         }
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -266,10 +271,18 @@ class ManifestWriter:
         except OSError as err:
             raise InvalidInput(f"{path}: {err.strerror or err}") from None
 
-    def add_output(self, name: str):
+    def table(self, stem: str, header: list[str], columns: list) -> str:
+        """Write ``{stem}.{format}`` with :func:`write_table`; returns its name."""
+        name = f"{stem}.{self.format}"
+        write_table(self.output_dir / name, header, columns, self.format)
+        self.outputs.append(name)
+        return name
+
+    def json(self, name: str, payload):
+        _write_json(self.output_dir / name, payload)
         self.outputs.append(name)
 
-    def write(self, error: str | None = None) -> Path:
+    def write(self, error: str | None = None):
         manifest = {
             "command": self.command,
             "version": __version__,
@@ -282,11 +295,7 @@ class ManifestWriter:
         }
         if error is not None:
             manifest["error"] = error
-        path = self.output_dir / "manifest.json"
-        with open(path, "w") as handle:
-            json.dump(manifest, handle, indent=1)
-            handle.write("\n")
-        return path
+        _write_json(self.output_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +313,15 @@ def _simulation_config(args) -> SimulationConfig:
     )
 
 
-def cmd_simulate(args, out: Path, manifest: ManifestWriter) -> str:
+def cmd_simulate(args, manifest: ManifestWriter) -> str:
     data = simulate_ensemble(_simulation_config(args))
-
-    scores_name = _table_name("scores", args.format)
     sample_ids, method_ids = data.scores.sample_ids, data.scores.method_ids
-    write_table(
-        out / scores_name,
-        ["sample_id", *method_ids],
-        [sample_ids, *data.scores.values],
-        args.format,
+    names = (
+        manifest.table("scores", ["sample_id", *method_ids], [sample_ids, *data.scores.values]),
+        manifest.table("labels", ["sample_id", "label"], [sample_ids, data.labels.labels]),
+        manifest.table("true_aurocs", ["method_id", "auroc"], [method_ids, data.true_aurocs]),
     )
-    labels_name = _table_name("labels", args.format)
-    write_table(
-        out / labels_name, ["sample_id", "label"], [sample_ids, data.labels.labels],
-        args.format,
-    )
-    aurocs_name = _table_name("true_aurocs", args.format)
-    write_table(
-        out / aurocs_name, ["method_id", "auroc"], [method_ids, data.true_aurocs],
-        args.format,
-    )
-    for name in (scores_name, labels_name, aurocs_name):
-        manifest.add_output(name)
-    return f"simulate: wrote {scores_name}, {labels_name}, {aurocs_name} to {out}"
+    return f"simulate: wrote {', '.join(names)} to {manifest.output_dir}"
 
 
 # ---------------------------------------------------------------------------
@@ -344,64 +338,25 @@ def _load_rank_matrix(args, manifest: ManifestWriter) -> RankMatrix:
     return rank_transform(scores, args.ties)
 
 
-def _write_infer_outputs(out: Path, result, args, manifest: ManifestWriter):
-    report = result.report
-    payload = report.to_dict()
-    payload["recovery"] = {
-        "iterations": result.recovery.iterations,
-        "converged": result.recovery.converged,
-        "residual": result.recovery.residual,
-    }
-    if result.tensor is not None:
-        payload["tensor"] = {
-            "iterations": result.tensor.iterations,
-            "converged": result.tensor.converged,
-            "residual": result.tensor.residual,
-        }
-    with open(out / "report.json", "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    manifest.add_output("report.json")
-
-    methods_name = _table_name("method_estimates", args.format)
-    header = ["method_id", "weight", "recoverability_flag"]
-    if report.deltas is not None:
-        header += ["delta", "auroc", "auroc_raw"]
-    entries = payload["methods"]
-    columns = [[entry[name] for entry in entries] for name in header]
-    columns[2] = [int(flag) for flag in columns[2]]
-    write_table(out / methods_name, header, columns, args.format)
-    manifest.add_output(methods_name)
-
-    sample_ids = result.summa.sample_ids
-    scores_name = _table_name("ensemble_scores", args.format)
-    write_table(
-        out / scores_name,
-        ["sample_id", "summa", "woc"],
-        [sample_ids, result.summa.scores, result.woc.scores],
-        args.format,
-    )
-    manifest.add_output(scores_name)
-    labels_name = _table_name("ensemble_labels", args.format)
-    write_table(
-        out / labels_name,
-        ["sample_id", "summa", "woc"],
-        [sample_ids, result.summa.labels, result.woc.labels],
-        args.format,
-    )
-    manifest.add_output(labels_name)
-
-
-def cmd_infer(args, out: Path, manifest: ManifestWriter) -> str:
+def cmd_infer(args, manifest: ManifestWriter) -> str:
     ranks = _load_rank_matrix(args, manifest)
-    result = run_pipeline(
-        ranks,
-        prevalence=args.prevalence,
-        use_tensor=not args.no_tensor,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    _write_infer_outputs(out, result, args, manifest)
+    result = run_pipeline(ranks, prevalence=args.prevalence, use_tensor=not args.no_tensor,
+                          tol=args.tol, max_iter=args.max_iter)
+    payload = result.to_dict()
+    manifest.json("report.json", payload)
+
+    header = ["method_id", "weight", "recoverability_flag"]
+    if result.report.deltas is not None:
+        header += ["delta", "auroc", "auroc_raw"]
+    columns = [[entry[name] for entry in payload["methods"]] for name in header]
+    columns[2] = [int(flag) for flag in columns[2]]
+    manifest.table("method_estimates", header, columns)
+
+    summa, woc = result.summa, result.woc
+    manifest.table("ensemble_scores", ["sample_id", "summa", "woc"],
+                   [summa.sample_ids, summa.scores, woc.scores])
+    manifest.table("ensemble_labels", ["sample_id", "summa", "woc"],
+                   [summa.sample_ids, summa.labels, woc.labels])
     rho = result.report.rho
     rho_text = "n/a" if rho is None else f"{rho:.4f}"
     return f"infer: {ranks.n_methods} methods, {ranks.n_samples} samples, rho={rho_text}"
@@ -411,7 +366,7 @@ def cmd_infer(args, out: Path, manifest: ManifestWriter) -> str:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def cmd_evaluate(args, out: Path, manifest: ManifestWriter) -> str:
+def cmd_evaluate(args, manifest: ManifestWriter) -> str:
     scores_path = Path(args.scores)
     labels_path = Path(args.labels)
     manifest.add_input(scores_path)
@@ -423,16 +378,13 @@ def cmd_evaluate(args, out: Path, manifest: ManifestWriter) -> str:
     ranks = rank_transform(scores, "strict")
     aurocs = [auroc_rectangle(row, labels) for row in ranks.ranks]
 
-    metrics_name = _table_name("metrics", args.format)
     m = len(method_ids)
-    write_table(
-        out / metrics_name,
+    name = manifest.table(
+        "metrics",
         ["method_id", "auroc", "n_samples", "n_positive"],
         [method_ids, aurocs, [len(labels)] * m, [labels.n_positive] * m],
-        args.format,
     )
-    manifest.add_output(metrics_name)
-    return f"evaluate: wrote {metrics_name} ({m} methods)"
+    return f"evaluate: wrote {name} ({m} methods)"
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +405,11 @@ def _axis_value(axis: str, text: str):
         raise InvalidInput(f"--values: {text!r} is not a valid {axis} value") from None
 
 
+# the keys of a sweep row, in the order of the sweep table's columns
+_SWEEP_COLUMNS = ("axis", "value", "replicate", "seed", "corr_inferred_true", "summa_auroc",
+                  "woc_auroc", "best_base_auroc", "rho_true", "rho_inferred", "degraded")
+
+
 def _sweep_replicate(task) -> dict:
     """One (axis value, replicate) cell: simulate, infer, evaluate.  The
     task is ``(axis, value text, replicate, config, tol, max_iter)``."""
@@ -460,33 +417,24 @@ def _sweep_replicate(task) -> dict:
     data = simulate_ensemble(config)
     ranks = rank_transform(data.scores, "midrank")
 
+    row = dict.fromkeys(_SWEEP_COLUMNS, float("nan"))
+    # degraded 2: run_pipeline declined the replicate
+    row.update(axis=axis, value=value, replicate=replicate, seed=config.seed,
+               best_base_auroc=float(data.true_aurocs.max()), rho_true=config.rho,
+               degraded=2)
     try:
         result = run_pipeline(ranks, tol=tol, max_iter=max_iter)
     except SummaError:
-        return {
-            "axis": axis, "value": value, "replicate": replicate, "seed": config.seed,
-            "corr_inferred_true": float("nan"), "summa_auroc": float("nan"),
-            "woc_auroc": float("nan"),
-            "best_base_auroc": float(data.true_aurocs.max()),
-            "rho_true": config.rho, "rho_inferred": float("nan"), "degraded": 2,
-        }
-
-    aurocs = result.report.aurocs
-    corr = float(np.corrcoef(aurocs, data.true_aurocs)[0, 1])
-    return {
-        "axis": axis,
-        "value": value,
-        "replicate": replicate,
-        "seed": config.seed,
-        "corr_inferred_true": corr,
-        "summa_auroc": evaluate_ensemble(result.summa, data.labels),
-        "woc_auroc": evaluate_ensemble(result.woc, data.labels),
-        "best_base_auroc": float(data.true_aurocs.max()),
-        "rho_true": config.rho,
-        "rho_inferred": result.report.rho,
+        return row
+    row.update(
+        corr_inferred_true=float(np.corrcoef(result.report.aurocs, data.true_aurocs)[0, 1]),
+        summa_auroc=evaluate_ensemble(result.summa, data.labels),
+        woc_auroc=evaluate_ensemble(result.woc, data.labels),
+        rho_inferred=result.report.rho,
         # 1: the tensor stage failed and run_pipeline assumed rho = 1/2
-        "degraded": int(result.tensor is None),
-    }
+        degraded=int(result.tensor is None),
+    )
+    return row
 
 
 def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
@@ -503,13 +451,19 @@ def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
     return median, mean, se
 
 
-def cmd_sweep(args, out: Path, manifest: ManifestWriter) -> str:
-    values = args.values.split(",") if args.values else SWEEP_DEFAULT_VALUES[args.axis]
-    values = [v.strip() for v in values if v.strip()]
+def cmd_sweep(args, manifest: ManifestWriter) -> str:
+    if args.values is None:
+        values = SWEEP_DEFAULT_VALUES[args.axis]
+    else:
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
+        if not values:
+            raise InvalidInput(f"--values names no value, got {args.values!r}")
     if args.replicates < 1:
         raise InvalidInput(f"--replicates must be at least 1, got {args.replicates}")
     if args.jobs < 1:
         raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
+    # the library would reject these in every replicate, as declines
+    check_iteration_controls(args.tol, args.max_iter)
     numbers = [_axis_value(args.axis, value) for value in values]
     if len(set(values)) != len(values):
         raise InvalidInput("--values: each value may appear only once")
@@ -532,39 +486,22 @@ def cmd_sweep(args, out: Path, manifest: ManifestWriter) -> str:
     else:
         results = [_sweep_replicate(task) for task in tasks]
 
-    header = [
-        "axis", "value", "replicate", "seed", "corr_inferred_true",
-        "summa_auroc", "woc_auroc", "best_base_auroc",
-        "rho_true", "rho_inferred", "degraded",
-    ]
-    sweep_name = _table_name("sweep", args.format)
-    write_table(
-        out / sweep_name,
-        header,
-        [[row[col] for row in results] for col in header],
-        args.format,
-    )
-    manifest.add_output(sweep_name)
+    sweep_name = manifest.table(
+        "sweep", _SWEEP_COLUMNS, [[row[col] for row in results] for col in _SWEEP_COLUMNS])
 
     summary_rows = []
     for value in values:
         cell = [row for row in results if row["value"] == value]
-        corr_median, corr_mean, _ = _cell_stats(
-            np.asarray([row["corr_inferred_true"] for row in cell]))
-        _, summa_mean, summa_se = _cell_stats(np.asarray([row["summa_auroc"] for row in cell]))
-        _, woc_mean, woc_se = _cell_stats(np.asarray([row["woc_auroc"] for row in cell]))
-        summary_rows.append([args.axis, value, len(cell), corr_median, corr_mean,
-                             summa_mean, summa_se, woc_mean, woc_se])
-    summary_name = _table_name("sweep_summary", args.format)
-    header = ["axis", "value", "n", "corr_median", "corr_mean",
-              "summa_mean", "summa_se", "woc_mean", "woc_se"]
-    write_table(
-        out / summary_name,
-        header,
-        [[row[k] for row in summary_rows] for k in range(len(header))],
-        args.format,
+        corr, summa, woc = (_cell_stats(np.asarray([row[col] for row in cell]))
+                            for col in ("corr_inferred_true", "summa_auroc", "woc_auroc"))
+        # (median, mean) of the correlation, (mean, standard error) of each ensemble
+        summary_rows.append([args.axis, value, len(cell), *corr[:2], *summa[1:], *woc[1:]])
+    manifest.table(
+        "sweep_summary",
+        ["axis", "value", "n", "corr_median", "corr_mean",
+         "summa_mean", "summa_se", "woc_mean", "woc_se"],
+        list(zip(*summary_rows)),
     )
-    manifest.add_output(summary_name)
     return f"sweep: {len(results)} rows over {len(values)} values -> {sweep_name}"
 
 
@@ -583,6 +520,11 @@ def _add_common_output_args(parser):
         "--format", choices=("csv", "json"), default="csv",
         help="tabular output format",
     )
+
+
+def _add_iteration_args(parser):
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
 
 def _add_sim_config_args(parser):
@@ -618,8 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="known positive-class prevalence (skips tensor estimate of rho)")
     p_inf.add_argument("--no-tensor", action="store_true",
                        help="skip the third-moment stage entirely")
-    p_inf.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_inf.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_iteration_args(p_inf)
     p_inf.add_argument("--delimiter", default=",")
     _add_common_output_args(p_inf)
     p_inf.set_defaults(func=cmd_infer)
@@ -638,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replicates", type=int, default=50)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="at most this many parallel worker processes")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sweep.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_iteration_args(p_sweep)
     _add_sim_config_args(p_sweep)
     _add_common_output_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -647,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_error_json(out: Path, err: NotConverged):
+def _error_diagnostics(err: NotConverged) -> dict:
     """The failed iteration's state, for a run that ran out of iterations."""
     diagnostics = {"error": type(err).__name__, "message": str(err)}
     partial = err.partial
@@ -658,8 +598,7 @@ def _write_error_json(out: Path, err: NotConverged):
             "iterations": partial.iterations,
             "residual": partial.residual,
         }
-    with open(out / "error.json", "w") as handle:
-        json.dump(diagnostics, handle, indent=1)
+    return diagnostics
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -681,11 +620,10 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidInput(f"--delimiter must be one character, got {delimiter!r}")
         if delimiter in '"\r\n':
             raise InvalidInput(f"--delimiter cannot be a quote or a line break, got {delimiter!r}")
-        summary = args.func(args, out, manifest)
+        summary = args.func(args, manifest)
     except SummaError as err:
         if isinstance(err, NotConverged):
-            _write_error_json(out, err)
-            manifest.add_output("error.json")
+            manifest.json("error.json", _error_diagnostics(err))
         manifest.write(error=str(err))
         print(f"{args.command}: {err}", file=sys.stderr)
         return 1

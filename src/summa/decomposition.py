@@ -45,6 +45,9 @@ POWER_MAX_ITER = 100_000
 # tensor has no dominant direction, so a full-convergence budget is
 # wasted there and the outer loop re-judges after re-imputation anyway
 HOPM_MAX_ITER = 1000
+# fewer methods leave the completion no redundancy to validate against
+MATRIX_MIN_METHODS = 4
+TENSOR_MIN_METHODS = 5
 
 # Off-diagonal magnitudes below this (relative) scale are treated as no signal.
 _SIGNAL_EPS = 1e-13
@@ -100,10 +103,14 @@ def _check_symmetric(matrix) -> np.ndarray:
     return a
 
 
-def _check_max_iter(max_iter: int):
-    # the recoveries report their last iterate, so they need one
+def check_iteration_controls(tol: float, max_iter: int):
+    """Reject a ``max_iter`` below 1 (a recovery reports its last
+    iterate, so it needs one) and a ``tol`` that is not finite and
+    positive (no iterate could meet it, or every iterate would)."""
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
@@ -215,11 +222,12 @@ def recover_rank1_matrix(
     unknowns, so the completion has no redundancy to validate against
     (and (q, D) vs (-q, D) already shows it is not unique).
     """
-    _check_max_iter(max_iter)
+    check_iteration_controls(tol, max_iter)
     q = _check_symmetric(q2)
     m = q.shape[0]
-    if m < 4:
-        raise TooFewMethods(f"rank-one recovery needs at least 4 methods, got {m}")
+    if m < MATRIX_MIN_METHODS:
+        raise TooFewMethods(
+            f"rank-one recovery needs at least {MATRIX_MIN_METHODS} methods, got {m}")
 
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
@@ -435,11 +443,12 @@ def recover_rank1_tensor(
     methods the off-diagonal triples carry no redundancy over the
     unknowns (the 4-method case has exactly 4 triples for 5 unknowns).
     """
-    _check_max_iter(max_iter)
+    check_iteration_controls(tol, max_iter)
     hint = np.asarray(v_hint, dtype=float)
     m = hint.size
-    if m < 5:
-        raise TooFewMethods(f"tensor recovery needs at least 5 methods, got {m}")
+    if m < TENSOR_MIN_METHODS:
+        raise TooFewMethods(
+            f"tensor recovery needs at least {TENSOR_MIN_METHODS} methods, got {m}")
     norm_hint = np.linalg.norm(hint)
     if not np.isfinite(norm_hint) or abs(norm_hint - 1.0) > 1e-6:
         raise InvalidInput("v_hint must be a unit vector")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .decomposition import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    TENSOR_MIN_METHODS,
     Rank1Recovery,
     TensorRecovery,
     recover_rank1_matrix,
@@ -24,8 +25,6 @@ from .inference import PerformanceReport, performance_estimates, prevalence_from
 from .moments import covariance_matrix, third_moment_offdiag
 from .ranking import RankMatrix
 
-TENSOR_MIN_METHODS = 5
-
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
@@ -34,6 +33,15 @@ class PipelineResult:
     woc: EnsembleScores
     recovery: Rank1Recovery
     tensor: TensorRecovery | None
+
+    def to_dict(self) -> dict:
+        """The report's dict plus the convergence of each recovery that ran."""
+        payload = self.report.to_dict()
+        for key, stage in (("recovery", self.recovery), ("tensor", self.tensor)):
+            if stage is not None:
+                payload[key] = {"iterations": stage.iterations,
+                                "converged": stage.converged, "residual": stage.residual}
+        return payload
 
 
 def run_pipeline(

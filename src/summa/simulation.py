@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .ranking import LabelVector, ScoreMatrix, _default_ids
+from .ranking import LabelVector, ScoreMatrix
 
 # Philox stream reserved for config-level draws (target AUROCs).
 _META_STREAM = 2**64 - 1
@@ -116,6 +116,6 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
         noise = _stream(config.seed, i).standard_normal(n)
         values[i] = noise + separations[i] * shift
 
-    scores = ScoreMatrix(values, _default_ids("m", m), _default_ids("s", n))
+    scores = ScoreMatrix.from_array(values)
     true_aurocs.setflags(write=False)
     return SimulatedDataset(scores, labels, true_aurocs, config.seed)

@@ -468,6 +468,39 @@ class TestEvaluate:
         assert "labels.csv: data row 2: expected at least 2 cells" in manifest["error"]
 
 
+class TestManifestOutputs:
+    """The manifest lists exactly the files a command wrote."""
+
+    @staticmethod
+    def assert_lists_directory(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) | {"manifest.json"} == \
+            {path.name for path in out.iterdir()}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["simulate", "infer", "evaluate", "sweep"])
+    def test_each_command(self, tmp_path, command, fmt):
+        sim = simulate(tmp_path)
+        argv = {
+            "simulate": ["simulate", "--methods", 6, "--samples", 100, "--seed", 2],
+            "infer": ["infer", sim / "scores.csv"],
+            "evaluate": ["evaluate", "--scores", sim / "scores.csv",
+                         "--labels", sim / "labels.csv"],
+            "sweep": ["sweep", "--axis", "methods", "--values", "5,6",
+                      "--replicates", 2, "--seed", 3, "--samples", 200],
+        }[command]
+        out = tmp_path / "out"
+        assert run(*argv, "--format", fmt, "--output-dir", out) == 0
+        self.assert_lists_directory(out)
+
+    def test_error_json(self, tmp_path):
+        sim = simulate(tmp_path, **{"--methods": 30, "--samples": 500})
+        out = tmp_path / "inf"
+        assert run("infer", sim / "scores.csv", "--max-iter", 1, "--output-dir", out) == 1
+        assert (out / "error.json").exists()
+        self.assert_lists_directory(out)
+
+
 class TestFailures:
     """Every failure exits 1, records the manifest error and prints one
     stderr line instead of a traceback."""
@@ -703,6 +736,25 @@ class TestSweep:
         assert "--replicates" in manifest["error"]
         assert manifest["outputs"] == []
         assert not (sw / "sweep_summary.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--tol", -1), ("--tol", "nan")])
+    def test_invalid_iteration_controls_rejected(self, tmp_path, flag, value):
+        # the library rejects them in every replicate, which a sweep counts as declines
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "8", "--replicates", 2,
+                   "--seed", 1, f"{flag}={value}", "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert flag.lstrip("-").replace("-", "_") in manifest["error"]
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("values", ["", ",", " , "])
+    def test_explicit_empty_values_rejected(self, tmp_path, values):
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", values, "--replicates", 2,
+                   "--seed", 1, "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert "--values" in manifest["error"]
+        assert manifest["outputs"] == []
 
     def test_repeated_value_rejected(self, tmp_path):
         # a repeated value would merge two cells into one summary row, twice

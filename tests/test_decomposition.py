@@ -318,6 +318,17 @@ class TestRecoverRank1Tensor:
             with pytest.raises(InvalidInput):
                 recover_rank1_tensor(one_sample(a), ahat, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_not_finite_and_positive_rejected(self, tol):
+        # inf accepts the second iterate; -1 and nan are never met, 0 only
+        # by an exact repeat, so those run out the budget
+        a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
+        ahat = a / np.linalg.norm(a)
+        with pytest.raises(InvalidInput, match="tol"):
+            recover_rank1_matrix(np.outer(a, a), tol=tol)
+        with pytest.raises(InvalidInput, match="tol"):
+            recover_rank1_tensor(one_sample(a), ahat, tol=tol)
+
     def test_non_unit_hint_rejected(self):
         a = np.ones(5)
         with pytest.raises(InvalidInput):
