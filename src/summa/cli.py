@@ -431,7 +431,7 @@ def _sweep_replicate(task) -> dict:
         summa_auroc=evaluate_ensemble(result.summa, data.labels),
         woc_auroc=evaluate_ensemble(result.woc, data.labels),
         rho_inferred=result.report.rho,
-        # 1: the tensor stage failed and run_pipeline assumed rho = 1/2
+        # 1: the tensor stage found no signal and run_pipeline assumed rho = 1/2
         degraded=int(result.tensor is None),
     )
     return row
@@ -523,8 +523,10 @@ def _add_common_output_args(parser):
 
 
 def _add_iteration_args(parser):
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="relative tolerance of the matrix (covariance) recovery")
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                        help="iteration budget of the matrix (covariance) recovery")
 
 
 def _add_sim_config_args(parser):

@@ -11,16 +11,15 @@ rank-one iterate:
 
 which is projected gradient descent (unit step) on the off-diagonal
 squared mismatch over the set of symmetric PSD rank-one matrices, so the
-off-diagonal residual never increases.  The analogous loop on the third
-moment tensor replaces the eigenpair step with a symmetric higher-order
-power iteration u <- T(., u, u) / ||T(., u, u)||; there only the entries
-with three distinct indices are trusted, and every entry with a repeated
-index is re-imputed from the rank-one iterate.
+off-diagonal residual never increases.
 
-The tensor is never an input.  Its contractions T(., w, w) are taken in
-sample form from the centred rank matrix C, in O(MN) each; the dense
-M x M x M array is built only as a cache, once enough contractions have
-been made to pay for it and only when it is no larger than C.
+The third-moment tensor needs no such iteration.  Under conditional
+independence its rank-one factor has the direction of the covariance
+factor v, so only its scale is unknown, and the least-squares scale
+over the distinct-index entries is a closed form in power sums of the
+centred ranks, O(MN).  The tensor is never built.  A block jackknife
+corrects the bias that fixing v at its noisy estimate puts on the
+scale, and gives it a standard error.
 
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
@@ -41,16 +40,21 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 1000
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 100_000
-# per-pass budget for the tensor power iteration; a noise-dominated
-# tensor has no dominant direction, so a full-convergence budget is
-# wasted there and the outer loop re-judges after re-imputation anyway
-HOPM_MAX_ITER = 1000
 # fewer methods leave the completion no redundancy to validate against
 MATRIX_MIN_METHODS = 4
 TENSOR_MIN_METHODS = 5
 
+# The tensor stage's jackknife: samples k mod JACKKNIFE_BLOCKS form the
+# blocks, and each leave-one-block-out covariance fit takes REFIT_STEPS
+# alternating-map steps from the full fit.
+JACKKNIFE_BLOCKS = 20
+REFIT_STEPS = 5
+
 # Off-diagonal magnitudes below this (relative) scale are treated as no signal.
 _SIGNAL_EPS = 1e-13
+
+# Methods times samples per chunk of the tensor stage's pass over C.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,20 +77,29 @@ class Rank1Recovery:
 
 @dataclass(frozen=True, eq=False)
 class TensorRecovery:
-    """Recovered rank-one factor of the third-moment tensor.
+    """Scales of the moments along the covariance direction ``u``.
 
-    ``u`` is sign-aligned to the supplied hint vector, so ``lambda_t``
-    is positive exactly when the positive class is the majority
-    (the third central moment carries a (2 rho - 1) factor).
-    ``residual`` is the fixed-point residual ||T(., u, u) - lambda_t u||
-    of the completed tensor at the final iterate.
+    ``lambda_t`` is the least-squares scale of lambda_t u (x) u (x) u over
+    the distinct-index third moments and ``lambda_e`` that of
+    lambda_e u u^T over the off-diagonal covariances, both
+    bias-corrected by the block jackknife; ``lambda_t_se`` is the
+    jackknife standard error of ``lambda_t`` (NaN for a single sample,
+    which leaves nothing to leave out).  ``u`` is the unit hint, so
+    ``lambda_t`` is positive exactly when the positive class is the
+    majority (the third central moment carries a (2 rho - 1) factor).
     """
 
     lambda_t: float
+    lambda_e: float
+    lambda_t_se: float
     u: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
+
+    @property
+    def z(self) -> float:
+        """``lambda_t`` in standard errors, the distance from balance."""
+        if self.lambda_t_se == 0.0:
+            return math.copysign(math.inf, self.lambda_t)
+        return self.lambda_t / self.lambda_t_se
 
 
 def _check_symmetric(matrix) -> np.ndarray:
@@ -289,161 +302,88 @@ def recover_rank1_matrix(
     return result
 
 
-class _CompletedTensor:
-    """The third-moment tensor with its repeated-index entries imputed,
-    contracted twice from the centred rank matrix C (M x N).
+def _distinct_triples(x: np.ndarray) -> np.ndarray:
+    """Per row, the sum of x_i x_j x_l over distinct (i, j, l): from the
+    power sums s, q and p of the row, s^3 - 3 s q + 2 p (inclusion-
+    exclusion over i = j, i = l and j = l)."""
+    s, q, p = x.sum(axis=1), (x * x).sum(axis=1), (x * x * x).sum(axis=1)
+    return s * (s * s - 3.0 * q) + 2.0 * p
 
-    The sample tensor S = (1/N) sum_k c_k (x) c_k (x) c_k holds the
-    central third moments at distinct indices and pairs a method with
-    itself at repeated ones; the completed tensor keeps S at distinct
-    indices and takes lambda u_a u_b u_c at repeated ones.  In sample
-    form
 
-        S(., w, w) = C ((C^T w)^2) / N,
+def _triple_sums(c: np.ndarray, vectors: np.ndarray, blocks: int):
+    """Sums of x_i x_j x_l over distinct (i, j, l), x = v o c_k, per
+    row v and block of samples.
 
-    and by inclusion-exclusion over i = j, i = l and j = l, a symmetric
-    tensor whose (i, i, l) entries form the matrix B contributes
-    2 w * (B w) + B^T w^2 - 2 diag(B) w^2 at repeated indices.  Swapping
-    S's repeated-index entries, B = A with A = (C o C) C^T / N, for the
-    imputation, B = lambda u^2 u^T, therefore adds that expression with
-    D = lambda u^2 u^T - A in place of B.  D is rebuilt once per outer
-    iteration by :meth:`impute`; a contraction then costs about 2MN
-    multiply-adds plus two M x M products.
-
-    Building the dense distinct-index array costs about M^3 N / 3
-    multiply-adds and makes each later contraction M^3, so the array is
-    built after M^2 / 6 contractions, when their cost has matched the
-    build's, and only when M^2 <= N, so that it is never larger than C.
-    From then on :meth:`impute` writes the repeated-index entries in
-    place.
+    Entry (r, b) of the first result adds them up over the samples
+    k = b mod ``blocks`` for row r; the second result bounds the
+    rounding in the last row's total.  The samples are taken in chunks
+    that start at multiples of ``blocks``, so the temporaries stay
+    small beside C.
     """
-
-    def __init__(self, c: np.ndarray):
-        m, n = c.shape
-        self.c = c
-        self.n = n
-        cc = c * c
-        self.a = cc @ c.T / n
-        cc *= np.abs(c)
-        # Hoelder: |mean(c_i c_j c_l)| <= max_i mean |c_i|^3
-        self.moment_bound = float(cc.mean(axis=1).max())
-        self.build_after = m * m / 6 if m * m <= n else math.inf
-        self.contractions = 0
-        self.dense = None
-        self.impute(0.0, np.zeros(m))
-
-    def impute(self, lam: float, u: np.ndarray):
-        """Take lam * u (x) u (x) u at the repeated-index entries."""
-        self.imputed = lam * np.outer(u * u, u)
-        self.scale = max(self.moment_bound, abs(lam) * float(np.abs(u).max()) ** 3)
-        if self.dense is not None:
-            for view in self.repeated:
-                view[...] = self.imputed
-            return
-        self.pairs = self.imputed - self.a
-        self.hollow = self.pairs.copy()
-        np.fill_diagonal(self.hollow, 0.0)
-
-    def contract(self, w: np.ndarray) -> np.ndarray:
-        """T(., w, w) of the completed tensor."""
-        if self.dense is None and self.contractions >= self.build_after:
-            self._build()
-        self.contractions += 1
-        if self.dense is not None:
-            return self.flat @ np.multiply.outer(w, w).ravel()
-        s = w @ self.c
-        t = self.c @ (s * s) / self.n
-        # 2 w * (D w) - 2 diag(D) w^2 is 2 w * (hollow(D) w)
-        t += (w * w) @ self.pairs
-        t += 2.0 * w * (self.hollow @ w)
-        return t
-
-    def _build(self):
-        """The dense distinct-index array, with one matrix product per
-        leading method i over the methods after it; each product's upper
-        triangle is mirrored, so the array is exactly symmetric."""
-        c, n = self.c, self.n
-        m = c.shape[0]
-        t = np.zeros((m, m, m))
-        buf = np.empty((m - 1, n))
-        for i in range(m - 2):
-            rest = c[i + 1:]
-            prod = np.multiply(rest, c[i], out=buf[: m - i - 1])
-            # keep entry (j, l), j < l, which is c_l . (c_i c_j) / n, and mirror it
-            block = np.triu(prod @ rest.T / n, 1)
-            block += block.T
-            t[i, i + 1:, i + 1:] = block
-            t[i + 1:, i, i + 1:] = block
-            t[i + 1:, i + 1:, i] = block
-        self.dense = t
-        self.flat = t.reshape(m, m * m)
-        # writable views of the (i, i, l), (i, l, i) and (l, i, i) entries
-        self.repeated = tuple(np.einsum(f"{k}->il", t) for k in ("iil", "ili", "lii"))
-        for view in self.repeated:
-            view[...] = self.imputed
+    m, n = c.shape
+    rows = vectors.shape[0]
+    squares = vectors * vectors
+    cubes = squares * vectors
+    width = max(1, _CHUNK // (max(m, rows) * blocks)) * blocks
+    sums = np.zeros((rows, blocks))
+    scale = 0.0
+    for lo in range(0, n, width):
+        x = c[:, lo:lo + width]
+        s = vectors @ x
+        x2 = x * x
+        t = squares @ x2
+        x2 *= x
+        p = cubes @ x2
+        s_abs = np.abs(s[-1])
+        scale += float((s_abs * (s_abs * s_abs + 3.0 * t[-1]) + 2.0 * np.abs(p[-1])).sum())
+        # t becomes s^3 - 3 s q + 2 p, as in _distinct_triples, in place
+        t *= -3.0
+        t += s * s
+        t *= s
+        p *= 2.0
+        t += p
+        w = x.shape[1]
+        whole = w - w % blocks
+        sums += t[:, :whole].reshape(rows, -1, blocks).sum(axis=1)
+        sums[:, :w - whole] += t[:, whole:]
+    return sums, scale
 
 
-def _hopm(tensor: _CompletedTensor, u0: np.ndarray, tol: float, max_iter: int):
-    """Symmetric higher-order power iteration for the dominant rank-one factor.
-
-    Plain iteration can fall into a period-2 cycle when no direction
-    dominates (noise-dominated tensors); a detected cycle is escaped by
-    averaging the two alternating iterates.  The caller's outer loop
-    owns the final convergence judgement.
-    """
-    m = u0.size
-    u = u0
-    u_prev = None
-    stall_floor = 1e3 * np.finfo(float).eps * tensor.scale
-    restart = -1
-    lam_prev = None
-    for _ in range(max_iter):
-        w = tensor.contract(u)
-        norm_w = math.sqrt(w @ w)
-        if norm_w <= stall_floor:
-            restart += 1
-            if restart >= m:
-                raise NoSignal("tensor annihilates every start vector")
-            u = np.zeros(m)
-            u[restart] = 1.0
-            u_prev = None
-            lam_prev = None
-            continue
-        lam = float(u @ w)
-        u_next = w / norm_w
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return u_next
-        if u_prev is not None and abs(float(u_next @ u_prev)) > 1.0 - 1e-12:
-            # u_{k+2} = u_k but u_{k+1} != u_k: split the cycle
-            mid = u + u_next
-            norm_mid = math.sqrt(mid @ mid)
-            if norm_mid > 1e-12:
-                return mid / norm_mid
-            return u_next
-        lam_prev = lam
-        u_prev = u
-        u = u_next
-    return u  # caller checks outer convergence
+def _jackknife(full: float, leave_outs: np.ndarray) -> tuple[float, float]:
+    """Bias-corrected value and standard error from the leave-one-block-out
+    values (Efron & Tibshirani 1993, ch. 11)."""
+    k = leave_outs.size
+    mean = float(leave_outs.mean())
+    spread = leave_outs - mean
+    return k * full - (k - 1) * mean, math.sqrt((k - 1) / k * float(spread @ spread))
 
 
-def recover_rank1_tensor(
-    c, v_hint: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> TensorRecovery:
-    """Recover the signed rank-one factor of the third-moment tensor.
+def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
+    """Fit the scale of the third-moment tensor along ``v_hint``.
 
     ``c`` is a finite M x N matrix of centred rank rows such as
     :func:`summa.moments.third_moment_offdiag` returns; the tensor is
     (1/N) sum_k c_k (x) c_k (x) c_k, of which only the distinct-index
     entries are used (a noiseless a (x) a (x) a is ``a[:, None]``).
-    Alternates a higher-order power iteration with re-imputing the
-    repeated-index entries from the current rank-one iterate.  The
-    final direction is sign-aligned to ``v_hint`` (u . hint >= 0) and
-    ``lambda_t`` is evaluated on that aligned direction, so its sign is
-    meaningful relative to the hint.  Requires M >= 5; with fewer
-    methods the off-diagonal triples carry no redundancy over the
-    unknowns (the 4-method case has exactly 4 triples for 5 unknowns).
+    Under conditional independence its rank-one factor has the
+    direction of the covariance factor, so only scales are fitted, by
+    least squares along u = ``v_hint``:
+
+        lambda_e = sum_{i != j} Q_ij u_i u_j / (1 - sum u^4)
+        lambda_t = mean_k (s^3 - 3 s q + 2 p) / (1 - 3 sum u^4 + 2 sum u^6)
+
+    with s, q and p the power sums of x_k = u o c_k over the methods.
+
+    Fixing u at its noisy estimate shrinks |lambda_t|, so both scales
+    are bias-corrected by a jackknife over ``JACKKNIFE_BLOCKS`` blocks of
+    samples, k mod blocks.  Each leave-one-block-out covariance comes
+    from per-block Gram matrices, re-centred on its own samples; its
+    (lambda_e, u) takes ``REFIT_STEPS`` alternating-map steps from the
+    full fit; and all leave-out lambda_t come from one more pass over C.
+    Requires M >= 5: with fewer methods one to four distinct triples
+    would carry the whole fit.  Raises :class:`NoSignal` when the
+    covariances or the distinct-index third moments along u vanish.
     """
-    check_iteration_controls(tol, max_iter)
     hint = np.asarray(v_hint, dtype=float)
     m = hint.size
     if m < TENSOR_MIN_METHODS:
@@ -458,37 +398,72 @@ def recover_rank1_tensor(
         raise InvalidInput(f"centred rank matrix of shape {c.shape} does not match {m} methods")
     if not np.all(np.isfinite(c)):
         raise InvalidInput("centred rank entries must be finite")
-
-    tensor = _CompletedTensor(c)
+    n = c.shape[1]
     u = hint / norm_hint
-    lam = 0.0
-    lam_prev = None
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        tensor.impute(lam, u)
-        u = _hopm(tensor, u, tol=POWER_TOL, max_iter=HOPM_MAX_ITER)
-        w = tensor.contract(u)
-        lam = float(u @ w)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-        lam_prev = lam
 
-    fit = w - lam * u
-    if float(u @ hint) < 0.0:
-        u = -u
-        lam = -lam
-    result = TensorRecovery(
-        lambda_t=lam,
-        u=u,
-        iterations=iterations,
-        converged=converged,
-        residual=math.sqrt(fit @ fit),
-    )
-    if not converged:
-        raise NotConverged(
-            f"tensor recovery did not converge in {max_iter} iterations",
-            partial=result,
-        )
-    return result
+    # one pass over C for the Gram matrix and column sum of every block
+    blocks = min(JACKKNIFE_BLOCKS, n)
+    grams = np.empty((blocks, m, m))
+    block_sums = np.empty((blocks, m))
+    for b in range(blocks):
+        # a contiguous copy of the block, which matmul takes several times faster
+        part = np.ascontiguousarray(c[:, b::blocks])
+        grams[b] = part @ part.T
+        block_sums[b] = part.sum(axis=1)
+    gram = grams.sum(axis=0)
+    diagonal = np.arange(m)
+
+    # C is centred, so its second moments are the covariances
+    hollow = gram / n
+    hollow[diagonal, diagonal] = 0.0
+    u_cov_u = float(u @ hollow @ u)
+    if not u_cov_u > 0.0:
+        raise NoSignal("the off-diagonal covariances have no positive scale along v_hint")
+    lambda_e = u_cov_u / (1.0 - float(np.sum(u**4)))
+
+    # the leave-one-block-out covariances; a single sample leaves nothing out
+    left = blocks if n > 1 else 0
+    kept = n - np.bincount(np.arange(n) % blocks, minlength=blocks)[:left]
+    means = (block_sums.sum(axis=0) - block_sums[:left]) / kept[:, None]
+    covs = np.subtract(gram, grams[:left], out=grams[:left])
+    covs /= kept[:, None, None]
+    covs -= means[:, :, None] * means[:, None, :]
+    covs[:, diagonal, diagonal] = 0.0
+    vs = np.tile(u, (left, 1))
+    lams = np.full(left, lambda_e)
+    for _ in range(REFIT_STEPS):
+        # impute the diagonal from (lambda, v), take one power step, and
+        # refit lambda along the new v
+        w = np.einsum("bij,bj->bi", covs, vs) + lams[:, None] * vs**3
+        norms = np.sqrt((w * w).sum(axis=1))
+        if not np.all(norms > 0.0):
+            raise NoSignal("a leave-out covariance annihilates its start vector")
+        vs = w / norms[:, None]
+        cov_v = np.einsum("bij,bj->bi", covs, vs)
+        lams = (vs * cov_v).sum(axis=1) / (1.0 - (vs**4).sum(axis=1))
+
+    sums, scale = _triple_sums(c, np.vstack([vs, u]), blocks)
+    total = float(sums[-1].sum())
+    if abs(total) <= 1e3 * np.finfo(float).eps * scale:
+        raise NoSignal("the distinct-index third moments vanish along v_hint")
+    # the denominator is the squared norm of u (x) u (x) u on distinct indices
+    lambda_t = total / n / float(_distinct_triples((u * u)[None])[0])
+    if not left:
+        return TensorRecovery(lambda_t, lambda_e, math.nan, u)
+
+    # re-centre each leave-out's triple sum on its own mean ybar, with
+    # e3 the sum over distinct (i, j, l) and y = v o c:
+    # mean e3(y - ybar) = mean e3(y) - 3 sum_d Cov(y_i, y_j) ybar_l - e3(ybar)
+    raw = (sums[:-1].sum(axis=1) - np.diagonal(sums[:-1])) / kept
+    ybar = vs * means
+    total_ybar = ybar.sum(axis=1)
+    # sum_d Cov(y_i, y_j) ybar_l = sum_{i != j} Cov(y_i, y_j) (total - ybar_i - ybar_j)
+    cov_sum = total_ybar * (vs * cov_v).sum(axis=1) - 2.0 * (cov_v * vs * ybar).sum(axis=1)
+    central = raw - 3.0 * cov_sum - _distinct_triples(ybar)
+    lams_t = central / _distinct_triples(vs * vs)
+
+    lambda_e, _ = _jackknife(lambda_e, lams)
+    lambda_t, lambda_t_se = _jackknife(lambda_t, lams_t)
+    if not lambda_e > 0.0:
+        raise NoSignal("the bias-corrected covariance scale is not positive")
+    return TensorRecovery(lambda_t, lambda_e, lambda_t_se, u)

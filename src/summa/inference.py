@@ -9,6 +9,12 @@ root: positive lambda_t means the positive class is the majority.
 
 From there ||delta|| = sqrt(lambda_e / (rho(1-rho))), each method's
 delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.
+
+The tensor stage also gives lambda_t a jackknife standard error.  Its
+interval lambda_t -/+ ``Z_CUTOFF`` standard errors, mapped through the
+same formula, is the prevalence interval; the estimate is degenerate
+when that interval contains 1/2, i.e. when the data cannot tell which
+class is the majority.
 """
 
 from __future__ import annotations
@@ -19,33 +25,33 @@ import numpy as np
 
 from .decomposition import check_recoverability
 from .exceptions import InvalidInput, InvalidPrevalence, NoSignal
-from .ranking import _default_ids
 
-# Below this beta the sign of lambda_t is noise-dominated (beta is
-# quadratic in lambda_t), so rho is reported as exactly 1/2.
-BETA_DEGENERATE = 1e-3
-
-# rho(1-rho) disagreement between a measured beta and a user-supplied
-# prevalence beyond this adds a note to the report.
-RHO_CROSSCHECK_TOL = 0.05
+# Half-width of the lambda_t interval, in jackknife standard errors.
+Z_CUTOFF = 3.25
 
 
 def prevalence_from_moments(lambda_e: float, lambda_t: float) -> tuple[float, float]:
     """Infer (rho, beta) from the two spectral values.
 
     beta = lambda_t^2 / lambda_e^3 and rho = (1 + s sqrt(beta/(beta+4)))/2
-    with s the sign of lambda_t.  When beta falls below
-    ``BETA_DEGENERATE`` the sign carries no information and rho is
-    reported as exactly 0.5.
+    with s the sign of lambda_t; rho is increasing in lambda_t.
     """
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
         raise NoSignal(f"covariance leading value must be positive, got {lambda_e}")
     beta = lambda_t**2 / lambda_e**3
-    if beta < BETA_DEGENERATE:
-        return 0.5, beta
     s = 1.0 if lambda_t > 0 else -1.0
     rho = 0.5 * (1.0 + s * np.sqrt(beta / (beta + 4.0)))
     return float(rho), float(beta)
+
+
+def prevalence_interval(
+    lambda_e: float, lambda_t: float, lambda_t_se: float
+) -> tuple[float, float]:
+    """The rho of lambda_t -/+ ``Z_CUTOFF`` standard errors."""
+    return tuple(
+        prevalence_from_moments(lambda_e, lambda_t + side * Z_CUTOFF * lambda_t_se)[0]
+        for side in (-1.0, 1.0)
+    )
 
 
 def implied_beta(rho: float) -> float:
@@ -61,6 +67,8 @@ class PerformanceReport:
     only in :meth:`to_dict` so symmetry properties survive in memory.
     ``weights`` is the unit-norm method vector; ``rho`` is None on the
     weights-only path (no tensor and no supplied prevalence).
+    ``rho_interval`` is the measured prevalence interval, if any, and
+    ``rho_degenerate`` says whether it contains 1/2.
     """
 
     method_ids: tuple[str, ...]
@@ -70,6 +78,7 @@ class PerformanceReport:
     rho: float | None
     rho_assumed: bool
     rho_degenerate: bool
+    rho_interval: tuple[float, float] | None
     beta: float | None
     lambda_t: float | None
     delta_norm: float | None
@@ -124,13 +133,13 @@ def performance_estimates(
     v,
     lambda_e: float,
     n_samples: int,
+    method_ids: tuple[str, ...],
     *,
     rho: float | None = None,
     beta: float | None = None,
     rho_assumed: bool = True,
-    rho_degenerate: bool = False,
+    rho_interval: tuple[float, float] | None = None,
     lambda_t: float | None = None,
-    method_ids: tuple[str, ...] | None = None,
     notes: tuple[str, ...] = (),
 ) -> PerformanceReport:
     """Per-method delta and AUROC estimates from (v, lambda_e) and a
@@ -139,34 +148,35 @@ def performance_estimates(
     A rho in (0, 1) fixes the scale ||delta|| = sqrt(lambda_e / (rho(1-rho))).
     With ``rho=None`` the report carries the unit weight vector only:
     relative method quality (and the weighted ensemble) need only v,
-    while absolute AUROC values need rho.  A measured ``beta`` is
-    cross-checked against rho (disagreement beyond
-    ``RHO_CROSSCHECK_TOL`` adds a note, never fails); without one the report
-    carries the beta implied by rho.
+    while absolute AUROC values need rho.  Without a measured ``beta``
+    the report carries the beta implied by rho.  A measured
+    ``rho_interval`` flags the estimate degenerate when it contains
+    1/2, and an assumed rho outside it adds a note (never fails).
     """
     v = _unit(v)
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
         raise NoSignal(f"covariance leading value must be positive, got {lambda_e}")
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
-    if method_ids is None:
-        method_ids = _default_ids("m", v.size)
     if len(method_ids) != v.size:
         raise InvalidInput("method_ids must match the weight vector length")
+    if rho is not None and not 0.0 < rho < 1.0:
+        raise InvalidPrevalence(f"prevalence must lie in (0, 1), got {rho}")
 
     notes = tuple(notes)
+    degenerate = False
+    if rho_interval is not None:
+        low, high = rho_interval
+        degenerate = low <= 0.5 <= high
+        if rho_assumed and rho is not None and not low <= rho <= high:
+            notes = notes + (
+                f"supplied prevalence {rho:.4f} lies outside the measured interval "
+                f"[{low:.4f}, {high:.4f}]",
+            )
     delta_norm = deltas = aurocs = None
     if rho is not None:
-        if not 0.0 < rho < 1.0:
-            raise InvalidPrevalence(f"prevalence must lie in (0, 1), got {rho}")
         if beta is None:
             beta = implied_beta(rho)
-        elif abs(1.0 / (beta + 4.0) - rho * (1.0 - rho)) > RHO_CROSSCHECK_TOL:
-            message = (
-                "supplied prevalence and measured beta disagree: "
-                f"rho(1-rho)={rho * (1 - rho):.4f} vs 1/(beta+4)={1 / (beta + 4):.4f}"
-            )
-            notes = notes + (message,)
         delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
         deltas = v * delta_norm
         aurocs = deltas / n_samples + 0.5
@@ -178,7 +188,8 @@ def performance_estimates(
         lambda_e=float(lambda_e),
         rho=float(rho) if rho is not None else None,
         rho_assumed=bool(rho_assumed and rho is not None),
-        rho_degenerate=bool(rho_degenerate),
+        rho_degenerate=degenerate,
+        rho_interval=rho_interval,
         beta=float(beta) if beta is not None else None,
         lambda_t=float(lambda_t) if lambda_t is not None else None,
         delta_norm=delta_norm,

@@ -14,13 +14,13 @@ which class is the majority.
 Covariances are population-normalized (divide by N): that is what makes
 the variance of a tie-free rank row exactly (N^2 - 1) / 12.
 
-Third moments are never stored as an M x M x M array here:
-:func:`third_moment_offdiag` returns the centred rank matrix C, and the
-tensor (1/N) sum_k c_k (x) c_k (x) c_k is contracted from it, in O(MN)
-per contraction, by :func:`summa.decomposition.recover_rank1_tensor`.
-Only its distinct-index entries follow the factorization above; an
-entry with a repeated index pairs a method with itself, and tensor
-recovery imputes it from its rank-one iterate instead.
+Third moments are never stored as an M x M x M array:
+:func:`third_moment_offdiag` returns the centred rank matrix C, and
+:func:`summa.decomposition.recover_rank1_tensor` fits the scale of the
+tensor (1/N) sum_k c_k (x) c_k (x) c_k along the covariance factor from
+power sums over C, in O(MN).  Only the tensor's distinct-index entries
+follow the factorization above; an entry with a repeated index pairs a
+method with itself, and the fit leaves those entries out.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def third_moment_offdiag(ranks) -> np.ndarray:
     """Centred rank rows C (M x N), the sample form of the third moments.
 
     The central third moment of methods i, j, l is mean(c_i c_j c_l);
-    :func:`summa.decomposition.recover_rank1_tensor` contracts the
-    tensor of those moments straight from C.
+    :func:`summa.decomposition.recover_rank1_tensor` takes the tensor
+    of those moments straight from C.
     """
     r = _as_rank_array(ranks)
     m = r.shape[0]

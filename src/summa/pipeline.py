@@ -4,6 +4,10 @@ Wires the stages together: covariance -> rank-one recovery -> (optional)
 third-moment tensor -> prevalence -> per-method report -> aggregate
 scores.  Shared by the command line and the experiment sweeps, and the
 one place that chooses the prevalence rho.
+
+The tensor stage is a closed form with a jackknife, so it cannot fail to
+converge; it either measures lambda_t with a standard error, and so a
+prevalence interval, or finds no distinct-index signal at all.
 """
 
 from __future__ import annotations
@@ -20,8 +24,13 @@ from .decomposition import (
     recover_rank1_tensor,
 )
 from .ensemble import EnsembleScores, summa_scores, woc_scores
-from .exceptions import NoSignal, NotConverged, TooFewMethods
-from .inference import PerformanceReport, performance_estimates, prevalence_from_moments
+from .exceptions import NoSignal, TooFewMethods
+from .inference import (
+    PerformanceReport,
+    performance_estimates,
+    prevalence_from_moments,
+    prevalence_interval,
+)
 from .moments import covariance_matrix, third_moment_offdiag
 from .ranking import RankMatrix
 
@@ -35,12 +44,15 @@ class PipelineResult:
     tensor: TensorRecovery | None
 
     def to_dict(self) -> dict:
-        """The report's dict plus the convergence of each recovery that ran."""
+        """The report's dict plus what each recovery that ran measured."""
         payload = self.report.to_dict()
-        for key, stage in (("recovery", self.recovery), ("tensor", self.tensor)):
-            if stage is not None:
-                payload[key] = {"iterations": stage.iterations,
-                                "converged": stage.converged, "residual": stage.residual}
+        recovery = self.recovery
+        payload["recovery"] = {"iterations": recovery.iterations,
+                               "converged": recovery.converged, "residual": recovery.residual}
+        tensor = self.tensor
+        if tensor is not None:
+            payload["tensor"] = {"lambda_e": tensor.lambda_e, "lambda_t_se": tensor.lambda_t_se,
+                                 "z": tensor.z, "rho_interval": list(self.report.rho_interval)}
         return payload
 
 
@@ -55,13 +67,14 @@ def run_pipeline(
     """Estimate method performances and aggregate scores from ranks alone.
 
     The only place that chooses rho: a supplied ``prevalence`` wins (a
-    converged tensor cross-checks it); else a converged tensor gives rho
-    through :func:`prevalence_from_moments`; else, if the tensor stage
-    raised :class:`NotConverged` or :class:`NoSignal`, rho is 1/2 with
-    ``rho_degenerate`` set and a note.  The tensor stage runs when
+    measured interval cross-checks it); else the tensor stage gives rho
+    through :func:`prevalence_from_moments` and its interval through
+    :func:`prevalence_interval`; else, if the tensor stage found no
+    signal, rho is 1/2 with the whole of (0, 1) as its interval, so it
+    is flagged degenerate, with a note.  The tensor stage runs when
     ``use_tensor`` is set and at least ``TENSOR_MIN_METHODS`` methods are
     present; with it off and no prevalence the report carries the weight
-    vector only.
+    vector only.  ``tol`` and ``max_iter`` govern the matrix stage.
     """
     m = ranks.n_methods
     if use_tensor and prevalence is None and m < TENSOR_MIN_METHODS:
@@ -73,39 +86,33 @@ def run_pipeline(
 
     recovery = recover_rank1_matrix(covariance_matrix(ranks), tol=tol, max_iter=max_iter)
 
-    tensor = failure = None
+    tensor = None
+    no_signal = False
     if use_tensor and m >= TENSOR_MIN_METHODS:
         try:
-            tensor = recover_rank1_tensor(
-                third_moment_offdiag(ranks), recovery.v, tol=tol, max_iter=max_iter
-            )
-        except NotConverged:
-            failure = "did not converge"
+            tensor = recover_rank1_tensor(third_moment_offdiag(ranks), recovery.v)
         except NoSignal:
-            failure = "found no signal"
+            no_signal = True
 
-    rho, beta, lambda_t, degenerate, notes = prevalence, None, None, False, ()
+    rho, beta, lambda_t, interval, notes = prevalence, None, None, None, ()
     if tensor is not None:
-        rho_hat, beta = prevalence_from_moments(recovery.lambda_, tensor.lambda_t)
+        rho_hat, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
+        interval = prevalence_interval(tensor.lambda_e, tensor.lambda_t, tensor.lambda_t_se)
         lambda_t = tensor.lambda_t
-        # exactly 1/2 comes back only from the degenerate band
-        degenerate = rho_hat == 0.5
         if rho is None:
             rho = rho_hat
-    elif failure is not None and rho is not None:
-        # the tensor was only a cross-check; a failed one would only
-        # produce spurious notes
-        notes = (f"tensor stage {failure}; cross-check skipped",)
-    elif failure is not None:
-        # the tensor was the only route to rho: report 1/2, flagged
-        rho, degenerate = 0.5, True
-        notes = (f"tensor stage {failure}; rho taken as 1/2 and flagged degenerate",)
+    elif no_signal and rho is not None:
+        # the tensor was only a cross-check
+        notes = ("tensor stage found no signal; cross-check skipped",)
+    elif no_signal:
+        # the tensor was the only route to rho, and it rules no prevalence out
+        rho, interval = 0.5, (0.0, 1.0)
+        notes = ("tensor stage found no signal; rho taken as 1/2 and flagged degenerate",)
 
     report = performance_estimates(
-        recovery.v, recovery.lambda_, ranks.n_samples,
+        recovery.v, recovery.lambda_, ranks.n_samples, ranks.method_ids,
         rho=rho, beta=beta, rho_assumed=prevalence is not None,
-        rho_degenerate=degenerate, lambda_t=lambda_t,
-        method_ids=ranks.method_ids, notes=notes,
+        rho_interval=interval, lambda_t=lambda_t, notes=notes,
     )
     return PipelineResult(
         report=report,

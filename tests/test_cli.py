@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from summa import cli
 from summa.cli import _CHUNK_ROWS, main, read_labels_table, read_matrix_table, write_table
 from summa.exceptions import InvalidInput
+from summa.inference import Z_CUTOFF
 
 
 def run(*argv):
@@ -274,17 +275,20 @@ class TestInfer:
             assert (inf / name).exists()
         manifest = json.loads((inf / "manifest.json").read_text())
         assert len(manifest["input_digests"]) == 1
+        assert set(report["tensor"]) == {"lambda_e", "lambda_t_se", "z", "rho_interval"}
 
     def test_balanced_design_infers_near_half(self, tmp_path):
-        # at N=1000 the sampling noise keeps beta above the degenerate
-        # cutoff, so rho lands near (not exactly on) one half
+        # rho is reported as measured, near (not snapped to) one half,
+        # and flagged exactly when its interval contains one half
         out = simulate(tmp_path, **{"--methods": 30, "--samples": 1000, "--seed": 3})
         inf = tmp_path / "inf"
         assert run("infer", out / "scores.csv", "--output-dir", inf) == 0
         report = json.loads((inf / "report.json").read_text())
         assert report["rho"] == pytest.approx(0.5, abs=0.12)
         assert report["rho_source"] == "estimated"
-        assert report["rho_degenerate"] == (report["beta"] < 1e-3)
+        low, high = report["tensor"]["rho_interval"]
+        assert low <= report["rho"] <= high
+        assert report["rho_degenerate"] == (low <= 0.5 <= high)
 
     def test_supplied_prevalence(self, tmp_path):
         out = simulate(tmp_path, **{"--rho": 0.3, "--seed": 9})
@@ -337,11 +341,16 @@ class TestInfer:
         assert report["n_samples"] == n
 
     def test_tensor_failure_reports_degenerate_half(self, tmp_path):
-        # the tensor stage does not converge on this balanced design
-        out = simulate(tmp_path, **{"--methods": 12, "--samples": 400,
-                                    "--rho": 0.5, "--seed": 5})
+        # every sample next to its score-negated mirror: the third moments
+        # vanish, so the tensor stage finds no signal
+        out = simulate(tmp_path, **{"--methods": 12, "--samples": 400, "--rho": 0.3})
+        method_ids, sample_ids, values = read_matrix_table(out / "scores.csv")
+        mirrored = tmp_path / "mirrored.csv"
+        write_table(mirrored, ["sample_id", *method_ids],
+                    [list(sample_ids) + [f"{s}_mirror" for s in sample_ids],
+                     *np.hstack([values, -values])], "csv")
         inf = tmp_path / "inf"
-        assert run("infer", out / "scores.csv", "--output-dir", inf) == 0
+        assert run("infer", mirrored, "--output-dir", inf) == 0
         assert not (inf / "error.json").exists()
         report = json.loads((inf / "report.json").read_text())
         assert report["rho"] == 0.5
@@ -351,6 +360,20 @@ class TestInfer:
         assert "tensor" not in report
         assert len(report["notes"]) == 1
         assert "error" not in json.loads((inf / "manifest.json").read_text())
+
+    def test_balanced_small_design_is_flagged_not_snapped(self, tmp_path):
+        out = simulate(tmp_path, **{"--methods": 12, "--samples": 400,
+                                    "--rho": 0.5, "--seed": 5})
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--output-dir", inf) == 0
+        report = json.loads((inf / "report.json").read_text())
+        tensor = report["tensor"]
+        low, high = tensor["rho_interval"]
+        assert report["rho_degenerate"] is True
+        assert low < 0.5 < high and low <= report["rho"] <= high
+        assert abs(tensor["z"]) <= Z_CUTOFF
+        assert report["lambda_t"] == pytest.approx(tensor["z"] * tensor["lambda_t_se"])
+        assert report["notes"] == []
 
     def test_matrix_not_converged_writes_error_json(self, tmp_path):
         out = simulate(tmp_path, **{"--methods": 30, "--samples": 500})

@@ -8,10 +8,15 @@ import pytest
 
 from summa.exceptions import InvalidInput, InvalidPrevalence, NoSignal
 from summa.inference import (
-    BETA_DEGENERATE,
+    Z_CUTOFF,
     performance_estimates,
     prevalence_from_moments,
+    prevalence_interval,
 )
+
+
+def ids(m):
+    return tuple(f"m{i}" for i in range(m))
 
 
 def forward_moments(rho, deltas):
@@ -55,11 +60,26 @@ class TestPrevalenceFromMoments:
             assert rho == pytest.approx(rho_true, abs=1e-9)
             assert rho * (1 - rho) == pytest.approx(1 / (beta + 4), abs=1e-9)
 
-    def test_degenerate_band_collapses_to_half(self):
+    def test_near_balance_is_reported_not_snapped(self):
         lambda_e, lambda_t = forward_moments(0.501, [10.0])
         rho, beta = prevalence_from_moments(lambda_e, lambda_t)
-        assert beta < BETA_DEGENERATE
-        assert rho == 0.5
+        assert rho == pytest.approx(0.501, abs=1e-9)
+        assert beta == pytest.approx(0.002**2 / (0.501 * 0.499), rel=1e-9)
+
+    def test_interval_straddling_zero_contains_half(self):
+        lambda_e, lambda_t = forward_moments(0.3, [10.0])
+        se = abs(lambda_t) / (Z_CUTOFF - 0.5)  # lambda_t is 0.5 se inside the cutoff
+        low, high = prevalence_interval(lambda_e, lambda_t, se)
+        assert low < 0.3 < 0.5 < high
+        # lambda_t -/+ Z_CUTOFF se map to the ends of the interval
+        assert low == prevalence_from_moments(lambda_e, lambda_t - Z_CUTOFF * se)[0]
+        assert high == prevalence_from_moments(lambda_e, lambda_t + Z_CUTOFF * se)[0]
+
+    def test_interval_clear_of_zero_excludes_half(self):
+        lambda_e, lambda_t = forward_moments(0.3, [10.0])
+        low, high = prevalence_interval(lambda_e, lambda_t, abs(lambda_t) / (Z_CUTOFF + 1))
+        assert low < 0.3 < high < 0.5
+        assert prevalence_interval(lambda_e, lambda_t, 0.0) == pytest.approx((0.3, 0.3))
 
     def test_nonpositive_lambda_e_rejected(self):
         with pytest.raises(NoSignal):
@@ -76,7 +96,7 @@ class TestPerformanceEstimates:
         lambda_e, lambda_t = forward_moments(0.3, deltas)
         rho, beta = prevalence_from_moments(lambda_e, lambda_t)
         report = performance_estimates(
-            v, lambda_e, 100, rho=rho, beta=beta, rho_assumed=False
+            v, lambda_e, 100, ids(4), rho=rho, beta=beta, rho_assumed=False
         )
         assert np.abs(report.deltas - deltas).max() < 1e-9
         assert np.allclose(report.aurocs, [0.52, 0.54, 0.54, 0.58], atol=1e-12)
@@ -86,14 +106,14 @@ class TestPerformanceEstimates:
     def test_supplied_rho_half(self):
         v = np.full(4, 0.5)
         lambda_e = 0.25 * 64.0  # rho(1-rho) ||delta||^2 at rho = 1/2
-        report = performance_estimates(v, lambda_e, 50, rho=0.5)
+        report = performance_estimates(v, lambda_e, 50, ids(4), rho=0.5)
         assert report.delta_norm == pytest.approx(np.sqrt(4 * lambda_e))
         assert report.rho_assumed
         assert report.beta == pytest.approx(0.0)
 
     def test_zero_weight_maps_to_half_auroc(self):
         v = np.array([0.0, 1.0, 0.0, 0.0])
-        report = performance_estimates(v, 4.0, 20, rho=0.4)
+        report = performance_estimates(v, 4.0, 20, ids(4), rho=0.4)
         assert report.aurocs[0] == pytest.approx(0.5)
         assert report.deltas[0] == pytest.approx(0.0)
 
@@ -101,7 +121,7 @@ class TestPerformanceEstimates:
         rng = np.random.default_rng(3)
         v = rng.normal(size=8)
         v /= np.linalg.norm(v)
-        report = performance_estimates(v, 5.0, 200, rho=0.35)
+        report = performance_estimates(v, 5.0, 200, ids(8), rho=0.35)
         assert np.array_equal(np.argsort(report.weights), np.argsort(report.aurocs))
 
     def test_measured_beta_scale_matches_rho_scale(self):
@@ -110,7 +130,8 @@ class TestPerformanceEstimates:
         v = deltas / np.linalg.norm(deltas)
         lambda_e, lambda_t = forward_moments(0.25, deltas)
         rho, beta = prevalence_from_moments(lambda_e, lambda_t)
-        report = performance_estimates(v, lambda_e, 60, rho=rho, beta=beta, rho_assumed=False)
+        report = performance_estimates(v, lambda_e, 60, ids(5), rho=rho, beta=beta,
+                                       rho_assumed=False)
         assert report.delta_norm == pytest.approx(np.sqrt(lambda_e * (beta + 4.0)), rel=1e-12)
         assert report.delta_norm == pytest.approx(np.linalg.norm(deltas), rel=1e-12)
         assert report.beta == beta
@@ -119,39 +140,48 @@ class TestPerformanceEstimates:
         v = np.full(4, 0.5)
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InvalidPrevalence):
-                performance_estimates(v, 1.0, 10, rho=bad)
+                performance_estimates(v, 1.0, 10, ids(4), rho=bad)
 
     def test_no_rho_gives_weights_only(self):
-        report = performance_estimates(np.full(4, 0.5), 1.0, 10)
+        report = performance_estimates(np.full(4, 0.5), 1.0, 10, ids(4))
         assert report.rho is None and report.aurocs is None
         # the weights-only report is validated like any other
         with pytest.raises(NoSignal):
-            performance_estimates(np.full(4, 0.5), 0.0, 10)
+            performance_estimates(np.full(4, 0.5), 0.0, 10, ids(4))
         with pytest.raises(InvalidInput):
-            performance_estimates(np.full(4, 0.5), 1.0, 10, method_ids=("a", "b"))
+            performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"))
 
     def test_crosscheck_notes_but_succeeds(self):
         v = np.full(4, 0.5)
-        # beta measured for rho=0.1 but user claims 0.5
-        beta = (1 - 0.2) ** 2 / (0.1 * 0.9)
+        # the data measured rho in [0.08, 0.12] but the user claims 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = performance_estimates(v, 1.0, 10, rho=0.5, beta=beta)
+            report = performance_estimates(v, 1.0, 10, ids(4), rho=0.5, rho_interval=(0.08, 0.12))
         assert report.rho == 0.5
-        assert any("disagree" in note for note in report.notes)
+        assert report.rho_interval == (0.08, 0.12)
+        assert not report.rho_degenerate
+        assert len(report.notes) == 1 and "outside the measured interval" in report.notes[0]
 
     def test_consistent_crosscheck_is_silent(self):
-        import warnings as _warnings
-
         v = np.full(4, 0.5)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            performance_estimates(v, 1.0, 10, rho=0.3, beta=(0.16 / 0.21))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = performance_estimates(v, 1.0, 10, ids(4), rho=0.3, rho_interval=(0.25, 0.35))
+        assert report.notes == ()
+
+    def test_interval_containing_half_is_degenerate(self):
+        v = np.full(4, 0.5)
+        report = performance_estimates(v, 1.0, 10, ids(4), rho=0.46, rho_assumed=False,
+                                       rho_interval=(0.3, 0.7))
+        assert report.rho_degenerate
+        assert report.rho == 0.46  # flagged, not snapped to 1/2
+        assert report.notes == ()
+        assert not performance_estimates(v, 1.0, 10, ids(4), rho=0.46).rho_degenerate
 
     def test_report_serialization_clamps(self):
         v = np.array([0.9, 0.1, 0.1, np.sqrt(1 - 0.83)])
         v /= np.linalg.norm(v)
-        report = performance_estimates(v, 900.0, 10, rho=0.5)  # huge deltas
+        report = performance_estimates(v, 900.0, 10, ids(4), rho=0.5)  # huge deltas
         data = report.to_dict()
         assert data["methods"][0]["auroc"] == 1.0
         assert data["methods"][0]["auroc_raw"] > 1.0
@@ -161,19 +191,19 @@ class TestPerformanceEstimates:
     def test_recoverability_flags_propagate(self):
         v = np.array([0.9, 0.1, 0.1, np.sqrt(1 - 0.83)])
         v /= np.linalg.norm(v)
-        report = performance_estimates(v, 1.0, 10, rho=0.5)
+        report = performance_estimates(v, 1.0, 10, ids(4), rho=0.5)
         assert report.recoverability_flagged[0]
         assert not report.recoverability_flagged[1:].any()
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(InvalidInput):
-            performance_estimates(np.ones(4), 1.0, 10, rho=0.5)
+            performance_estimates(np.ones(4), 1.0, 10, ids(4), rho=0.5)
 
 
 class TestWeightsOnlyReport:
     def test_fields(self):
         v = np.full(4, 0.5)
-        report = performance_estimates(v, 2.0, 30, rho=None)
+        report = performance_estimates(v, 2.0, 30, ids(4), rho=None)
         assert report.rho is None
         assert report.deltas is None
         assert report.aurocs is None

@@ -7,7 +7,6 @@ import itertools
 import numpy as np
 import pytest
 
-from summa.decomposition import _CompletedTensor
 from summa.exceptions import InvalidInput, TooFewMethods
 from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
@@ -21,10 +20,15 @@ def moment(c, i, j, l):
 
 
 def dense_offdiag(ranks):
-    """The dense distinct-index array that tensor recovery caches."""
-    tensor = _CompletedTensor(third_moment_offdiag(ranks))
-    tensor._build()
-    return tensor.dense
+    """The dense distinct-index array of the third moments, by brute
+    force from the centred rows, with zeros at repeated indices; every
+    entry is read from its sorted index triple, so the array is exactly
+    symmetric."""
+    c = third_moment_offdiag(ranks)
+    m = c.shape[0]
+    t = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
+    i, j, l = np.sort(np.indices((m, m, m)), axis=0)
+    return np.where((i != j) & (j != l), t[i, j, l], 0.0)
 
 
 def random_model(rng, n_methods=3, support=6, rho=None):

@@ -1,12 +1,13 @@
-"""run_pipeline's choice of prevalence: a supplied value, the tensor, or
-an assumed 1/2 flagged as degenerate when the tensor stage fails."""
+"""run_pipeline's choice of prevalence: a supplied value, the tensor's
+estimate with its interval, or an assumed 1/2 flagged as degenerate
+when the tensor stage finds no signal."""
 
 import numpy as np
 import pytest
 
 from summa import pipeline
 from summa.decomposition import TensorRecovery
-from summa.inference import prevalence_from_moments
+from summa.inference import prevalence_from_moments, prevalence_interval
 from summa.pipeline import run_pipeline
 from summa.ranking import ScoreMatrix, rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
@@ -15,12 +16,6 @@ from summa.simulation import SimulationConfig, simulate_ensemble
 def ranks_for(**kwargs):
     data = simulate_ensemble(SimulationConfig(**kwargs))
     return rank_transform(data.scores, "midrank")
-
-
-@pytest.fixture(scope="module")
-def not_converged_ranks():
-    # a small balanced design on which the tensor stage hits NotConverged
-    return ranks_for(n_methods=12, n_samples=400, rho=0.5, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +29,13 @@ def no_signal_ranks():
     return rank_transform(ScoreMatrix.from_array(np.hstack([scores, -scores])), "strict")
 
 
+@pytest.fixture(scope="module")
+def skewed_ranks():
+    return ranks_for(n_methods=20, n_samples=2000, rho=0.3, seed=2)
+
+
 class TestTensorFailure:
     @pytest.mark.parametrize("fixture, reason", [
-        ("not_converged_ranks", "did not converge"),
         ("no_signal_ranks", "found no signal"),
     ])
     def test_reports_flagged_half(self, request, fixture, reason):
@@ -49,15 +48,15 @@ class TestTensorFailure:
         assert report.beta == 0.0
         assert len(report.notes) == 1 and reason in report.notes[0]
         assert report.to_dict()["rho_source"] == "estimated"
+        assert "tensor" not in result.to_dict()
 
-    def test_estimates_equal_an_assumed_half(self, not_converged_ranks):
-        failed = run_pipeline(not_converged_ranks).report
-        assumed = run_pipeline(not_converged_ranks, prevalence=0.5, use_tensor=False).report
+    def test_estimates_equal_an_assumed_half(self, no_signal_ranks):
+        failed = run_pipeline(no_signal_ranks).report
+        assumed = run_pipeline(no_signal_ranks, prevalence=0.5, use_tensor=False).report
         assert np.array_equal(failed.weights, assumed.weights)
         assert np.array_equal(failed.aurocs, assumed.aurocs)
 
     @pytest.mark.parametrize("fixture, note", [
-        ("not_converged_ranks", "tensor stage did not converge; cross-check skipped"),
         ("no_signal_ranks", "tensor stage found no signal; cross-check skipped"),
     ])
     def test_supplied_prevalence_skips_cross_check(self, request, fixture, note):
@@ -71,37 +70,54 @@ class TestTensorFailure:
 
 
 class TestConvergedTensor:
-    def test_rho_from_moments(self):
-        result = run_pipeline(ranks_for(n_methods=20, n_samples=2000, rho=0.3, seed=2))
-        report = result.report
-        rho, beta = prevalence_from_moments(result.recovery.lambda_, result.tensor.lambda_t)
+    def test_rho_from_moments(self, skewed_ranks):
+        result = run_pipeline(skewed_ranks)
+        report, tensor = result.report, result.tensor
+        rho, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
         assert report.rho == rho and report.beta == beta
-        assert report.lambda_t == result.tensor.lambda_t
+        assert report.lambda_t == tensor.lambda_t
+        assert report.rho_interval == prevalence_interval(
+            tensor.lambda_e, tensor.lambda_t, tensor.lambda_t_se)
+        assert report.rho_interval[0] < rho < report.rho_interval[1] < 0.5
         assert report.to_dict()["rho_source"] == "estimated"
         assert not report.rho_degenerate
         assert report.notes == ()
+        block = result.to_dict()["tensor"]
+        assert block == {"lambda_e": tensor.lambda_e, "lambda_t_se": tensor.lambda_t_se,
+                         "z": tensor.z, "rho_interval": list(report.rho_interval)}
 
-    def test_supplied_prevalence_wins(self):
-        ranks = ranks_for(n_methods=20, n_samples=2000, rho=0.3, seed=2)
-        estimated = run_pipeline(ranks).report
-        report = run_pipeline(ranks, prevalence=0.35).report
-        assert report.rho == 0.35
+    def test_supplied_prevalence_wins(self, skewed_ranks):
+        estimated = run_pipeline(skewed_ranks).report
+        low, high = estimated.rho_interval
+        report = run_pipeline(skewed_ranks, prevalence=0.5 * (low + high)).report
+        assert report.rho == 0.5 * (low + high)
         assert report.to_dict()["rho_source"] == "assumed"
         assert report.beta == estimated.beta
         assert report.lambda_t == estimated.lambda_t
+        assert report.rho_interval == estimated.rho_interval
+        # inside the measured interval: no note
+        assert report.notes == ()
+
+    def test_supplied_prevalence_outside_interval_is_noted(self, skewed_ranks):
+        report = run_pipeline(skewed_ranks, prevalence=0.7).report
+        assert report.rho == 0.7
+        assert len(report.notes) == 1
+        assert "outside the measured interval" in report.notes[0]
 
     def test_degenerate_band_is_flagged(self, monkeypatch):
-        # a converged tensor whose value is (numerically) zero: beta falls
-        # in the degenerate band, so rho is 1/2 and flagged, with no note
-        def flat_tensor(q3, v_hint, tol, max_iter):
-            return TensorRecovery(1e-12, np.asarray(v_hint), 3, True, 0.0)
+        # a tensor value within a few standard errors of zero: the
+        # interval contains 1/2, so rho is flagged, not snapped to 1/2
+        def flat_tensor(c, v_hint):
+            return TensorRecovery(1.0, 50.0, 10.0, np.asarray(v_hint))
 
         monkeypatch.setattr(pipeline, "recover_rank1_tensor", flat_tensor)
         result = run_pipeline(ranks_for(n_methods=8, n_samples=300, rho=0.3, seed=2))
         report = result.report
         assert result.tensor is not None
-        assert report.rho == 0.5
+        assert report.rho == prevalence_from_moments(50.0, 1.0)[0]
+        assert 0.5 < report.rho < report.rho_interval[1]
+        assert report.rho_interval[0] < 0.5
         assert report.rho_degenerate
-        assert report.lambda_t == 1e-12
+        assert report.lambda_t == 1.0
         assert report.to_dict()["rho_source"] == "estimated"
         assert report.notes == ()
