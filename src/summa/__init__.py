@@ -29,7 +29,6 @@ from .exceptions import (
     SummaError,
     TiesUnsupported,
     TooFewMethods,
-    ZeroMatrix,
 )
 from .inference import (
     PerformanceReport,
@@ -73,7 +72,6 @@ __all__ = [
     "TensorRecovery",
     "TiesUnsupported",
     "TooFewMethods",
-    "ZeroMatrix",
     "auroc_rectangle",
     "check_recoverability",
     "covariance_matrix",

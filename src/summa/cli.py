@@ -19,7 +19,8 @@ File formats (all stable):
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
   round-trip exactly.
-* every JSON file is indented by one space and ends in a newline.
+* every JSON file is strict JSON (a non-finite float is ``null``),
+  indented by one space and ends in a newline.
 * tables are read with ``csv`` for the header record and one
   ``np.loadtxt`` pass for the body, which takes ``"`` quoting as
   ``csv.writer`` writes it; a body error names its data row.
@@ -31,6 +32,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -93,10 +95,17 @@ def _quoted(text: str) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float) and np.isnan(value):
-        return None
+    """``value`` with numpy scalars made Python ones and every non-finite
+    float made ``None``, through dicts, lists and tuples, so that
+    ``json`` writes strict JSON."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -122,7 +131,7 @@ def _as_list(cells):
 
 def _write_json(path: Path, obj):
     with open(path, "w") as handle:
-        json.dump(obj, handle, indent=1)
+        json.dump(_jsonable(obj), handle, indent=1, allow_nan=False)
         handle.write("\n")
 
 
@@ -140,8 +149,7 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str):
                 handle.write("".join([line % row for row in zip(*chunk)]))
     else:
         _write_json(path, [
-            {col: _jsonable(cell) for col, cell in zip(header, row)}
-            for row in zip(*(_as_list(column) for column in columns))
+            dict(zip(header, row)) for row in zip(*(_as_list(column) for column in columns))
         ])
 
 

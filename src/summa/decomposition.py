@@ -7,11 +7,14 @@ eigenpair computation and re-imputing the diagonal from the current
 rank-one iterate:
 
     Y <- Q - diag(Q) + diag(lambda * u u^T)
-    (lambda, u) <- leading eigenpair of Y
+    (lambda, u) <- most positive eigenpair of Y
 
 which is projected gradient descent (unit step) on the off-diagonal
 squared mismatch over the set of symmetric PSD rank-one matrices, so the
-off-diagonal residual never increases.
+off-diagonal residual never increases.  Each eigen-solve is a shifted
+power iteration that continues from the current iterate u (the first
+from the normalized all-ones vector) and applies Y through the hollow
+Q - diag(Q) and the imputed diagonal, so Y is never built.
 
 The third-moment tensor needs no such iteration.  Under conditional
 independence its rank-one factor has the direction of the covariance
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods, ZeroMatrix
+from .exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 1000
@@ -126,30 +129,35 @@ def check_iteration_controls(tol: float, max_iter: int):
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
-    """Signed Rayleigh quotient and unit vector of the magnitude-dominant
-    eigenpair, from the normalized all-ones start (deterministic).
+def _leading_eigenpair(hollow: np.ndarray, row_abs: np.ndarray, d: np.ndarray,
+                       v: np.ndarray):
+    """Most positive eigenvalue of hollow + diag(d) and its unit
+    eigenvector, by power iteration from the unit vector ``v``.
 
-    A start vector annihilated by the matrix is replaced by successive
-    basis vectors; some basis vector always survives a nonzero matrix.
+    The Frobenius projection onto rank-one PSD matrices needs the most
+    positive eigenvalue, which differs from the magnitude-dominant one
+    when a noise-heavy matrix has a large negative tail.  Shifting by
+    the max absolute row sum (a spectral-radius bound; ``row_abs`` holds
+    those of ``hollow``) makes every eigenvalue nonnegative, so plain
+    power iteration lands on it.  The shifted matrix is applied as
+    hollow @ v + (d + shift) * v and never built.
     """
-    m = a.shape[0]
-    scale = np.abs(a).max()
-    v = np.full(m, 1.0 / np.sqrt(m))
-    stall_floor = 1e3 * np.finfo(float).eps * scale
-    restart = 0
+    shift = float((row_abs + np.abs(d)).max())
+    diagonal = d + shift
+    stall_floor = 1e3 * np.finfo(float).eps * float(diagonal.max())
     prev_ray = None
-    for _ in range(max_iter):
-        w = a @ v
+    for _ in range(POWER_MAX_ITER):
+        w = hollow @ v + diagonal * v
         norm_w = math.sqrt(w @ w)
         if norm_w <= stall_floor:
-            if restart >= m:
-                raise ZeroMatrix("all start vectors annihilated by the matrix")
-            v = np.zeros(m)
-            v[restart] = 1.0
-            restart += 1
-            prev_ray = None
-            continue
+            # the shifted matrix is PSD, so v lies in its null space.  A
+            # warm start cannot: it is the top eigenvector of the last
+            # completion hollow + diag(d'), whose eigenvalue is at least
+            # every d'_i, so v' hollow v >= 0 and v' (shifted) v >= shift.
+            # Only the all-ones start can, when every row of hollow sums
+            # to -shift: all off-diagonals are nonpositive, which no
+            # rank-one signal gives for M >= 3
+            raise NoSignal("the start vector is annihilated by the shifted covariance")
         ray = float(v @ w)
         v_new = w / norm_w
         # require both value and direction to settle: the Rayleigh
@@ -158,31 +166,15 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
         d_minus, d_plus = v_new - v, v_new + v
         step = min(math.sqrt(d_minus @ d_minus), math.sqrt(d_plus @ d_plus))
         v = v_new
-        if prev_ray is not None and step <= tol * 10 and (
-            abs(ray - prev_ray) <= tol * max(1.0, abs(ray))
+        if prev_ray is not None and step <= POWER_TOL * 10 and (
+            abs(ray - prev_ray) <= POWER_TOL * max(1.0, abs(ray))
         ):
-            return ray, v
+            return ray - shift, v
         prev_ray = ray
     raise NotConverged(
-        f"power iteration did not stabilize in {max_iter} iterations",
-        partial=(prev_ray if prev_ray is not None else 0.0, v),
+        f"power iteration did not stabilize in {POWER_MAX_ITER} iterations",
+        partial=(prev_ray - shift, v),
     )
-
-
-def _most_positive_eigenpair(a: np.ndarray, tol: float, max_iter: int):
-    """Largest (signed) eigenvalue and its eigenvector.
-
-    The Frobenius projection onto rank-one PSD matrices needs the most
-    positive eigenvalue, which differs from the magnitude-dominant one
-    when a noise-heavy matrix has a large negative tail.  Shifting by
-    the max absolute row sum (a spectral-radius bound) makes every
-    eigenvalue nonnegative so plain power iteration lands on it.
-    """
-    shift = float(np.abs(a).sum(axis=1).max())
-    if shift == 0.0:
-        raise ZeroMatrix("cannot take an eigenpair of a zero matrix")
-    ray, v = _power_iteration(a + shift * np.eye(a.shape[0]), tol, max_iter)
-    return ray - shift, v
 
 
 def resolve_sign(v: np.ndarray) -> np.ndarray:
@@ -244,18 +236,20 @@ def recover_rank1_matrix(
 
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
-    if np.abs(hollow).max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
+    magnitudes = np.abs(hollow)
+    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
         raise NoSignal("all off-diagonal covariances are at machine scale")
+    row_abs = magnitudes.sum(axis=1)
 
-    y = hollow
     lam_prev = None
     lam = 0.0
     u = np.full(m, 1.0 / np.sqrt(m))
+    d = np.zeros(m)
     history: list[float] = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        lam, u = _most_positive_eigenpair(y, tol=POWER_TOL, max_iter=POWER_MAX_ITER)
+        lam, u = _leading_eigenpair(hollow, row_abs, d, u)
         if lam <= 0.0:
             # a hollow matrix has trace 0, so this fires only on inputs
             # with no usable positive component at all
@@ -268,7 +262,7 @@ def recover_rank1_matrix(
             converged = True
             break
         lam_prev = lam
-        y = hollow + np.diag(lam * u * u)
+        d = lam * u * u
 
     v = resolve_sign(u)
     result = Rank1Recovery(

@@ -21,10 +21,6 @@ class TooFewMethods(SummaError):
     """Not enough base methods for the requested decomposition."""
 
 
-class ZeroMatrix(SummaError):
-    """A spectral routine received an (effectively) zero matrix."""
-
-
 class NoSignal(SummaError):
     """Off-diagonal moments carry no usable rank-one signal."""
 

@@ -8,11 +8,11 @@ confident belongs to the positive class.  The performance measure
 is positive for an informative method under that convention and relates
 to the area under the ROC curve by ``auroc = delta / n + 1/2``.
 
-Ranks are computed in-house with one ``argsort`` per call.  Equal
-scores (``-0.0`` equals ``0.0``) form a tie group: midrank gives each
-member the group's mean position, strict orders the members by sample
-index.  Both equal ``scipy.stats.rankdata`` of the negated scores with
-``method="average"`` and ``"ordinal"``.
+Ranks are computed in-house with one ``argsort`` per block of rows of
+about 1 MB.  Equal scores (``-0.0`` equals ``0.0``) form a tie group:
+midrank gives each member the group's mean position, strict orders the
+members by sample index.  Both equal ``scipy.stats.rankdata`` of the
+negated scores with ``method="average"`` and ``"ordinal"``.
 
 :func:`auroc_rectangle` is the one supervised measure here: it scores
 a tie-free rank row against known labels, for ``summa evaluate`` and
@@ -194,29 +194,32 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
     """
     if tie_policy not in (STRICT, MIDRANK):
         raise InvalidInput(f"unknown tie policy {tie_policy!r}")
-    keys = -scores.values
-    m, n = keys.shape
-    order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
-    tied = ordered[:, 1:] == ordered[:, :-1]  # sorted position k + 1 ties k
-    del ordered
-    by_position = np.broadcast_to(np.arange(1.0, n + 1), (m, n))
-    if tie_policy == STRICT:
-        # re-sort only the rows with ties, stably, so ties keep sample order
-        rows = tied.any(axis=1)
-        order[rows] = np.argsort(keys[rows], axis=1, kind="stable")
-    elif tied.any():
-        # the tie group spanning sorted positions first..last (0-based)
-        # shares the rank (first + last) / 2 + 1, exactly representable
-        positions = np.arange(n)
-        first = np.where(np.pad(tied, ((0, 0), (1, 0))), 0, positions)
-        np.maximum.accumulate(first, axis=1, out=first)
-        last = np.where(np.pad(tied, ((0, 0), (0, 1))), n - 1, positions)[:, ::-1]
-        np.minimum.accumulate(last, axis=1, out=last)
-        first += last[:, ::-1]
-        by_position = (first + 2) * 0.5
+    m, n = scores.values.shape
     ranks = np.empty((m, n))
-    np.put_along_axis(ranks, order, by_position, axis=1)
+    # whole-matrix sort temporaries made repeated calls' peak memory erratic
+    step = max(1, (1 << 17) // n)
+    for lo in range(0, m, step):
+        keys = -scores.values[lo:lo + step]
+        order = np.argsort(keys, axis=1)
+        ordered = np.take_along_axis(keys, order, axis=1)
+        tied = ordered[:, 1:] == ordered[:, :-1]  # sorted position k + 1 ties k
+        del ordered
+        by_position = np.broadcast_to(np.arange(1.0, n + 1), keys.shape)
+        if tie_policy == STRICT:
+            # re-sort only the rows with ties, stably, so ties keep sample order
+            rows = tied.any(axis=1)
+            order[rows] = np.argsort(keys[rows], axis=1, kind="stable")
+        elif tied.any():
+            # the tie group spanning sorted positions first..last (0-based)
+            # shares the rank (first + last) / 2 + 1, exactly representable
+            positions = np.arange(n)
+            first = np.where(np.pad(tied, ((0, 0), (1, 0))), 0, positions)
+            np.maximum.accumulate(first, axis=1, out=first)
+            last = np.where(np.pad(tied, ((0, 0), (0, 1))), n - 1, positions)[:, ::-1]
+            np.minimum.accumulate(last, axis=1, out=last)
+            first += last[:, ::-1]
+            by_position = (first + 2) * 0.5
+        np.put_along_axis(ranks[lo:lo + step], order, by_position, axis=1)
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
 
 

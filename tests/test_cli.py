@@ -51,14 +51,23 @@ def reference_csv(path, header, columns):
 
 def reference_json(path, header, columns):
     def plain(cell):
-        if isinstance(cell, float) and math.isnan(cell):
+        cell = cell.item() if isinstance(cell, np.generic) else cell
+        if isinstance(cell, float) and not math.isfinite(cell):
             return None
-        return cell.item() if isinstance(cell, np.generic) else cell
+        return cell
 
     with open(path, "w") as handle:
         json.dump([{h: plain(c) for h, c in zip(header, row)} for row in zip(*columns)],
-                  handle, indent=1)
+                  handle, indent=1, allow_nan=False)
         handle.write("\n")
+
+
+def strict_json(path):
+    """Parse ``path`` as strict JSON: NaN, Infinity and -Infinity fail."""
+    def refuse(constant):
+        raise ValueError(f"{path.name}: non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def awkward_table(n):
@@ -522,6 +531,46 @@ class TestManifestOutputs:
         assert run("infer", sim / "scores.csv", "--max-iter", 1, "--output-dir", out) == 1
         assert (out / "error.json").exists()
         self.assert_lists_directory(out)
+
+
+class TestStrictJson:
+    """Every JSON file is strict JSON: a non-finite float is written as null."""
+
+    @staticmethod
+    def parse_all(out):
+        return {path.name: strict_json(path) for path in out.glob("*.json")}
+
+    def test_infinite_z_in_report(self, tmp_path):
+        # 40 samples tied at a level that rises with the method, 60 at 0:
+        # every jackknife block holds 2 of the 40 and 3 of the 60, so
+        # every leave-out gives the same lambda_t, its standard error is
+        # 0 and z is infinite
+        levels = np.linspace(1.0, 2.0, 5)
+        values = np.where(np.arange(100) < 40, levels[:, None], 0.0)
+        write_table(tmp_path / "flat.csv", ["sample_id", *(f"m{i}" for i in range(5))],
+                    [[f"s{k}" for k in range(100)], *values], "csv")
+        out = tmp_path / "out"
+        assert run("infer", tmp_path / "flat.csv", "--output-dir", out) == 0
+        files = self.parse_all(out)
+        assert set(files) == {"report.json", "manifest.json"}
+        assert files["report.json"]["tensor"]["lambda_t_se"] == 0.0
+        assert files["report.json"]["tensor"]["z"] is None
+
+    def test_nan_prevalence_in_manifest(self, tmp_path):
+        sim = simulate(tmp_path)
+        out = tmp_path / "out"
+        assert run("infer", sim / "scores.csv", "--prevalence", "nan", "--output-dir", out) == 1
+        files = self.parse_all(out)
+        assert set(files) == {"manifest.json"}
+        assert files["manifest.json"]["config"]["prevalence"] is None
+        assert "prevalence" in files["manifest.json"]["error"]
+
+    def test_infinite_rho_in_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("simulate", "--rho", "inf", "--seed", 1, "--output-dir", out) == 1
+        files = self.parse_all(out)
+        assert set(files) == {"manifest.json"}
+        assert files["manifest.json"]["config"]["rho"] is None
 
 
 class TestFailures:

@@ -9,18 +9,16 @@ import pytest
 from summa import decomposition
 from summa.decomposition import (
     JACKKNIFE_BLOCKS,
-    POWER_MAX_ITER,
     POWER_TOL,
     REFIT_STEPS,
     Rank1Recovery,
-    _check_symmetric,
-    _power_iteration,
+    _leading_eigenpair,
     check_recoverability,
     recover_rank1_matrix,
     recover_rank1_tensor,
     resolve_sign,
 )
-from summa.exceptions import InvalidInput, NoSignal, TooFewMethods, ZeroMatrix
+from summa.exceptions import InvalidInput, NoSignal, TooFewMethods
 from summa.inference import prevalence_from_moments
 from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import rank_transform
@@ -36,10 +34,27 @@ def random_recoverable_q(rng, m):
             return q
 
 
-def leading_singular_pair(matrix, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Dominant eigenvalue magnitude and eigenvector by power iteration."""
-    ray, v = _power_iteration(_check_symmetric(matrix), tol, max_iter)
-    return abs(ray), v
+def leading_singular_pair(matrix):
+    """Dominant eigenvalue magnitude and eigenvector of a symmetric
+    matrix, by LAPACK: the oracle for the matrix stage's power iteration."""
+    values, vectors = np.linalg.eigh(matrix)
+    k = int(np.argmax(np.abs(values)))
+    return abs(values[k]), vectors[:, k]
+
+
+def solve(matrix, start=None):
+    """The matrix stage's eigen-solver on a symmetric matrix, from
+    ``start`` or the normalized all-ones."""
+    a = np.asarray(matrix, dtype=float)
+    d = np.diag(a).copy()
+    hollow = a - np.diag(d)
+    if start is None:
+        start = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
+    return _leading_eigenpair(hollow, np.abs(hollow).sum(axis=1), d, start)
+
+
+def same_direction(u, v, atol):
+    return min(np.abs(u - v).max(), np.abs(u + v).max()) < atol
 
 
 def one_sample(a):
@@ -76,38 +91,57 @@ def stage_inputs(m, n, rho, seed):
 
 
 class TestLeadingSingularPair:
+    """The matrix stage's eigen-solver against the ``eigh`` oracle."""
+
     def test_diagonal_matrix(self):
-        sigma, u = leading_singular_pair(np.diag([3.0, 1.0]))
-        assert sigma == pytest.approx(3.0, rel=1e-10)
+        lam, u = solve(np.diag([3.0, 1.0]))
+        assert lam == pytest.approx(3.0, rel=1e-10)
         assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_exact_rank_one(self):
         q = np.array([1.0, 2.0, 2.0, 2.0])
-        sigma, u = leading_singular_pair(np.outer(q, q))
-        assert sigma == pytest.approx(q @ q, rel=1e-12)
-        qhat = q / np.linalg.norm(q)
-        assert min(np.linalg.norm(u - qhat), np.linalg.norm(u + qhat)) < 1e-10
-
-    def test_zero_matrix(self):
-        with pytest.raises(ZeroMatrix):
-            leading_singular_pair(np.zeros((3, 3)))
+        lam, u = solve(np.outer(q, q))
+        sigma, oracle = leading_singular_pair(np.outer(q, q))
+        assert lam == pytest.approx(sigma, rel=1e-12)
+        assert same_direction(u, oracle, 1e-8)
 
     def test_small_eigen_gap_converges(self):
         rng = np.random.default_rng(2)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         values = np.array([3.0, 2.97, 1.0, 0.5, 0.2, 0.1])  # gap ratio 0.99
         a = basis @ np.diag(values) @ basis.T
-        sigma, u = leading_singular_pair(a, tol=1e-10, max_iter=100_000)
-        assert sigma == pytest.approx(3.0, rel=1e-6)
+        lam, u = solve(a)
+        assert lam == pytest.approx(3.0, rel=1e-6)
         assert abs(u @ basis[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
-    def test_dominant_magnitude_for_indefinite(self):
-        sigma, _ = leading_singular_pair(np.diag([1.0, -5.0]))
-        assert sigma == pytest.approx(5.0, rel=1e-9)
+    def test_most_positive_for_indefinite(self):
+        # the magnitude-dominant pair is (-5, e_2); the projection onto
+        # rank-one PSD matrices needs (1, e_1)
+        a = np.diag([1.0, -5.0])
+        assert leading_singular_pair(a)[0] == pytest.approx(5.0)
+        lam, u = solve(a)
+        assert lam == pytest.approx(1.0, rel=1e-9)
+        assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
 
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(InvalidInput):
-            leading_singular_pair(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    def test_warm_start_matches_all_ones_start(self):
+        rng = np.random.default_rng(11)
+        for m in (5, 12, 30):
+            q = random_recoverable_q(rng, m)
+            noise = rng.normal(scale=0.3, size=(m, m))
+            y = np.outer(q, q) + (noise + noise.T) / 2
+            np.fill_diagonal(y, rng.uniform(0.0, 3.0, size=m))
+            start = rng.normal(size=m)
+            cold = solve(y)
+            warm = solve(y, start / np.linalg.norm(start))
+            values, vectors = np.linalg.eigh(y)
+            for lam, u in (cold, warm):
+                assert lam == pytest.approx(values[-1], rel=POWER_TOL)
+                assert same_direction(u, vectors[:, -1], 1e-8)
+            # the stopping rule bounds each value step by POWER_TOL and each
+            # vector step by 10 POWER_TOL, and the vector's distance from the
+            # eigenvector by that step over the shifted matrix's relative gap
+            assert warm[0] == pytest.approx(cold[0], rel=POWER_TOL)
+            assert same_direction(warm[1], cold[1], 1e-8)
 
 
 class TestResolveSign:
@@ -192,7 +226,7 @@ class TestRecoverRank1Matrix:
         hollow = np.outer(q, q)
         np.fill_diagonal(hollow, 0.0)
         y = hollow + np.diag(lam_true * qhat * qhat)
-        sigma, u = leading_singular_pair(y, tol=1e-12)
+        sigma, u = leading_singular_pair(y)
         assert sigma == pytest.approx(lam_true, rel=1e-12)
         assert min(np.abs(u - qhat).max(), np.abs(u + qhat).max()) < 1e-10
 
@@ -217,6 +251,20 @@ class TestRecoverRank1Matrix:
     def test_identity_is_no_signal(self):
         with pytest.raises(NoSignal):
             recover_rank1_matrix(np.eye(5))
+
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_equal_negative_offdiag_is_no_signal_at_once(self, m):
+        # the shifted hollow matrix annihilates the all-ones start, and
+        # no rank-one signal has all off-diagonals negative
+        q = -0.1 * (np.ones((m, m)) - np.eye(m)) + np.eye(m)
+        with pytest.raises(NoSignal, match="annihilated"):
+            recover_rank1_matrix(q, max_iter=1)
+
+    def test_nonsymmetric_rejected(self):
+        q = np.outer([1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 2.0, 2.0])
+        q[0, 1] += 1.0
+        with pytest.raises(InvalidInput, match="symmetric"):
+            recover_rank1_matrix(q)
 
     def test_single_nonzero_coordinate_is_no_signal(self):
         q = np.array([2.0, 0.0, 0.0, 0.0])

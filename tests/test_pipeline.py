@@ -35,18 +35,15 @@ def skewed_ranks():
 
 
 class TestTensorFailure:
-    @pytest.mark.parametrize("fixture, reason", [
-        ("no_signal_ranks", "found no signal"),
-    ])
-    def test_reports_flagged_half(self, request, fixture, reason):
-        result = run_pipeline(request.getfixturevalue(fixture))
+    def test_reports_flagged_half(self, no_signal_ranks):
+        result = run_pipeline(no_signal_ranks)
         report = result.report
         assert result.tensor is None
         assert report.rho == 0.5
         assert report.rho_degenerate
         assert report.lambda_t is None
         assert report.beta == 0.0
-        assert len(report.notes) == 1 and reason in report.notes[0]
+        assert len(report.notes) == 1 and "found no signal" in report.notes[0]
         assert report.to_dict()["rho_source"] == "estimated"
         assert "tensor" not in result.to_dict()
 
@@ -56,17 +53,14 @@ class TestTensorFailure:
         assert np.array_equal(failed.weights, assumed.weights)
         assert np.array_equal(failed.aurocs, assumed.aurocs)
 
-    @pytest.mark.parametrize("fixture, note", [
-        ("no_signal_ranks", "tensor stage found no signal; cross-check skipped"),
-    ])
-    def test_supplied_prevalence_skips_cross_check(self, request, fixture, note):
-        result = run_pipeline(request.getfixturevalue(fixture), prevalence=0.3)
+    def test_supplied_prevalence_skips_cross_check(self, no_signal_ranks):
+        result = run_pipeline(no_signal_ranks, prevalence=0.3)
         report = result.report
         assert result.tensor is None
         assert report.rho == 0.3
         assert report.to_dict()["rho_source"] == "assumed"
         assert not report.rho_degenerate
-        assert report.notes == (note,)
+        assert report.notes == ("tensor stage found no signal; cross-check skipped",)
 
 
 class TestConvergedTensor:

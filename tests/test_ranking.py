@@ -124,6 +124,14 @@ class TestRankTransformOracle:
         self.assert_matches_rankdata(scores)
         self.assert_matches_rankdata(np.round(scores, 1))
 
+    def test_several_row_blocks(self):
+        # 20 000 samples make blocks of 6 rows: 7 blocks, the last of 4,
+        # with tied rows in some blocks only
+        rng = np.random.default_rng(4)
+        scores = rng.standard_normal((40, 20_000))
+        scores[::9] = np.round(scores[::9], 2)
+        self.assert_matches_rankdata(scores)
+
 
 def test_import_leaves_scipy_stats_out():
     code = ("import sys, summa, summa.cli; "
