@@ -14,7 +14,15 @@ squared mismatch over the set of symmetric PSD rank-one matrices, so the
 off-diagonal residual never increases.  Each eigen-solve is a shifted
 power iteration that continues from the current iterate u (the first
 from the normalized all-ones vector) and applies Y through the hollow
-Q - diag(Q) and the imputed diagonal, so Y is never built.
+Q - diag(Q) and the imputed diagonal, so Y is never built.  The shift
+is a proven bound on -lambda_min(Y), which makes Y + shift I PSD.
+After the first step it is the Frobenius norm of the last off-diagonal
+residual R: Y = lambda u u^T - R, so by Weyl's inequality
+lambda_min(Y) >= -||R||_2 >= -||R||_F.  The first step takes the smaller
+of the largest absolute row sum of the hollow (Gershgorin) and the same
+Weyl bound along the all-ones start.  The residual shrinks as the fit
+does, so the iteration's rate (lambda_2 + shift) / (lambda_1 + shift)
+improves with it.
 
 The third-moment tensor needs no such iteration.  Under conditional
 independence its rank-one factor has the direction of the covariance
@@ -129,20 +137,24 @@ def check_iteration_controls(tol: float, max_iter: int):
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
-def _leading_eigenpair(hollow: np.ndarray, row_abs: np.ndarray, d: np.ndarray,
+def _leading_eigenpair(hollow: np.ndarray, shift: float, d: np.ndarray,
                        v: np.ndarray):
     """Most positive eigenvalue of hollow + diag(d) and its unit
     eigenvector, by power iteration from the unit vector ``v``.
 
     The Frobenius projection onto rank-one PSD matrices needs the most
     positive eigenvalue, which differs from the magnitude-dominant one
-    when a noise-heavy matrix has a large negative tail.  Shifting by
-    the max absolute row sum (a spectral-radius bound; ``row_abs`` holds
-    those of ``hollow``) makes every eigenvalue nonnegative, so plain
-    power iteration lands on it.  The shifted matrix is applied as
+    when a noise-heavy matrix has a large negative tail.  ``shift``
+    must make hollow + diag(d) + shift I positive semidefinite; then
+    every eigenvalue is nonnegative and plain power iteration lands on
+    the most positive one, at the rate (lambda_2 + shift) /
+    (lambda_1 + shift), so the smaller the proven bound the faster.
+    :func:`recover_rank1_matrix` passes the Frobenius norm of the last
+    off-diagonal residual R: with d = lambda u o u the matrix is
+    lambda u u' - R, whose least eigenvalue is at least -||R||_2 by
+    Weyl's inequality.  The shifted matrix is applied as
     hollow @ v + (d + shift) * v and never built.
     """
-    shift = float((row_abs + np.abs(d)).max())
     diagonal = d + shift
     stall_floor = 1e3 * np.finfo(float).eps * float(diagonal.max())
     prev_ray = None
@@ -151,22 +163,25 @@ def _leading_eigenpair(hollow: np.ndarray, row_abs: np.ndarray, d: np.ndarray,
         norm_w = math.sqrt(w @ w)
         if norm_w <= stall_floor:
             # the shifted matrix is PSD, so v lies in its null space.  A
-            # warm start cannot: it is the top eigenvector of the last
-            # completion hollow + diag(d'), whose eigenvalue is at least
-            # every d'_i, so v' hollow v >= 0 and v' (shifted) v >= shift.
+            # warm start u cannot: the completion is lambda u u' - R with
+            # R the last off-diagonal residual and shift = ||R||_F, so
+            # u' (shifted) u >= lambda - ||R||_2 + ||R||_F >= lambda > 0;
+            # nor can (e_i +- e_j)/sqrt 2, whose value is |hollow_ij| + shift.
             # Only the all-ones start can, when every row of hollow sums
-            # to -shift: all off-diagonals are nonpositive, which no
-            # rank-one signal gives for M >= 3
+            # to -shift.  The Weyl shift exceeds minus that sum unless
+            # hollow is 0, so the shift is the Gershgorin one and all
+            # off-diagonals are nonpositive, which no rank-one signal
+            # gives for M >= 3
             raise NoSignal("the start vector is annihilated by the shifted covariance")
         ray = float(v @ w)
         v_new = w / norm_w
         # require both value and direction to settle: the Rayleigh
         # quotient alone converges quadratically faster than the vector,
-        # and the step length (not its cosine) is what bounds the error
-        d_minus, d_plus = v_new - v, v_new + v
-        step = min(math.sqrt(d_minus @ d_minus), math.sqrt(d_plus @ d_plus))
+        # and the step length (not its cosine) is what bounds the error.
+        # The shifted matrix is PSD, so v . w >= 0 and v never flips sign
+        step = v_new - v
         v = v_new
-        if prev_ray is not None and step <= POWER_TOL * 10 and (
+        if prev_ray is not None and math.sqrt(step @ step) <= POWER_TOL * 10 and (
             abs(ray - prev_ray) <= POWER_TOL * max(1.0, abs(ray))
         ):
             return ray - shift, v
@@ -237,19 +252,34 @@ def recover_rank1_matrix(
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
     magnitudes = np.abs(hollow)
-    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
+    peak = float(magnitudes.max())
+    if peak <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
         raise NoSignal("all off-diagonal covariances are at machine scale")
-    row_abs = magnitudes.sum(axis=1)
 
     lam_prev = None
     lam = 0.0
     u = np.full(m, 1.0 / np.sqrt(m))
     d = np.zeros(m)
+    # The first shift is the smaller of two bounds on -lambda_min(hollow):
+    # the largest absolute row sum (Gershgorin), and by Weyl's inequality
+    # ||E||_F - min(0, lambda_0) with hollow = lambda_0 u u' + E along the
+    # all-ones start u.  Every later shift is the last residual; see below.
+    lam0 = float(hollow.sum()) / m
+    shift = min(float(magnitudes.sum(axis=1).max()),
+                float(np.linalg.norm(hollow - lam0 / m)) - min(0.0, lam0))
     history: list[float] = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        lam, u = _leading_eigenpair(hollow, row_abs, d, u)
+        lam, u = _leading_eigenpair(hollow, shift, d, u)
+        if iterations == 1 and lam < peak:
+            # hollow's top eigenvalue is at least max |hollow_ij|, the
+            # Rayleigh quotient at (e_i +- e_j)/sqrt 2, so the all-ones
+            # start was an eigenvector below the top (equal row sums)
+            i, j = divmod(int(magnitudes.argmax()), m)
+            u = np.zeros(m)
+            u[i], u[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
+            lam, u = _leading_eigenpair(hollow, shift, d, u)
         if lam <= 0.0:
             # a hollow matrix has trace 0, so this fires only on inputs
             # with no usable positive component at all
@@ -257,12 +287,17 @@ def recover_rank1_matrix(
                 "leading eigenvalue of the completed covariance is not positive; "
                 "no nonnegative rank-one signal"
             )
-        history.append(_offdiag_residual(q, lam, u))
+        residual = _offdiag_residual(q, lam, u)
+        history.append(residual)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             converged = True
             break
         lam_prev = lam
         d = lam * u * u
+        # the next completion is lambda u u' - R, with R this residual's
+        # matrix (zero diagonal), so its least eigenvalue is at least
+        # -||R||_2 >= -||R||_F (Weyl; lambda > 0)
+        shift = residual
 
     v = resolve_sign(u)
     result = Rank1Recovery(

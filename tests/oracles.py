@@ -8,6 +8,8 @@ compare them with ``==``.  :class:`ConditionalRankModel` with
 factorized rank model, independently of the closed form in
 :func:`predicted_central_moment`, so the two can be checked against each
 other.
+:func:`rank1_completion` is the matrix stage's alternating map with
+exact LAPACK eigen-solves in place of the shifted power iteration.
 
 They live only in ``tests/`` because the method never calls them: summa
 estimates performance from ranks alone, and its one supervised measure,
@@ -184,3 +186,35 @@ def predicted_central_moment(rho: float, deltas) -> float:
     l = deltas.size
     factor = rho * (1.0 - rho) * (rho ** (l - 1) - (rho - 1.0) ** (l - 1))
     return float(factor * np.prod(deltas))
+
+
+def rank1_completion(q, tol: float, max_iter: int):
+    """:func:`summa.decomposition.recover_rank1_matrix`'s alternating map
+    with ``np.linalg.eigh`` inner solves.
+
+    Each step completes the hollow of ``q`` with diag(lambda u o u) and
+    takes the completion's most positive eigenpair; it stops when
+    successive values agree to ``tol`` (relative).  Returns
+    ``(outcome, iterations, lambda, u)``: the outcome is "converged",
+    "NotConverged" after ``max_iter`` steps, or "NoSignal" when a value
+    is not positive or, at ``max_iter``, the iterate assigns a method
+    more than its total variance (then ``lambda`` and ``u`` are the last
+    iterate's).  The sign of ``u`` is LAPACK's.
+    """
+    q = np.asarray(q, dtype=float)
+    hollow = q - np.diag(np.diag(q))
+    d = np.zeros(q.shape[0])
+    lam_prev = None
+    for iterations in range(1, max_iter + 1):
+        values, vectors = np.linalg.eigh(hollow + np.diag(d))
+        lam, u = float(values[-1]), vectors[:, -1]
+        if lam <= 0.0:
+            return "NoSignal", iterations, lam, u
+        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+            return "converged", iterations, lam, u
+        lam_prev = lam
+        d = lam * u * u
+    cap = 1.05 * np.maximum(np.diag(q), 0.0) + 1e-9 * max(1.0, float(np.abs(q).max()))
+    if np.any(lam * u * u > cap):
+        return "NoSignal", max_iter, lam, u
+    return "NotConverged", max_iter, lam, u

@@ -8,6 +8,8 @@ import pytest
 
 from summa import decomposition
 from summa.decomposition import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     JACKKNIFE_BLOCKS,
     POWER_TOL,
     REFIT_STEPS,
@@ -18,11 +20,27 @@ from summa.decomposition import (
     recover_rank1_tensor,
     resolve_sign,
 )
-from summa.exceptions import InvalidInput, NoSignal, TooFewMethods
+from summa.exceptions import InvalidInput, NoSignal, NotConverged, SummaError, TooFewMethods
 from summa.inference import prevalence_from_moments
 from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
+
+from oracles import rank1_completion
+
+# Designs (M, N, rho) of the matrix stage's oracle checks: two from the
+# benchmark's replicates and two small ones where some fits do not converge
+ORACLE_DESIGNS = [(30, 1000, 0.3), (12, 400, 0.5), (8, 200, 0.3), (5, 60, 0.5)]
+ORACLE_SEEDS = range(10)
+
+# Equal row sums (1) make the all-ones start an eigenvector of every
+# completion; the top eigenvalue is 5, along (1, 1, -1, -1) / 2
+EQUAL_ROW_SUMS = np.array([
+    [0.0, 3.0, -1.0, -1.0],
+    [3.0, 0.0, -1.0, -1.0],
+    [-1.0, -1.0, 0.0, 3.0],
+    [-1.0, -1.0, 3.0, 0.0],
+])
 
 
 def random_recoverable_q(rng, m):
@@ -44,13 +62,30 @@ def leading_singular_pair(matrix):
 
 def solve(matrix, start=None):
     """The matrix stage's eigen-solver on a symmetric matrix, from
-    ``start`` or the normalized all-ones."""
+    ``start`` or the normalized all-ones, shifted by a Gershgorin bound."""
     a = np.asarray(matrix, dtype=float)
     d = np.diag(a).copy()
     hollow = a - np.diag(d)
     if start is None:
         start = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
-    return _leading_eigenpair(hollow, np.abs(hollow).sum(axis=1), d, start)
+    shift = float((np.abs(hollow).sum(axis=1) + np.abs(d)).max())
+    return _leading_eigenpair(hollow, shift, d, start)
+
+
+def design_covariance(m, n, rho, seed):
+    data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
+    return covariance_matrix(rank_transform(data.scores, "midrank"))
+
+
+def fit_outcome(q):
+    """``recover_rank1_matrix``'s outcome, outer iterations and (partial) v."""
+    try:
+        rec = recover_rank1_matrix(q)
+    except NotConverged as exc:
+        return "NotConverged", exc.partial.iterations, exc.partial.v
+    except NoSignal:
+        return "NoSignal", None, None
+    return "converged", rec.iterations, rec.v
 
 
 def same_direction(u, v, atol):
@@ -247,6 +282,67 @@ class TestRecoverRank1Matrix:
             rec = recover_rank1_matrix(np.outer(q, q) + noise + np.diag(rng.uniform(0, 1, 7)))
             history = np.array(rec.residual_history)
             assert np.all(np.diff(history) <= 1e-9 * max(1.0, history[0]))
+
+    @pytest.mark.parametrize("design", ORACLE_DESIGNS, ids=lambda d: "-".join(map(str, d)))
+    def test_matches_eigh_oracle(self, design):
+        # the shifted power iteration is an exact eigen-solve to POWER_TOL,
+        # so the alternating map takes the oracle's path
+        for seed in ORACLE_SEEDS:
+            q = design_covariance(*design, seed)
+            outcome, iterations, v = fit_outcome(q)
+            expected, expected_iterations, _, u = rank1_completion(
+                q, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            assert outcome == expected, seed
+            if outcome != "NoSignal":
+                assert iterations == expected_iterations, seed
+                assert same_direction(v, u, 1e-7), seed
+
+    def test_equal_row_sums_not_stuck_on_all_ones(self):
+        # the all-ones start is an eigenvector of H (value 1) and of every
+        # completion H + diag(lambda / 4), so power iteration from it alone
+        # settles on v = (1, 1, 1, 1) / 2 and lambda = 4 / 3
+        rec = recover_rank1_matrix(EQUAL_ROW_SUMS + 4.0 * np.eye(4))
+        values, vectors = np.linalg.eigh(EQUAL_ROW_SUMS)
+        assert values[-1] == pytest.approx(5.0)
+        assert rec.converged
+        assert same_direction(rec.v, vectors[:, -1], 1e-7)
+        # the alternating map's fixed point lambda = 5 + lambda / 4
+        assert rec.lambda_ == pytest.approx(20.0 / 3.0, rel=1e-5)
+        outcome, iterations, lam, u = rank1_completion(
+            EQUAL_ROW_SUMS + 4.0 * np.eye(4), DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert (outcome, iterations) == ("converged", rec.iterations)
+        assert rec.lambda_ == pytest.approx(lam, rel=1e-9)
+        assert same_direction(rec.v, u, 1e-7)
+
+    def test_every_shift_makes_the_solve_psd(self, monkeypatch):
+        # each solve's shift must bound -lambda_min(hollow + diag(d)), or
+        # power iteration may land on a negative eigenvalue of larger
+        # magnitude; record every solve of noisy and noiseless fits
+        solves = []
+        leading_eigenpair = decomposition._leading_eigenpair
+
+        def recording(hollow, shift, d, v):
+            solves.append((hollow, shift, d.copy()))
+            return leading_eigenpair(hollow, shift, d, v)
+
+        monkeypatch.setattr(decomposition, "_leading_eigenpair", recording)
+        matrices = [design_covariance(*design, seed)
+                    for design in ORACLE_DESIGNS for seed in ORACLE_SEEDS]
+        rng = np.random.default_rng(1)
+        for m in range(4, 13):
+            q = random_recoverable_q(rng, m)
+            matrices.append(np.outer(q, q) + np.diag(rng.uniform(0.0, 2.0, size=m)))
+        q = np.array([1.0, -1.5, 2.0, 0.5, 1.0])
+        matrices += [np.outer(q, q), EQUAL_ROW_SUMS + 4.0 * np.eye(4)]
+        for q in matrices:
+            try:
+                recover_rank1_matrix(q)
+            except SummaError:
+                pass
+        assert len(solves) > len(matrices)
+        for hollow, shift, d in solves:
+            values = np.linalg.eigvalsh(hollow + np.diag(d))
+            assert values[0] + shift >= -1e-9 * np.abs(values).max()
 
     def test_identity_is_no_signal(self):
         with pytest.raises(NoSignal):

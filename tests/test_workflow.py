@@ -38,3 +38,15 @@ def test_matrix_keeps_promised_floors(workflow):
     for name, job in workflow["jobs"].items():
         include = job["strategy"]["matrix"]["include"]
         assert {"python": python_floor, "numpy": f"numpy=={numpy_floor}.*"} in include, name
+
+
+def test_every_job_installs_the_test_extra(workflow):
+    # a test dependency CI lacks turns its tests into skips there
+    extra = re.search(r"^test = \[([^\]]*)\]", (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    names = [re.match(r'\s*"([A-Za-z0-9_.-]+)', item)[1] for item in extra.split(",")]
+    assert "pyyaml" in names
+    for name, job in workflow["jobs"].items():
+        installs = [step["run"] for step in job["steps"]
+                    if "pip install" in step.get("run", "")]
+        for package in names:
+            assert any(f'"{package}' in line for line in installs), (name, package)
