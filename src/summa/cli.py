@@ -348,14 +348,12 @@ def _load_rank_matrix(args, manifest: ManifestWriter) -> RankMatrix:
 
 def cmd_infer(args, manifest: ManifestWriter) -> str:
     ranks = _load_rank_matrix(args, manifest)
-    result = run_pipeline(ranks, prevalence=args.prevalence, use_tensor=not args.no_tensor,
-                          tol=args.tol, max_iter=args.max_iter)
+    result = run_pipeline(ranks, prevalence=args.prevalence, tol=args.tol,
+                          max_iter=args.max_iter)
     payload = result.to_dict()
     manifest.json("report.json", payload)
 
-    header = ["method_id", "weight", "recoverability_flag"]
-    if result.report.deltas is not None:
-        header += ["delta", "auroc", "auroc_raw"]
+    header = ["method_id", "weight", "recoverability_flag", "delta", "auroc", "auroc_raw"]
     columns = [[entry[name] for entry in payload["methods"]] for name in header]
     columns[2] = [int(flag) for flag in columns[2]]
     manifest.table("method_estimates", header, columns)
@@ -365,9 +363,8 @@ def cmd_infer(args, manifest: ManifestWriter) -> str:
                    [summa.sample_ids, summa.scores, woc.scores])
     manifest.table("ensemble_labels", ["sample_id", "summa", "woc"],
                    [summa.sample_ids, summa.labels, woc.labels])
-    rho = result.report.rho
-    rho_text = "n/a" if rho is None else f"{rho:.4f}"
-    return f"infer: {ranks.n_methods} methods, {ranks.n_samples} samples, rho={rho_text}"
+    return (f"infer: {ranks.n_methods} methods, {ranks.n_samples} samples, "
+            f"rho={result.report.rho:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def _sweep_replicate(task) -> dict:
         summa_auroc=evaluate_ensemble(result.summa, data.labels),
         woc_auroc=evaluate_ensemble(result.woc, data.labels),
         rho_inferred=result.report.rho,
-        # 1: the tensor stage found no signal and run_pipeline assumed rho = 1/2
+        # 1: the tensor stage measured nothing and run_pipeline assumed rho = 1/2
         degraded=int(result.tensor is None),
     )
     return row
@@ -568,8 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input cells are ranks, skip the rank transform")
     p_inf.add_argument("--prevalence", type=float, default=None,
                        help="known positive-class prevalence (skips tensor estimate of rho)")
-    p_inf.add_argument("--no-tensor", action="store_true",
-                       help="skip the third-moment stage entirely")
     _add_iteration_args(p_inf)
     p_inf.add_argument("--delimiter", default=",")
     _add_common_output_args(p_inf)
@@ -601,7 +596,7 @@ def _error_diagnostics(err: NotConverged) -> dict:
     """The failed iteration's state, for a run that ran out of iterations."""
     diagnostics = {"error": type(err).__name__, "message": str(err)}
     partial = err.partial
-    if partial is not None and hasattr(partial, "lambda_"):
+    if partial is not None:
         diagnostics["partial"] = {
             "lambda": partial.lambda_,
             "v": [float(x) for x in partial.v],

@@ -186,10 +186,7 @@ def _leading_eigenpair(hollow: np.ndarray, shift: float, d: np.ndarray,
         ):
             return ray - shift, v
         prev_ray = ray
-    raise NotConverged(
-        f"power iteration did not stabilize in {POWER_MAX_ITER} iterations",
-        partial=(prev_ray - shift, v),
-    )
+    raise NotConverged(f"power iteration did not stabilize in {POWER_MAX_ITER} iterations")
 
 
 def resolve_sign(v: np.ndarray) -> np.ndarray:
@@ -265,21 +262,27 @@ def recover_rank1_matrix(
     # ||E||_F - min(0, lambda_0) with hollow = lambda_0 u u' + E along the
     # all-ones start u.  Every later shift is the last residual; see below.
     lam0 = float(hollow.sum()) / m
-    shift = min(float(magnitudes.sum(axis=1).max()),
-                float(np.linalg.norm(hollow - lam0 / m)) - min(0.0, lam0))
+    gershgorin = float(magnitudes.sum(axis=1).max())
+    shift = min(gershgorin, float(np.linalg.norm(hollow - lam0 / m)) - min(0.0, lam0))
+    equal_rows = float(np.ptp(hollow.sum(axis=1))) <= POWER_TOL * gershgorin
     history: list[float] = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         lam, u = _leading_eigenpair(hollow, shift, d, u)
-        if iterations == 1 and lam < peak:
-            # hollow's top eigenvalue is at least max |hollow_ij|, the
-            # Rayleigh quotient at (e_i +- e_j)/sqrt 2, so the all-ones
-            # start was an eigenvector below the top (equal row sums)
+        if iterations == 1 and (lam < peak or equal_rows):
+            # with equal row sums the all-ones start is an eigenvector of
+            # hollow, and the iteration stays on it whether or not it is
+            # the top one.  The top eigenvalue is at least max |hollow_ij|,
+            # the Rayleigh quotient at (e_i +- e_j)/sqrt 2, so solve again
+            # from that vector and keep the larger eigenvalue; within the
+            # solver's tolerance the two are the same, and all-ones stays
             i, j = divmod(int(magnitudes.argmax()), m)
-            u = np.zeros(m)
-            u[i], u[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
-            lam, u = _leading_eigenpair(hollow, shift, d, u)
+            pair = np.zeros(m)
+            pair[i], pair[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
+            lam_pair, u_pair = _leading_eigenpair(hollow, shift, d, pair)
+            if lam_pair - lam > POWER_TOL * max(1.0, abs(lam)):
+                lam, u = lam_pair, u_pair
         if lam <= 0.0:
             # a hollow matrix has trace 0, so this fires only on inputs
             # with no usable positive component at all

@@ -32,8 +32,9 @@ class InvalidPrevalence(SummaError):
 class NotConverged(SummaError):
     """Iteration budget exhausted before reaching tolerance.
 
-    The partial state reached when the budget ran out is attached as
-    ``partial`` so callers can inspect or reuse it.
+    The partial state reached when the budget ran out, where there is
+    one (a recovery's last iterate), is attached as ``partial`` so
+    callers can inspect or reuse it; otherwise ``partial`` is None.
     """
 
     def __init__(self, message, partial=None):

@@ -8,7 +8,10 @@ pins rho(1-rho) = 1/(beta+4), and the sign of lambda_t selects the
 root: positive lambda_t means the positive class is the majority.
 
 From there ||delta|| = sqrt(lambda_e / (rho(1-rho))), each method's
-delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.
+delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.  Every report
+has a rho, and so deltas and AUROCs: the measured one, a supplied one,
+or the flagged 1/2 that :func:`summa.pipeline.run_pipeline` takes when
+the tensor stage measured nothing.
 
 The tensor stage also gives lambda_t a jackknife standard error.  Its
 interval lambda_t -/+ ``Z_CUTOFF`` standard errors, mapped through the
@@ -65,8 +68,8 @@ class PerformanceReport:
 
     ``aurocs`` holds raw (unclamped) values; clamping to [0, 1] happens
     only in :meth:`to_dict` so symmetry properties survive in memory.
-    ``weights`` is the unit-norm method vector; ``rho`` is None on the
-    weights-only path (no tensor and no supplied prevalence).
+    ``weights`` is the unit-norm method vector and ``rho`` the
+    prevalence that scales it into deltas and AUROCs.
     ``rho_interval`` is the measured prevalence interval, if any, and
     ``rho_degenerate`` says whether it contains 1/2.
     """
@@ -75,15 +78,15 @@ class PerformanceReport:
     weights: np.ndarray
     n_samples: int
     lambda_e: float
-    rho: float | None
+    rho: float
     rho_assumed: bool
     rho_degenerate: bool
     rho_interval: tuple[float, float] | None
-    beta: float | None
+    beta: float
     lambda_t: float | None
-    delta_norm: float | None
-    deltas: np.ndarray | None
-    aurocs: np.ndarray | None
+    delta_norm: float
+    deltas: np.ndarray
+    aurocs: np.ndarray
     recoverability_flagged: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
     notes: tuple[str, ...] = ()
 
@@ -94,25 +97,22 @@ class PerformanceReport:
     def to_dict(self) -> dict:
         methods = []
         for i, mid in enumerate(self.method_ids):
-            entry = {
+            raw = float(self.aurocs[i])
+            methods.append({
                 "method_id": mid,
                 "weight": float(self.weights[i]),
                 "recoverability_flag": bool(self.recoverability_flagged[i]),
-            }
-            if self.deltas is not None:
-                raw = float(self.aurocs[i])
-                entry["delta"] = float(self.deltas[i])
-                entry["auroc"] = min(1.0, max(0.0, raw))
-                entry["auroc_raw"] = raw
-            methods.append(entry)
+                "delta": float(self.deltas[i]),
+                "auroc": min(1.0, max(0.0, raw)),
+                "auroc_raw": raw,
+            })
         return {
             "n_methods": self.n_methods,
             "n_samples": self.n_samples,
             "lambda_e": self.lambda_e,
             "lambda_t": self.lambda_t,
             "rho": self.rho,
-            "rho_source": "assumed" if self.rho_assumed else (
-                None if self.rho is None else "estimated"),
+            "rho_source": "assumed" if self.rho_assumed else "estimated",
             "rho_degenerate": self.rho_degenerate,
             "beta": self.beta,
             "delta_norm": self.delta_norm,
@@ -135,7 +135,7 @@ def performance_estimates(
     n_samples: int,
     method_ids: tuple[str, ...],
     *,
-    rho: float | None = None,
+    rho: float,
     beta: float | None = None,
     rho_assumed: bool = True,
     rho_interval: tuple[float, float] | None = None,
@@ -145,13 +145,11 @@ def performance_estimates(
     """Per-method delta and AUROC estimates from (v, lambda_e) and a
     prevalence rho.
 
-    A rho in (0, 1) fixes the scale ||delta|| = sqrt(lambda_e / (rho(1-rho))).
-    With ``rho=None`` the report carries the unit weight vector only:
-    relative method quality (and the weighted ensemble) need only v,
-    while absolute AUROC values need rho.  Without a measured ``beta``
-    the report carries the beta implied by rho.  A measured
-    ``rho_interval`` flags the estimate degenerate when it contains
-    1/2, and an assumed rho outside it adds a note (never fails).
+    The rho in (0, 1) fixes the scale ||delta|| = sqrt(lambda_e / (rho(1-rho))).
+    Without a measured ``beta`` the report carries the beta implied by
+    rho.  A measured ``rho_interval`` flags the estimate degenerate when
+    it contains 1/2, and an assumed rho outside it adds a note (never
+    fails).
     """
     v = _unit(v)
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
@@ -160,7 +158,7 @@ def performance_estimates(
         raise InvalidInput("need at least 2 samples")
     if len(method_ids) != v.size:
         raise InvalidInput("method_ids must match the weight vector length")
-    if rho is not None and not 0.0 < rho < 1.0:
+    if not 0.0 < rho < 1.0:
         raise InvalidPrevalence(f"prevalence must lie in (0, 1), got {rho}")
 
     notes = tuple(notes)
@@ -168,33 +166,30 @@ def performance_estimates(
     if rho_interval is not None:
         low, high = rho_interval
         degenerate = low <= 0.5 <= high
-        if rho_assumed and rho is not None and not low <= rho <= high:
+        if rho_assumed and not low <= rho <= high:
             notes = notes + (
                 f"supplied prevalence {rho:.4f} lies outside the measured interval "
                 f"[{low:.4f}, {high:.4f}]",
             )
-    delta_norm = deltas = aurocs = None
-    if rho is not None:
-        if beta is None:
-            beta = implied_beta(rho)
-        delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
-        deltas = v * delta_norm
-        aurocs = deltas / n_samples + 0.5
+    if beta is None:
+        beta = implied_beta(rho)
+    delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
+    deltas = v * delta_norm
 
     return PerformanceReport(
         method_ids=tuple(method_ids),
         weights=v,
         n_samples=int(n_samples),
         lambda_e=float(lambda_e),
-        rho=float(rho) if rho is not None else None,
-        rho_assumed=bool(rho_assumed and rho is not None),
+        rho=float(rho),
+        rho_assumed=bool(rho_assumed),
         rho_degenerate=degenerate,
         rho_interval=rho_interval,
-        beta=float(beta) if beta is not None else None,
+        beta=float(beta),
         lambda_t=float(lambda_t) if lambda_t is not None else None,
         delta_norm=delta_norm,
         deltas=deltas,
-        aurocs=aurocs,
+        aurocs=deltas / n_samples + 0.5,
         recoverability_flagged=check_recoverability(v),
         notes=notes,
     )

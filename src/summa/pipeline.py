@@ -1,13 +1,14 @@
 """End-to-end unsupervised inference over a rank matrix.
 
-Wires the stages together: covariance -> rank-one recovery -> (optional)
+Wires the stages together: covariance -> rank-one recovery ->
 third-moment tensor -> prevalence -> per-method report -> aggregate
 scores.  Shared by the command line and the experiment sweeps, and the
 one place that chooses the prevalence rho.
 
 The tensor stage is a closed form with a jackknife, so it cannot fail to
 converge; it either measures lambda_t with a standard error, and so a
-prevalence interval, or finds no distinct-index signal at all.
+prevalence interval, or measures nothing: it finds no distinct-index
+signal, or fewer than ``TENSOR_MIN_METHODS`` methods leave it no fit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .decomposition import (
     recover_rank1_tensor,
 )
 from .ensemble import EnsembleScores, summa_scores, woc_scores
-from .exceptions import NoSignal, TooFewMethods
+from .exceptions import NoSignal
 from .inference import (
     PerformanceReport,
     performance_estimates,
@@ -60,7 +61,6 @@ def run_pipeline(
     ranks: RankMatrix,
     *,
     prevalence: float | None = None,
-    use_tensor: bool = True,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PipelineResult:
@@ -69,45 +69,37 @@ def run_pipeline(
     The only place that chooses rho: a supplied ``prevalence`` wins (a
     measured interval cross-checks it); else the tensor stage gives rho
     through :func:`prevalence_from_moments` and its interval through
-    :func:`prevalence_interval`; else, if the tensor stage found no
-    signal, rho is 1/2 with the whole of (0, 1) as its interval, so it
-    is flagged degenerate, with a note.  The tensor stage runs when
-    ``use_tensor`` is set and at least ``TENSOR_MIN_METHODS`` methods are
-    present; with it off and no prevalence the report carries the weight
-    vector only.  ``tol`` and ``max_iter`` govern the matrix stage.
+    :func:`prevalence_interval`; else, if the tensor stage measured
+    nothing (no distinct-index signal, or fewer than
+    ``TENSOR_MIN_METHODS`` methods), rho is 1/2 with the whole of (0, 1)
+    as its interval, so it is flagged degenerate, with a note naming the
+    reason.  ``tol`` and ``max_iter`` govern the matrix stage.
     """
-    m = ranks.n_methods
-    if use_tensor and prevalence is None and m < TENSOR_MIN_METHODS:
-        raise TooFewMethods(
-            f"prevalence estimation from the tensor needs at least "
-            f"{TENSOR_MIN_METHODS} methods, got {m}; supply a prevalence "
-            "or disable the tensor stage"
-        )
-
     recovery = recover_rank1_matrix(covariance_matrix(ranks), tol=tol, max_iter=max_iter)
 
     tensor = None
-    no_signal = False
-    if use_tensor and m >= TENSOR_MIN_METHODS:
+    if ranks.n_methods < TENSOR_MIN_METHODS:
+        reason = f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage"
+    else:
         try:
             tensor = recover_rank1_tensor(third_moment_offdiag(ranks), recovery.v)
         except NoSignal:
-            no_signal = True
+            reason = "tensor stage found no signal"
 
     rho, beta, lambda_t, interval, notes = prevalence, None, None, None, ()
     if tensor is not None:
-        rho_hat, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
+        estimated, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
         interval = prevalence_interval(tensor.lambda_e, tensor.lambda_t, tensor.lambda_t_se)
         lambda_t = tensor.lambda_t
-        if rho is None:
-            rho = rho_hat
-    elif no_signal and rho is not None:
+        if prevalence is None:
+            rho = estimated
+    elif prevalence is not None:
         # the tensor was only a cross-check
-        notes = ("tensor stage found no signal; cross-check skipped",)
-    elif no_signal:
+        notes = (f"{reason}; cross-check skipped",)
+    else:
         # the tensor was the only route to rho, and it rules no prevalence out
         rho, interval = 0.5, (0.0, 1.0)
-        notes = ("tensor stage found no signal; rho taken as 1/2 and flagged degenerate",)
+        notes = (f"{reason}; rho taken as 1/2 and flagged degenerate",)
 
     report = performance_estimates(
         recovery.v, recovery.lambda_, ranks.n_samples, ranks.method_ids,

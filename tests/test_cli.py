@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summa import cli
+from summa import cli, decomposition
 from summa.cli import _CHUNK_ROWS, main, read_labels_table, read_matrix_table, write_table
-from summa.exceptions import InvalidInput
+from summa.exceptions import InvalidInput, NotConverged
 from summa.inference import Z_CUTOFF
+from summa.pipeline import run_pipeline
+from summa.ranking import ScoreMatrix, rank_transform
 
 
 def run(*argv):
@@ -308,17 +311,6 @@ class TestInfer:
         assert report["rho"] == 0.3
         assert report["rho_source"] == "assumed"
 
-    def test_no_tensor_weights_only(self, tmp_path):
-        out = simulate(tmp_path)
-        inf = tmp_path / "inf"
-        assert run("infer", out / "scores.csv", "--no-tensor",
-                   "--output-dir", inf) == 0
-        report = json.loads((inf / "report.json").read_text())
-        assert report["rho"] is None
-        assert report["delta_norm"] is None
-        assert "auroc" not in report["methods"][0]
-        assert "weight" in report["methods"][0]
-
     def test_three_methods_rejected(self, tmp_path):
         out = simulate(tmp_path, **{"--methods": 3})
         code = run("infer", out / "scores.csv", "--prevalence", 0.5,
@@ -327,12 +319,45 @@ class TestInfer:
         manifest = json.loads((tmp_path / "inf" / "manifest.json").read_text())
         assert "error" in manifest
 
-    def test_four_methods_need_prevalence_or_no_tensor(self, tmp_path):
+    def test_four_methods_report_degenerate_half(self, tmp_path):
+        # the tensor stage needs 5 methods, so without a prevalence rho is
+        # the flagged 1/2 of a tensor stage that measured nothing
         out = simulate(tmp_path, **{"--methods": 4, "--seed": 1})
-        assert run("infer", out / "scores.csv",
-                   "--output-dir", tmp_path / "a") != 0
-        assert run("infer", out / "scores.csv", "--no-tensor",
-                   "--output-dir", tmp_path / "b") == 0
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--output-dir", inf) == 0
+        report = json.loads((inf / "report.json").read_text())
+        assert report["rho"] == 0.5
+        assert report["rho_source"] == "estimated"
+        assert report["rho_degenerate"] is True
+        assert report["lambda_t"] is None
+        assert "tensor" not in report
+        assert len(report["notes"]) == 1 and "fewer than 5 methods" in report["notes"][0]
+        assert {"delta", "auroc", "auroc_raw"} <= set(report["methods"][0])
+
+        _, _, values = read_matrix_table(out / "scores.csv")
+        result = run_pipeline(rank_transform(ScoreMatrix.from_array(values), "midrank"))
+        assert result.tensor is None
+        assert result.report.rho == 0.5 and result.report.rho_degenerate
+        assert result.report.notes == tuple(report["notes"])
+
+    def test_four_methods_with_prevalence_skip_cross_check(self, tmp_path):
+        out = simulate(tmp_path, **{"--methods": 4, "--seed": 1})
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--prevalence", 0.3,
+                   "--output-dir", inf) == 0
+        report = json.loads((inf / "report.json").read_text())
+        assert report["rho"] == 0.3
+        assert report["rho_source"] == "assumed"
+        assert report["rho_degenerate"] is False
+        assert report["notes"] == ["fewer than 5 methods for the tensor stage; "
+                                   "cross-check skipped"]
+
+        _, _, values = read_matrix_table(out / "scores.csv")
+        ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
+        result = run_pipeline(ranks, prevalence=0.3)
+        assert result.tensor is None
+        assert result.report.rho == 0.3 and result.report.rho_assumed
+        assert result.report.notes == tuple(report["notes"])
 
     def test_already_ranked_input(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -399,6 +424,23 @@ class TestInfer:
         manifest = json.loads((inf / "manifest.json").read_text())
         assert "error" in manifest
         assert "error.json" in manifest["outputs"]
+
+    def test_power_iteration_out_of_steps_writes_error_json(self, tmp_path, monkeypatch):
+        # one power step cannot meet the step test, so the first
+        # eigen-solve runs out; it has no recovery to attach
+        monkeypatch.setattr(decomposition, "POWER_MAX_ITER", 1)
+        out = simulate(tmp_path)
+        _, _, values = read_matrix_table(out / "scores.csv")
+        ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
+        with pytest.raises(NotConverged) as raised:
+            run_pipeline(ranks)
+        assert raised.value.partial is None
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--output-dir", inf) == 1
+        error = json.loads((inf / "error.json").read_text())
+        assert error["error"] == "NotConverged"
+        assert "partial" not in error
+        assert "error.json" in json.loads((inf / "manifest.json").read_text())["outputs"]
 
     def test_no_iterations_rejected(self, tmp_path):
         out = simulate(tmp_path)
@@ -661,6 +703,29 @@ for argv in (
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
+def parser_flags(parser) -> set[str]:
+    """Every ``--flag`` of ``parser`` and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(option for option in action.option_strings if option.startswith("--"))
+        if isinstance(action.choices, dict):  # the subcommands' parsers
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags
+
+
+def test_readme_names_every_flag():
+    # the Install section names pip's flags, not summa's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    before, _, rest = readme.partition("\n## Install\n")
+    readme = before + rest[rest.index("\n## "):]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    # argparse gives every parser a --help
+    defined = parser_flags(cli.build_parser()) - {"--help"}
+    assert sorted(defined - named) == [], "flags the README does not name"
+    assert sorted(named - defined) == [], "README flags the parser does not define"
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count it
     was asked for and maps in this process."""
@@ -749,10 +814,9 @@ class TestSweep:
         assert manifest["outputs"] == []
 
     def test_too_few_methods_cell_fails(self, tmp_path):
-        # the tensor stage needs 5 methods, so a 4-method cell has no rho;
-        # replicate 2 has a working matrix stage, the other two do not
+        # the matrix stage needs 4 methods, so a 3-method cell has no estimate
         sw = tmp_path / "sw"
-        assert run("sweep", "--axis", "methods", "--values", "4",
+        assert run("sweep", "--axis", "methods", "--values", "3",
                    "--replicates", 3, "--seed", 777,
                    "--output-dir", sw) == 0
         rows = (sw / "sweep.csv").read_text().strip().splitlines()[1:]
@@ -766,11 +830,11 @@ class TestSweep:
         sw = tmp_path / "sw"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run("sweep", "--axis", "methods", "--values", "4,8",
+            assert run("sweep", "--axis", "methods", "--values", "3,8",
                        "--replicates", 3, "--seed", 777, "--samples", 250,
                        "--output-dir", sw) == 0
         summary = (sw / "sweep_summary.csv").read_text().splitlines()
-        assert summary[1] == "methods,4,3,nan,nan,nan,nan,nan,nan"
+        assert summary[1] == "methods,3,3,nan,nan,nan,nan,nan,nan"
         # one of the three 8-method replicates is finite: a mean, no spread
         cells = summary[2].split(",")
         assert cells[5] != "nan" and cells[6] == "nan"
@@ -779,11 +843,11 @@ class TestSweep:
         sw = tmp_path / "sw"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run("sweep", "--axis", "methods", "--values", "4",
+            assert run("sweep", "--axis", "methods", "--values", "3",
                        "--replicates", 1, "--seed", 777,
                        "--output-dir", sw) == 0
         summary = (sw / "sweep_summary.csv").read_text().splitlines()
-        assert summary[1] == "methods,4,1,nan,nan,nan,0,nan,0"
+        assert summary[1] == "methods,3,1,nan,nan,nan,0,nan,0"
 
     @pytest.mark.parametrize("axis, value", [
         ("methods", "5.5"), ("samples", "many"), ("prevalence", "half"),

@@ -43,6 +43,17 @@ EQUAL_ROW_SUMS = np.array([
 ])
 
 
+def equal_row_sums_above_every_entry():
+    """Hollow matrix whose rows all sum to 1.5984, above its largest
+    entry 1.5057, so the all-ones start (value 1.5984) returns more than
+    that entry; the top eigenvalue is 1.8647, off the all-ones."""
+    h = np.zeros((5, 5))
+    for (i, j), x in {(0, 1): -0.7065, (0, 2): 1.5057, (0, 3): 0.7992, (1, 3): 0.7992,
+                      (1, 4): 1.5057, (2, 4): 0.0927}.items():
+        h[i, j] = h[j, i] = x
+    return h
+
+
 def random_recoverable_q(rng, m):
     """Vector satisfying q_i^2 < sum_{j != i} q_j^2 with some margin."""
     while True:
@@ -314,6 +325,24 @@ class TestRecoverRank1Matrix:
         assert rec.lambda_ == pytest.approx(lam, rel=1e-9)
         assert same_direction(rec.v, u, 1e-7)
 
+    def test_equal_row_sums_above_every_entry_leave_all_ones(self):
+        # the first solve from the all-ones start returns 1.5984, more
+        # than any entry, so only the equal row sums call for the solve
+        # from the largest pair.  From there the fit leaves the oracle's
+        # lambda = 2.60 point, a saddle, and heads for method 0 alone
+        hollow = equal_row_sums_above_every_entry()
+        values = np.linalg.eigvalsh(hollow)
+        assert np.ptp(hollow.sum(axis=1)) < 1e-12
+        assert values[-2] == pytest.approx(hollow.sum(axis=1)[0])
+        assert values[-1] > values[-2] > np.abs(hollow).max()
+        with pytest.raises(NoSignal, match="dominated by a single method"):
+            recover_rank1_matrix(hollow + 10.0 * np.eye(5))
+        with pytest.raises(NotConverged) as raised:
+            recover_rank1_matrix(hollow + 10.0 * np.eye(5), max_iter=200)
+        partial = raised.value.partial
+        assert partial.residual_history[-1] < 2.47 < partial.residual_history[0]
+        assert abs(partial.v[0]) > 0.97
+
     def test_every_shift_makes_the_solve_psd(self, monkeypatch):
         # each solve's shift must bound -lambda_min(hollow + diag(d)), or
         # power iteration may land on a negative eigenvalue of larger
@@ -333,7 +362,8 @@ class TestRecoverRank1Matrix:
             q = random_recoverable_q(rng, m)
             matrices.append(np.outer(q, q) + np.diag(rng.uniform(0.0, 2.0, size=m)))
         q = np.array([1.0, -1.5, 2.0, 0.5, 1.0])
-        matrices += [np.outer(q, q), EQUAL_ROW_SUMS + 4.0 * np.eye(4)]
+        matrices += [np.outer(q, q), EQUAL_ROW_SUMS + 4.0 * np.eye(4),
+                     equal_row_sums_above_every_entry() + 10.0 * np.eye(5)]
         for q in matrices:
             try:
                 recover_rank1_matrix(q)

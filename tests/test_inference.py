@@ -142,14 +142,11 @@ class TestPerformanceEstimates:
             with pytest.raises(InvalidPrevalence):
                 performance_estimates(v, 1.0, 10, ids(4), rho=bad)
 
-    def test_no_rho_gives_weights_only(self):
-        report = performance_estimates(np.full(4, 0.5), 1.0, 10, ids(4))
-        assert report.rho is None and report.aurocs is None
-        # the weights-only report is validated like any other
+    def test_rejects_no_signal_and_wrong_id_count(self):
         with pytest.raises(NoSignal):
-            performance_estimates(np.full(4, 0.5), 0.0, 10, ids(4))
+            performance_estimates(np.full(4, 0.5), 0.0, 10, ids(4), rho=0.5)
         with pytest.raises(InvalidInput):
-            performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"))
+            performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"), rho=0.5)
 
     def test_crosscheck_notes_but_succeeds(self):
         v = np.full(4, 0.5)
@@ -199,15 +196,3 @@ class TestPerformanceEstimates:
         with pytest.raises(InvalidInput):
             performance_estimates(np.ones(4), 1.0, 10, ids(4), rho=0.5)
 
-
-class TestWeightsOnlyReport:
-    def test_fields(self):
-        v = np.full(4, 0.5)
-        report = performance_estimates(v, 2.0, 30, ids(4), rho=None)
-        assert report.rho is None
-        assert report.deltas is None
-        assert report.aurocs is None
-        data = report.to_dict()
-        assert data["rho_source"] is None
-        assert "auroc" not in data["methods"][0]
-        assert data["methods"][0]["weight"] == 0.5

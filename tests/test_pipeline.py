@@ -1,6 +1,6 @@
 """run_pipeline's choice of prevalence: a supplied value, the tensor's
 estimate with its interval, or an assumed 1/2 flagged as degenerate
-when the tensor stage finds no signal."""
+when the tensor stage measures nothing."""
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ class TestTensorFailure:
 
     def test_estimates_equal_an_assumed_half(self, no_signal_ranks):
         failed = run_pipeline(no_signal_ranks).report
-        assumed = run_pipeline(no_signal_ranks, prevalence=0.5, use_tensor=False).report
+        assumed = run_pipeline(no_signal_ranks, prevalence=0.5).report
         assert np.array_equal(failed.weights, assumed.weights)
         assert np.array_equal(failed.aurocs, assumed.aurocs)
 
