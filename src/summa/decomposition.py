@@ -20,9 +20,11 @@ After the first step it is the Frobenius norm of the last off-diagonal
 residual R: Y = lambda u u^T - R, so by Weyl's inequality
 lambda_min(Y) >= -||R||_2 >= -||R||_F.  The first step takes the smaller
 of the largest absolute row sum of the hollow (Gershgorin) and the same
-Weyl bound along the all-ones start.  The residual shrinks as the fit
-does, so the iteration's rate (lambda_2 + shift) / (lambda_1 + shift)
-improves with it.
+Weyl bound along the all-ones start; when it returns less than
+||hollow||_F / sqrt 2, the value above which an eigenvalue must be the
+top one, it is solved again from the largest off-diagonal pair.  The
+residual shrinks as the fit does, so the iteration's rate
+(lambda_2 + shift) / (lambda_1 + shift) improves with it.
 
 The third-moment tensor needs no such iteration.  Under conditional
 independence its rank-one factor has the direction of the covariance
@@ -249,8 +251,7 @@ def recover_rank1_matrix(
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
     magnitudes = np.abs(hollow)
-    peak = float(magnitudes.max())
-    if peak <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
+    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
         raise NoSignal("all off-diagonal covariances are at machine scale")
 
     lam_prev = None
@@ -264,19 +265,21 @@ def recover_rank1_matrix(
     lam0 = float(hollow.sum()) / m
     gershgorin = float(magnitudes.sum(axis=1).max())
     shift = min(gershgorin, float(np.linalg.norm(hollow - lam0 / m)) - min(0.0, lam0))
-    equal_rows = float(np.ptp(hollow.sum(axis=1))) <= POWER_TOL * gershgorin
+    # the squares of hollow's eigenvalues sum to ||hollow||_F^2, so no
+    # eigenvalue exceeds one of at least ||hollow||_F / sqrt 2, a bound
+    # that is at least max |hollow_ij|
+    top_bound = float(np.linalg.norm(hollow)) / math.sqrt(2.0)
     history: list[float] = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         lam, u = _leading_eigenpair(hollow, shift, d, u)
-        if iterations == 1 and (lam < peak or equal_rows):
-            # with equal row sums the all-ones start is an eigenvector of
-            # hollow, and the iteration stays on it whether or not it is
-            # the top one.  The top eigenvalue is at least max |hollow_ij|,
-            # the Rayleigh quotient at (e_i +- e_j)/sqrt 2, so solve again
-            # from that vector and keep the larger eigenvalue; within the
-            # solver's tolerance the two are the same, and all-ones stays
+        if iterations == 1 and lam < top_bound:
+            # the all-ones start may have no component along the top
+            # eigenvector, and the iteration then settles below it.  Solve
+            # again from the largest pair (e_i +- e_j)/sqrt 2 and keep the
+            # larger eigenvalue; within the solver's tolerance the two are
+            # the same, and all-ones stays
             i, j = divmod(int(magnitudes.argmax()), m)
             pair = np.zeros(m)
             pair[i], pair[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
@@ -334,12 +337,16 @@ def recover_rank1_matrix(
     return result
 
 
-def _distinct_triples(x: np.ndarray) -> np.ndarray:
-    """Per row, the sum of x_i x_j x_l over distinct (i, j, l): from the
-    power sums s, q and p of the row, s^3 - 3 s q + 2 p (inclusion-
-    exclusion over i = j, i = l and j = l)."""
-    s, q, p = x.sum(axis=1), (x * x).sum(axis=1), (x * x * x).sum(axis=1)
+def _from_power_sums(s, q, p):
+    """The sum of x_i x_j x_l over distinct (i, j, l), from the power sums
+    s, q and p of x: s^3 - 3 s q + 2 p (inclusion-exclusion over i = j,
+    i = l and j = l)."""
     return s * (s * s - 3.0 * q) + 2.0 * p
+
+
+def _distinct_triples(x: np.ndarray) -> np.ndarray:
+    """Per row, the sum of x_i x_j x_l over distinct (i, j, l)."""
+    return _from_power_sums(x.sum(axis=1), (x * x).sum(axis=1), (x * x * x).sum(axis=1))
 
 
 def _triple_sums(c: np.ndarray, vectors: np.ndarray, blocks: int):
@@ -363,17 +370,12 @@ def _triple_sums(c: np.ndarray, vectors: np.ndarray, blocks: int):
         x = c[:, lo:lo + width]
         s = vectors @ x
         x2 = x * x
-        t = squares @ x2
+        q = squares @ x2
         x2 *= x
         p = cubes @ x2
         s_abs = np.abs(s[-1])
-        scale += float((s_abs * (s_abs * s_abs + 3.0 * t[-1]) + 2.0 * np.abs(p[-1])).sum())
-        # t becomes s^3 - 3 s q + 2 p, as in _distinct_triples, in place
-        t *= -3.0
-        t += s * s
-        t *= s
-        p *= 2.0
-        t += p
+        scale += float((s_abs * (s_abs * s_abs + 3.0 * q[-1]) + 2.0 * np.abs(p[-1])).sum())
+        t = _from_power_sums(s, q, p)
         w = x.shape[1]
         whole = w - w % blocks
         sums += t[:, :whole].reshape(rows, -1, blocks).sum(axis=1)

@@ -10,8 +10,8 @@ root: positive lambda_t means the positive class is the majority.
 From there ||delta|| = sqrt(lambda_e / (rho(1-rho))), each method's
 delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.  Every report
 has a rho, and so deltas and AUROCs: the measured one, a supplied one,
-or the flagged 1/2 that :func:`summa.pipeline.run_pipeline` takes when
-the tensor stage measured nothing.
+or the flagged 1/2 taken when the tensor stage measured nothing.
+:func:`performance_estimates` is the one place that makes this choice.
 
 The tensor stage also gives lambda_t a jackknife standard error.  Its
 interval lambda_t -/+ ``Z_CUTOFF`` standard errors, mapped through the
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import check_recoverability
+from .decomposition import TensorRecovery, check_recoverability
 from .exceptions import InvalidInput, InvalidPrevalence, NoSignal
 
 # Half-width of the lambda_t interval, in jackknife standard errors.
@@ -135,21 +135,22 @@ def performance_estimates(
     n_samples: int,
     method_ids: tuple[str, ...],
     *,
-    rho: float,
-    beta: float | None = None,
-    rho_assumed: bool = True,
-    rho_interval: tuple[float, float] | None = None,
-    lambda_t: float | None = None,
-    notes: tuple[str, ...] = (),
+    rho: float | None = None,
+    tensor: TensorRecovery | None = None,
+    reason: str | None = None,
 ) -> PerformanceReport:
-    """Per-method delta and AUROC estimates from (v, lambda_e) and a
-    prevalence rho.
+    """Per-method delta and AUROC estimates from (v, lambda_e); the one
+    place that chooses the prevalence rho.
 
-    The rho in (0, 1) fixes the scale ||delta|| = sqrt(lambda_e / (rho(1-rho))).
-    Without a measured ``beta`` the report carries the beta implied by
-    rho.  A measured ``rho_interval`` flags the estimate degenerate when
-    it contains 1/2, and an assumed rho outside it adds a note (never
-    fails).
+    A supplied ``rho`` in (0, 1) wins; otherwise the tensor stage's fit
+    ``tensor`` gives it.  Whenever ``tensor`` is passed it also gives the
+    measured beta, lambda_t and :func:`prevalence_interval`, which flags
+    the estimate degenerate when it contains 1/2; a supplied rho outside
+    it adds a note (never fails).  With neither, rho is 1/2 with the
+    whole of (0, 1) as its interval, so it is flagged degenerate.
+    ``reason`` says why the tensor stage measured nothing; without a
+    tensor it becomes the one note.  The rho fixes the scale
+    ||delta|| = sqrt(lambda_e / (rho(1-rho))).
     """
     v = _unit(v)
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
@@ -158,21 +159,31 @@ def performance_estimates(
         raise InvalidInput("need at least 2 samples")
     if len(method_ids) != v.size:
         raise InvalidInput("method_ids must match the weight vector length")
-    if not 0.0 < rho < 1.0:
+    rho_assumed = rho is not None
+    if rho_assumed and not 0.0 < rho < 1.0:
         raise InvalidPrevalence(f"prevalence must lie in (0, 1), got {rho}")
 
-    notes = tuple(notes)
-    degenerate = False
-    if rho_interval is not None:
-        low, high = rho_interval
-        degenerate = low <= 0.5 <= high
-        if rho_assumed and not low <= rho <= high:
-            notes = notes + (
+    notes = ()
+    if tensor is not None:
+        estimated, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
+        interval = prevalence_interval(tensor.lambda_e, tensor.lambda_t, tensor.lambda_t_se)
+        low, high = interval
+        if not rho_assumed:
+            rho = estimated
+        elif not low <= rho <= high:
+            notes = (
                 f"supplied prevalence {rho:.4f} lies outside the measured interval "
                 f"[{low:.4f}, {high:.4f}]",
             )
-    if beta is None:
+    else:
+        interval, outcome = None, "cross-check skipped"
+        if not rho_assumed:
+            # the tensor was the only route to rho, and it rules no prevalence out
+            rho, interval = 0.5, (0.0, 1.0)
+            outcome = "rho taken as 1/2 and flagged degenerate"
         beta = implied_beta(rho)
+        if reason is not None:
+            notes = (f"{reason}; {outcome}",)
     delta_norm = float(np.sqrt(lambda_e / (rho * (1.0 - rho))))
     deltas = v * delta_norm
 
@@ -182,11 +193,11 @@ def performance_estimates(
         n_samples=int(n_samples),
         lambda_e=float(lambda_e),
         rho=float(rho),
-        rho_assumed=bool(rho_assumed),
-        rho_degenerate=degenerate,
-        rho_interval=rho_interval,
+        rho_assumed=rho_assumed,
+        rho_degenerate=interval is not None and interval[0] <= 0.5 <= interval[1],
+        rho_interval=interval,
         beta=float(beta),
-        lambda_t=float(lambda_t) if lambda_t is not None else None,
+        lambda_t=None if tensor is None else tensor.lambda_t,
         delta_norm=delta_norm,
         deltas=deltas,
         aurocs=deltas / n_samples + 0.5,

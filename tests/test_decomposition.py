@@ -29,8 +29,10 @@ from summa.simulation import SimulationConfig, simulate_ensemble
 from oracles import rank1_completion
 
 # Designs (M, N, rho) of the matrix stage's oracle checks: two from the
-# benchmark's replicates and two small ones where some fits do not converge
-ORACLE_DESIGNS = [(30, 1000, 0.3), (12, 400, 0.5), (8, 200, 0.3), (5, 60, 0.5)]
+# benchmark's replicates, two small ones where some fits do not converge,
+# and a skewed one where most first solves restart from the largest pair
+ORACLE_DESIGNS = [(30, 1000, 0.3), (12, 400, 0.5), (8, 200, 0.3), (5, 60, 0.5),
+                  (30, 1000, 0.1)]
 ORACLE_SEEDS = range(10)
 
 # Equal row sums (1) make the all-ones start an eigenvector of every
@@ -327,9 +329,10 @@ class TestRecoverRank1Matrix:
 
     def test_equal_row_sums_above_every_entry_leave_all_ones(self):
         # the first solve from the all-ones start returns 1.5984, more
-        # than any entry, so only the equal row sums call for the solve
-        # from the largest pair.  From there the fit leaves the oracle's
-        # lambda = 2.60 point, a saddle, and heads for method 0 alone
+        # than any entry but less than ||hollow||_F / sqrt 2 = 2.51, so the
+        # solve from the largest pair follows.  From there the fit leaves
+        # the oracle's lambda = 2.60 point, a saddle, and heads for
+        # method 0 alone
         hollow = equal_row_sums_above_every_entry()
         values = np.linalg.eigvalsh(hollow)
         assert np.ptp(hollow.sum(axis=1)) < 1e-12
@@ -342,6 +345,21 @@ class TestRecoverRank1Matrix:
         partial = raised.value.partial
         assert partial.residual_history[-1] < 2.47 < partial.residual_history[0]
         assert abs(partial.v[0]) > 0.97
+
+    def test_top_eigenvector_orthogonal_to_all_ones_leaves_all_ones(self):
+        # with one entry raised by 1e-3 the row sums differ, but the top
+        # eigenvector still sums to 0, so the all-ones start settles on the
+        # second eigenvalue, above every entry.  It is below
+        # ||hollow||_F / sqrt 2, so the solve from the largest pair follows
+        # and the fit ends as with equal row sums, not at v = 1 / sqrt 5
+        hollow = equal_row_sums_above_every_entry()
+        hollow[2, 4] = hollow[4, 2] = hollow[2, 4] + 1e-3
+        values, vectors = np.linalg.eigh(hollow)
+        assert np.ptp(hollow.sum(axis=1)) > 1e-4
+        assert abs(vectors[:, -1].sum()) < 1e-12
+        assert np.abs(hollow).max() < values[-2] < np.linalg.norm(hollow) / math.sqrt(2)
+        with pytest.raises(NoSignal, match="dominated by a single method"):
+            recover_rank1_matrix(hollow + 10.0 * np.eye(5))
 
     def test_every_shift_makes_the_solve_psd(self, monkeypatch):
         # each solve's shift must bound -lambda_min(hollow + diag(d)), or

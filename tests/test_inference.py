@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from summa.decomposition import TensorRecovery
 from summa.exceptions import InvalidInput, InvalidPrevalence, NoSignal
 from summa.inference import (
     Z_CUTOFF,
@@ -26,6 +27,14 @@ def forward_moments(rho, deltas):
     lambda_e = rho * (1 - rho) * norm2
     lambda_t = rho * (1 - rho) * (2 * rho - 1) * norm2**1.5
     return lambda_e, lambda_t
+
+
+def tensor_fit(rho, deltas, z):
+    """The tensor stage's fit of a noiseless design, with lambda_t ``z``
+    jackknife standard errors away from balance."""
+    deltas = np.asarray(deltas, dtype=float)
+    lambda_e, lambda_t = forward_moments(rho, deltas)
+    return TensorRecovery(lambda_t, lambda_e, abs(lambda_t) / z, deltas / np.linalg.norm(deltas))
 
 
 class TestPrevalenceFromMoments:
@@ -92,16 +101,15 @@ class TestPerformanceEstimates:
     def test_round_trip_known_instance(self):
         # deltas (2,4,4,8), rho 0.3, N=100 -> aurocs (.52,.54,.54,.58)
         deltas = np.array([2.0, 4.0, 4.0, 8.0])
-        v = deltas / np.linalg.norm(deltas)
-        lambda_e, lambda_t = forward_moments(0.3, deltas)
-        rho, beta = prevalence_from_moments(lambda_e, lambda_t)
-        report = performance_estimates(
-            v, lambda_e, 100, ids(4), rho=rho, beta=beta, rho_assumed=False
-        )
+        tensor = tensor_fit(0.3, deltas, Z_CUTOFF + 1)
+        report = performance_estimates(tensor.u, tensor.lambda_e, 100, ids(4), tensor=tensor)
+        assert report.rho == pytest.approx(0.3, abs=1e-9)
         assert np.abs(report.deltas - deltas).max() < 1e-9
         assert np.allclose(report.aurocs, [0.52, 0.54, 0.54, 0.58], atol=1e-12)
         assert report.delta_norm == pytest.approx(10.0, abs=1e-9)
-        assert not report.rho_assumed
+        assert not report.rho_assumed and not report.rho_degenerate
+        assert report.lambda_t == tensor.lambda_t
+        assert report.notes == ()
 
     def test_supplied_rho_half(self):
         v = np.full(4, 0.5)
@@ -127,11 +135,10 @@ class TestPerformanceEstimates:
     def test_measured_beta_scale_matches_rho_scale(self):
         # rho(1-rho) = 1/(beta+4), so the scale rho fixes is sqrt(lambda_e (beta+4))
         deltas = np.array([3.0, 5.0, 2.0, 7.0, 4.0])
-        v = deltas / np.linalg.norm(deltas)
-        lambda_e, lambda_t = forward_moments(0.25, deltas)
-        rho, beta = prevalence_from_moments(lambda_e, lambda_t)
-        report = performance_estimates(v, lambda_e, 60, ids(5), rho=rho, beta=beta,
-                                       rho_assumed=False)
+        tensor = tensor_fit(0.25, deltas, Z_CUTOFF + 1)
+        lambda_e = tensor.lambda_e
+        _, beta = prevalence_from_moments(lambda_e, tensor.lambda_t)
+        report = performance_estimates(tensor.u, lambda_e, 60, ids(5), tensor=tensor)
         assert report.delta_norm == pytest.approx(np.sqrt(lambda_e * (beta + 4.0)), rel=1e-12)
         assert report.delta_norm == pytest.approx(np.linalg.norm(deltas), rel=1e-12)
         assert report.beta == beta
@@ -149,31 +156,54 @@ class TestPerformanceEstimates:
             performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"), rho=0.5)
 
     def test_crosscheck_notes_but_succeeds(self):
-        v = np.full(4, 0.5)
-        # the data measured rho in [0.08, 0.12] but the user claims 0.5
+        # the data measured rho in [0.083, 0.121] but the user claims 0.5
+        tensor = tensor_fit(0.1, np.full(4, 2.0), 25.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = performance_estimates(v, 1.0, 10, ids(4), rho=0.5, rho_interval=(0.08, 0.12))
-        assert report.rho == 0.5
-        assert report.rho_interval == (0.08, 0.12)
+            report = performance_estimates(tensor.u, tensor.lambda_e, 10, ids(4), rho=0.5,
+                                           tensor=tensor)
+        assert report.rho == 0.5 and report.rho_assumed
+        low, high = report.rho_interval
+        assert 0.08 < low < 0.1 < high < 0.125
+        assert report.beta == prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)[1]
+        assert report.lambda_t == tensor.lambda_t
         assert not report.rho_degenerate
         assert len(report.notes) == 1 and "outside the measured interval" in report.notes[0]
 
     def test_consistent_crosscheck_is_silent(self):
-        v = np.full(4, 0.5)
+        # the data measured rho in [0.250, 0.359] and the user claims 0.3
+        tensor = tensor_fit(0.3, np.full(4, 2.0), 10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = performance_estimates(v, 1.0, 10, ids(4), rho=0.3, rho_interval=(0.25, 0.35))
+            report = performance_estimates(tensor.u, tensor.lambda_e, 10, ids(4), rho=0.3,
+                                           tensor=tensor)
+        assert 0.24 < report.rho_interval[0] < 0.3 < report.rho_interval[1] < 0.36
         assert report.notes == ()
 
     def test_interval_containing_half_is_degenerate(self):
-        v = np.full(4, 0.5)
-        report = performance_estimates(v, 1.0, 10, ids(4), rho=0.46, rho_assumed=False,
-                                       rho_interval=(0.3, 0.7))
+        # lambda_t half a standard error from 0: rho 0.46 in [0.242, 0.702]
+        tensor = tensor_fit(0.46, np.full(4, 2.0), 0.5)
+        report = performance_estimates(tensor.u, tensor.lambda_e, 10, ids(4), tensor=tensor)
+        assert 0.24 < report.rho_interval[0] < 0.5 < report.rho_interval[1] < 0.71
         assert report.rho_degenerate
-        assert report.rho == 0.46  # flagged, not snapped to 1/2
+        assert report.rho == pytest.approx(0.46, abs=1e-9)  # flagged, not snapped to 1/2
         assert report.notes == ()
-        assert not performance_estimates(v, 1.0, 10, ids(4), rho=0.46).rho_degenerate
+        assert not performance_estimates(tensor.u, 1.0, 10, ids(4), rho=0.46).rho_degenerate
+
+    def test_reason_without_tensor_is_the_one_note(self):
+        # the tensor stage measured nothing: rho is 1/2 and rules nothing out
+        v = np.full(4, 0.5)
+        reason = "tensor stage found no signal"
+        report = performance_estimates(v, 1.0, 10, ids(4), reason=reason)
+        assert report.rho == 0.5 and not report.rho_assumed
+        assert report.rho_degenerate and report.rho_interval == (0.0, 1.0)
+        assert report.beta == 0.0 and report.lambda_t is None
+        assert report.notes == (f"{reason}; rho taken as 1/2 and flagged degenerate",)
+        # a supplied rho only loses its cross-check
+        report = performance_estimates(v, 1.0, 10, ids(4), rho=0.3, reason=reason)
+        assert report.rho == 0.3 and report.rho_assumed
+        assert not report.rho_degenerate and report.rho_interval is None
+        assert report.notes == (f"{reason}; cross-check skipped",)
 
     def test_report_serialization_clamps(self):
         v = np.array([0.9, 0.1, 0.1, np.sqrt(1 - 0.83)])

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from summa.exceptions import InvalidInput, TooFewMethods
+from summa.exceptions import InvalidInput
 from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
 
@@ -74,10 +74,6 @@ class TestCovariance:
 
 
 class TestThirdMoment:
-    def test_too_few_methods(self):
-        with pytest.raises(TooFewMethods):
-            third_moment_offdiag(np.ones((2, 5)))
-
     def test_identical_strict_rows_vanish(self):
         # third central moment of a symmetric distribution is zero
         n = 9
