@@ -39,7 +39,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -486,6 +485,9 @@ def cmd_sweep(args, manifest: ManifestWriter) -> str:
     # a fork-started pool launches every worker on its first task
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_replicate, tasks, chunksize=4))
     else:
@@ -529,9 +531,10 @@ def _add_common_output_args(parser):
 
 def _add_iteration_args(parser):
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="relative tolerance of the matrix (covariance) recovery")
+                        help="tolerance of the matrix (covariance) recovery: it stops "
+                             "when a step moves no entry of the unit factor by more than tol/100")
     parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                        help="iteration budget of the matrix (covariance) recovery")
+                        help="step budget of the matrix (covariance) recovery")
 
 
 def _add_sim_config_args(parser):

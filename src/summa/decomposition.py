@@ -2,35 +2,34 @@
 
 The covariance of conditionally independent rank predictions equals a
 rank-one matrix plus an unknown diagonal.  Only the off-diagonal entries
-are trusted; the diagonal is inferred by alternating between a dominant
-eigenpair computation and re-imputing the diagonal from the current
-rank-one iterate:
+are trusted, so the matrix stage fits lambda u u^T to the off-diagonals
+alone by one-factor minimum-residual factor analysis (Harman & Jones
+1966, Psychometrika).  With H the hollow covariance and u a unit
+vector, each step takes one product H u and updates
 
-    Y <- Q - diag(Q) + diag(lambda * u u^T)
-    (lambda, u) <- most positive eigenpair of Y
+    u <- normalise(H u / (1 - u o u)),   lambda = u' H u / (1 - sum u^4)
 
-which is projected gradient descent (unit step) on the off-diagonal
-squared mismatch over the set of symmetric PSD rank-one matrices, so the
-off-diagonal residual never increases.  Each eigen-solve is a shifted
-power iteration that continues from the current iterate u (the first
-from the normalized all-ones vector) and applies Y through the hollow
-Q - diag(Q) and the imputed diagonal, so Y is never built.  The shift
-is a proven bound on -lambda_min(Y), which makes Y + shift I PSD.
-After the first step it is the Frobenius norm of the last off-diagonal
-residual R: Y = lambda u u^T - R, so by Weyl's inequality
-lambda_min(Y) >= -||R||_2 >= -||R||_F.  The first step takes the smaller
-of the largest absolute row sum of the hollow (Gershgorin) and the same
-Weyl bound along the all-ones start; when it returns less than
-||hollow||_F / sqrt 2, the value above which an eigenvalue must be the
-top one, it is solved again from the largest off-diagonal pair.  The
-residual shrinks as the fit does, so the iteration's rate
-(lambda_2 + shift) / (lambda_1 + shift) improves with it.
+whose fixed points, (H u)_i = lambda u_i (1 - u_i^2), are the stationary
+points of the off-diagonal squared mismatch.  The same product gives
+that mismatch in O(M), ||H||_F^2 - (u' H u)^2 / (1 - sum u^4), and a step
+that raises it is halved until it does not.  The fit starts from the
+normalized all-ones vector and stops when a step moves no entry of u by
+more than tol / 100.
 
-The third-moment tensor needs no such iteration.  Under conditional
+At a fixed point the completion Y = H + diag(lambda u o u) equals
+lambda u u' - R, with R the off-diagonal residual, and Y u = lambda u.
+By Weyl's inequality every other eigenvalue of Y is at most
+||R||_2 <= ||R||_F, so a lambda above ||R||_F is Y's top eigenvalue.
+When it is not, the fit may sit below the top (equal row sums make the
+all-ones start a fixed point), so it is repeated from the largest
+off-diagonal pair (e_i +- e_j)/sqrt 2, and the lower residual is kept.
+
+The third-moment tensor needs no fit of its own.  Under conditional
 independence its rank-one factor has the direction of the covariance
 factor v, so only its scale is unknown, and the least-squares scale
 over the distinct-index entries is a closed form in power sums of the
-centred ranks, O(MN).  The tensor is never built.  A block jackknife
+centred ranks, O(MN).  The tensor is never built.  A block jackknife,
+whose leave-out covariance fits take a few steps of the same update,
 corrects the bias that fixing v at its noisy estimate puts on the
 scale, and gives it a standard error.
 
@@ -51,17 +50,18 @@ from .exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 1000
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 100_000
 # fewer methods leave the completion no redundancy to validate against
 MATRIX_MIN_METHODS = 4
 TENSOR_MIN_METHODS = 5
 
 # The tensor stage's jackknife: samples k mod JACKKNIFE_BLOCKS form the
 # blocks, and each leave-one-block-out covariance fit takes REFIT_STEPS
-# alternating-map steps from the full fit.
+# steps of the matrix stage's update from the full fit.
 JACKKNIFE_BLOCKS = 20
 REFIT_STEPS = 5
+
+# Halvings of a matrix-stage step that raises the residual.
+_MAX_HALVINGS = 50
 
 # Off-diagonal magnitudes below this (relative) scale are treated as no signal.
 _SIGNAL_EPS = 1e-13
@@ -139,56 +139,61 @@ def check_iteration_controls(tol: float, max_iter: int):
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
-def _leading_eigenpair(hollow: np.ndarray, shift: float, d: np.ndarray,
-                       v: np.ndarray):
-    """Most positive eigenvalue of hollow + diag(d) and its unit
-    eigenvector, by power iteration from the unit vector ``v``.
+def _factor_step(hu: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one-factor minimum-residual update normalise(H u / (1 - u o u))
+    of the unit factor ``u``, given ``hu`` = H u for its hollow
+    covariance H; both may hold a batch of factors in their rows.
 
-    The Frobenius projection onto rank-one PSD matrices needs the most
-    positive eigenvalue, which differs from the magnitude-dominant one
-    when a noise-heavy matrix has a large negative tail.  ``shift``
-    must make hollow + diag(d) + shift I positive semidefinite; then
-    every eigenvalue is nonnegative and plain power iteration lands on
-    the most positive one, at the rate (lambda_2 + shift) /
-    (lambda_1 + shift), so the smaller the proven bound the faster.
-    :func:`recover_rank1_matrix` passes the Frobenius norm of the last
-    off-diagonal residual R: with d = lambda u o u the matrix is
-    lambda u u' - R, whose least eigenvalue is at least -||R||_2 by
-    Weyl's inequality.  The shifted matrix is applied as
-    hollow @ v + (d + shift) * v and never built.
+    Setting the gradient of sum_{i != j} (H_ij - lambda u_i u_j)^2 in u
+    to zero, with lambda at its least-squares value along u, gives
+    (H u)_i = lambda u_i (1 - u_i^2), so the update's fixed points are
+    the stationary points of the off-diagonal fit.
     """
-    diagonal = d + shift
-    stall_floor = 1e3 * np.finfo(float).eps * float(diagonal.max())
-    prev_ray = None
-    for _ in range(POWER_MAX_ITER):
-        w = hollow @ v + diagonal * v
-        norm_w = math.sqrt(w @ w)
-        if norm_w <= stall_floor:
-            # the shifted matrix is PSD, so v lies in its null space.  A
-            # warm start u cannot: the completion is lambda u u' - R with
-            # R the last off-diagonal residual and shift = ||R||_F, so
-            # u' (shifted) u >= lambda - ||R||_2 + ||R||_F >= lambda > 0;
-            # nor can (e_i +- e_j)/sqrt 2, whose value is |hollow_ij| + shift.
-            # Only the all-ones start can, when every row of hollow sums
-            # to -shift.  The Weyl shift exceeds minus that sum unless
-            # hollow is 0, so the shift is the Gershgorin one and all
-            # off-diagonals are nonpositive, which no rank-one signal
-            # gives for M >= 3
-            raise NoSignal("the start vector is annihilated by the shifted covariance")
-        ray = float(v @ w)
-        v_new = w / norm_w
-        # require both value and direction to settle: the Rayleigh
-        # quotient alone converges quadratically faster than the vector,
-        # and the step length (not its cosine) is what bounds the error.
-        # The shifted matrix is PSD, so v . w >= 0 and v never flips sign
-        step = v_new - v
-        v = v_new
-        if prev_ray is not None and math.sqrt(step @ step) <= POWER_TOL * 10 and (
-            abs(ray - prev_ray) <= POWER_TOL * max(1.0, abs(ray))
-        ):
-            return ray - shift, v
-        prev_ray = ray
-    raise NotConverged(f"power iteration did not stabilize in {POWER_MAX_ITER} iterations")
+    w = hu / (1.0 - u * u)
+    squares = (w * w).sum(axis=-1, keepdims=True)
+    if not (squares > 0.0).all():
+        raise NoSignal("the covariance annihilates the factor")
+    w /= np.sqrt(squares)
+    return w
+
+
+def _fit_factor(hollow: np.ndarray, u: np.ndarray, tol: float, max_iter: int):
+    """Run :func:`_factor_step` on ``hollow`` from the unit vector ``u``.
+
+    Each step takes one product ``hollow @ u``, which also gives the
+    squared off-diagonal residual at the least-squares lambda along u,
+    ||H||_F^2 - (u^T H u)^2 / (1 - sum u^4), in O(M).  A step that
+    raises it is halved until it does not.  Stops when the update moves
+    no entry by more than ``tol`` / 100.  Returns ``(lambda, u,
+    iterations, converged, residual_history)``.
+    """
+    h2 = float(np.vdot(hollow, hollow))
+    # rises within the rounding of the squared residual do not count
+    slack = 1e3 * np.finfo(float).eps * h2
+    hu = hollow @ u
+    u2 = u * u
+    a = float(u @ hu)
+    res2 = h2 - a * a / (1.0 - float(u2 @ u2))
+    history = []
+    for iterations in range(1, max_iter + 1):
+        target = _factor_step(hu, u)
+        new = target
+        for halving in range(_MAX_HALVINGS):
+            hu_new = hollow @ new
+            a = float(new @ hu_new)
+            u2 = new * new
+            lam = a / (1.0 - float(u2 @ u2))
+            res2_new = h2 - lam * a
+            if res2_new <= res2 + slack:
+                break
+            new = u + 0.5**(halving + 1) * (target - u)
+            new /= math.sqrt(new @ new)
+        converged = float(np.abs(target - u).max()) <= tol / 100
+        u, hu, res2 = new, hu_new, res2_new
+        history.append(math.sqrt(max(res2, 0.0)))
+        if converged:
+            break
+    return lam, u, iterations, converged, history
 
 
 def resolve_sign(v: np.ndarray) -> np.ndarray:
@@ -224,9 +229,10 @@ def check_recoverability(v: np.ndarray) -> np.ndarray:
 
 
 def _offdiag_residual(q: np.ndarray, lam: float, u: np.ndarray) -> float:
-    diff = lam * np.outer(u, u) - q
+    diff = np.outer(lam * u, u)
+    diff -= q
     np.fill_diagonal(diff, 0.0)
-    return float(np.linalg.norm(diff))
+    return math.sqrt(np.vdot(diff, diff))
 
 
 def recover_rank1_matrix(
@@ -234,12 +240,13 @@ def recover_rank1_matrix(
 ) -> Rank1Recovery:
     """Recover (lambda, v, D) with Q2 ~ lambda v v^T + diag(D).
 
-    Only off-diagonal entries of ``q2`` are used.  Stops when successive
-    leading values agree to ``tol`` (relative); raises
-    :class:`NotConverged` with the partial result otherwise.  Requires
-    M >= 4: three methods give exactly as many off-diagonal equations as
-    unknowns, so the completion has no redundancy to validate against
-    (and (q, D) vs (-q, D) already shows it is not unique).
+    Only off-diagonal entries of ``q2`` are used.  Stops when an update
+    step moves no entry of v by more than ``tol`` / 100; raises
+    :class:`NotConverged` with the partial result after ``max_iter``
+    steps otherwise.  Requires M >= 4: three methods give exactly as
+    many off-diagonal equations as unknowns, so the completion has no
+    redundancy to validate against (and (q, D) vs (-q, D) already shows
+    it is not unique).
     """
     check_iteration_controls(tol, max_iter)
     q = _check_symmetric(q2)
@@ -254,56 +261,28 @@ def recover_rank1_matrix(
     if magnitudes.max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
         raise NoSignal("all off-diagonal covariances are at machine scale")
 
-    lam_prev = None
-    lam = 0.0
-    u = np.full(m, 1.0 / np.sqrt(m))
-    d = np.zeros(m)
-    # The first shift is the smaller of two bounds on -lambda_min(hollow):
-    # the largest absolute row sum (Gershgorin), and by Weyl's inequality
-    # ||E||_F - min(0, lambda_0) with hollow = lambda_0 u u' + E along the
-    # all-ones start u.  Every later shift is the last residual; see below.
-    lam0 = float(hollow.sum()) / m
-    gershgorin = float(magnitudes.sum(axis=1).max())
-    shift = min(gershgorin, float(np.linalg.norm(hollow - lam0 / m)) - min(0.0, lam0))
-    # the squares of hollow's eigenvalues sum to ||hollow||_F^2, so no
-    # eigenvalue exceeds one of at least ||hollow||_F / sqrt 2, a bound
-    # that is at least max |hollow_ij|
-    top_bound = float(np.linalg.norm(hollow)) / math.sqrt(2.0)
-    history: list[float] = []
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        lam, u = _leading_eigenpair(hollow, shift, d, u)
-        if iterations == 1 and lam < top_bound:
-            # the all-ones start may have no component along the top
-            # eigenvector, and the iteration then settles below it.  Solve
-            # again from the largest pair (e_i +- e_j)/sqrt 2 and keep the
-            # larger eigenvalue; within the solver's tolerance the two are
-            # the same, and all-ones stays
-            i, j = divmod(int(magnitudes.argmax()), m)
-            pair = np.zeros(m)
-            pair[i], pair[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
-            lam_pair, u_pair = _leading_eigenpair(hollow, shift, d, pair)
-            if lam_pair - lam > POWER_TOL * max(1.0, abs(lam)):
-                lam, u = lam_pair, u_pair
-        if lam <= 0.0:
-            # a hollow matrix has trace 0, so this fires only on inputs
-            # with no usable positive component at all
-            raise NoSignal(
-                "leading eigenvalue of the completed covariance is not positive; "
-                "no nonnegative rank-one signal"
-            )
-        residual = _offdiag_residual(q, lam, u)
-        history.append(residual)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-        lam_prev = lam
-        d = lam * u * u
-        # the next completion is lambda u u' - R, with R this residual's
-        # matrix (zero diagonal), so its least eigenvalue is at least
-        # -||R||_2 >= -||R||_F (Weyl; lambda > 0)
-        shift = residual
+    lam, u, iterations, converged, history = _fit_factor(
+        hollow, np.full(m, 1.0 / np.sqrt(m)), tol, max_iter)
+    residual = _offdiag_residual(q, lam, u)
+    if lam <= residual:
+        # lambda above ||R||_F would make it the top eigenvalue of the
+        # completion (see the module docstring).  Without that proof the
+        # fit may sit below the top, as the all-ones start does when the
+        # row sums are equal, so fit again from the largest pair
+        # (e_i +- e_j)/sqrt 2 and keep the lower residual
+        i, j = divmod(int(magnitudes.argmax()), m)
+        pair = np.zeros(m)
+        pair[i], pair[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
+        refit = _fit_factor(hollow, pair, tol, max_iter)
+        refit_residual = _offdiag_residual(q, refit[0], refit[1])
+        if refit_residual < residual:
+            (lam, u, iterations, converged, history), residual = refit, refit_residual
+    if not lam > 0.0:
+        # the residual is even in lambda, so a fit may settle on a
+        # negative scale, which no rank-one signal gives
+        raise NoSignal("the fitted covariance scale is not positive; "
+                       "no nonnegative rank-one signal")
+    history[-1] = residual
 
     v = resolve_sign(u)
     result = Rank1Recovery(
@@ -312,7 +291,7 @@ def recover_rank1_matrix(
         diag=np.diag(q) - lam * v * v,
         iterations=iterations,
         converged=converged,
-        residual=history[-1],
+        residual=residual,
         residual_history=tuple(history),
     )
     if not converged:
@@ -335,6 +314,7 @@ def recover_rank1_matrix(
             partial=result,
         )
     return result
+
 
 
 def _from_power_sums(s, q, p):
@@ -412,8 +392,9 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     are bias-corrected by a jackknife over ``JACKKNIFE_BLOCKS`` blocks of
     samples, k mod blocks.  Each leave-one-block-out covariance comes
     from per-block Gram matrices, re-centred on its own samples; its
-    (lambda_e, u) takes ``REFIT_STEPS`` alternating-map steps from the
-    full fit; and all leave-out lambda_t come from one more pass over C.
+    (lambda_e, u) takes ``REFIT_STEPS`` steps of the matrix stage's
+    update from the full fit; and all leave-out lambda_t come from one
+    more pass over C.
     Requires M >= 5: with fewer methods one to four distinct triples
     would carry the whole fit.  Raises :class:`NoSignal` when the
     covariances or the distinct-index third moments along u vanish.
@@ -464,17 +445,11 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     covs -= means[:, :, None] * means[:, None, :]
     covs[:, diagonal, diagonal] = 0.0
     vs = np.tile(u, (left, 1))
-    lams = np.full(left, lambda_e)
+    cov_v = np.einsum("bij,bj->bi", covs, vs)
     for _ in range(REFIT_STEPS):
-        # impute the diagonal from (lambda, v), take one power step, and
-        # refit lambda along the new v
-        w = np.einsum("bij,bj->bi", covs, vs) + lams[:, None] * vs**3
-        norms = np.sqrt((w * w).sum(axis=1))
-        if not np.all(norms > 0.0):
-            raise NoSignal("a leave-out covariance annihilates its start vector")
-        vs = w / norms[:, None]
+        vs = _factor_step(cov_v, vs)
         cov_v = np.einsum("bij,bj->bi", covs, vs)
-        lams = (vs * cov_v).sum(axis=1) / (1.0 - (vs**4).sum(axis=1))
+    lams = (vs * cov_v).sum(axis=1) / (1.0 - (vs**4).sum(axis=1))
 
     sums, scale = _triple_sums(c, np.vstack([vs, u]), blocks)
     total = float(sums[-1].sum())

@@ -1,6 +1,7 @@
 """Command-line workflow tests: file outputs, manifests, determinism,
 and error exit codes.  Commands run in-process through main(argv)."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summa import cli, decomposition
+from summa import cli
 from summa.cli import _CHUNK_ROWS, main, read_labels_table, read_matrix_table, write_table
 from summa.exceptions import InvalidInput, NotConverged
 from summa.inference import Z_CUTOFF
@@ -425,21 +426,23 @@ class TestInfer:
         assert "error" in manifest
         assert "error.json" in manifest["outputs"]
 
-    def test_power_iteration_out_of_steps_writes_error_json(self, tmp_path, monkeypatch):
-        # one power step cannot meet the step test, so the first
-        # eigen-solve runs out; it has no recovery to attach
-        monkeypatch.setattr(decomposition, "POWER_MAX_ITER", 1)
+    def test_power_iteration_out_of_steps_writes_error_json(self, tmp_path):
+        # one update step cannot meet the step test on the default design,
+        # so the matrix stage runs out; the CLI writes the library's partial
         out = simulate(tmp_path)
         _, _, values = read_matrix_table(out / "scores.csv")
         ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
         with pytest.raises(NotConverged) as raised:
-            run_pipeline(ranks)
-        assert raised.value.partial is None
+            run_pipeline(ranks, max_iter=1)
+        partial = raised.value.partial
+        assert partial.iterations == 1 and not partial.converged
         inf = tmp_path / "inf"
-        assert run("infer", out / "scores.csv", "--output-dir", inf) == 1
+        assert run("infer", out / "scores.csv", "--max-iter", 1,
+                   "--output-dir", inf) == 1
         error = json.loads((inf / "error.json").read_text())
         assert error["error"] == "NotConverged"
-        assert "partial" not in error
+        assert error["partial"]["v"] == partial.v.tolist()
+        assert error["partial"]["lambda"] == partial.lambda_
         assert "error.json" in json.loads((inf / "manifest.json").read_text())["outputs"]
 
     def test_no_iterations_rejected(self, tmp_path):
@@ -792,7 +795,7 @@ class TestSweep:
     ])
     def test_jobs_is_an_upper_bound(self, tmp_path, monkeypatch, jobs, cpus, workers):
         monkeypatch.setattr(RecordingPool, "workers", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         common = ["sweep", "--axis", "methods", "--values", "5,8,12",
                   "--replicates", 1, "--seed", 9, "--samples", 200]

@@ -11,16 +11,15 @@ from summa.decomposition import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     JACKKNIFE_BLOCKS,
-    POWER_TOL,
     REFIT_STEPS,
     Rank1Recovery,
-    _leading_eigenpair,
+    _factor_step,
     check_recoverability,
     recover_rank1_matrix,
     recover_rank1_tensor,
     resolve_sign,
 )
-from summa.exceptions import InvalidInput, NoSignal, NotConverged, SummaError, TooFewMethods
+from summa.exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
 from summa.inference import prevalence_from_moments
 from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import rank_transform
@@ -29,11 +28,19 @@ from summa.simulation import SimulationConfig, simulate_ensemble
 from oracles import rank1_completion
 
 # Designs (M, N, rho) of the matrix stage's oracle checks: two from the
-# benchmark's replicates, two small ones where some fits do not converge,
-# and a skewed one where most first solves restart from the largest pair
+# benchmark's replicates, two small ones where some fits decline, and a
+# skewed one where half the fits from the all-ones start end with lambda
+# below their residual and refit from the largest pair
 ORACLE_DESIGNS = [(30, 1000, 0.3), (12, 400, 0.5), (8, 200, 0.3), (5, 60, 0.5),
                   (30, 1000, 0.1)]
 ORACLE_SEEDS = range(10)
+# Fits whose outcome differs from the oracle's.  At seed 0 the fit from
+# the all-ones start runs off towards method 1 alone, at a lower residual
+# than the oracle's point, and ends in the variance cap's NoSignal.  At
+# seed 4 both approach an improper point (lambda v_0^2 = 1.58 Q_00): the
+# fit reaches it in 504 steps, and the oracle, still 4e-7 from it after
+# 10 000, ends in the variance cap
+OUTCOME_FLIPS = {((5, 60, 0.5), 0): "NoSignal", ((5, 60, 0.5), 4): "converged"}
 
 # Equal row sums (1) make the all-ones start an eigenvector of every
 # completion; the top eigenvalue is 5, along (1, 1, -1, -1) / 2
@@ -67,22 +74,10 @@ def random_recoverable_q(rng, m):
 
 def leading_singular_pair(matrix):
     """Dominant eigenvalue magnitude and eigenvector of a symmetric
-    matrix, by LAPACK: the oracle for the matrix stage's power iteration."""
+    matrix, by LAPACK."""
     values, vectors = np.linalg.eigh(matrix)
     k = int(np.argmax(np.abs(values)))
     return abs(values[k]), vectors[:, k]
-
-
-def solve(matrix, start=None):
-    """The matrix stage's eigen-solver on a symmetric matrix, from
-    ``start`` or the normalized all-ones, shifted by a Gershgorin bound."""
-    a = np.asarray(matrix, dtype=float)
-    d = np.diag(a).copy()
-    hollow = a - np.diag(d)
-    if start is None:
-        start = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
-    shift = float((np.abs(hollow).sum(axis=1) + np.abs(d)).max())
-    return _leading_eigenpair(hollow, shift, d, start)
 
 
 def design_covariance(m, n, rho, seed):
@@ -136,60 +131,6 @@ def stage_inputs(m, n, rho, seed):
     data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
     ranks = rank_transform(data.scores, "midrank")
     return third_moment_offdiag(ranks), recover_rank1_matrix(covariance_matrix(ranks)).v
-
-
-class TestLeadingSingularPair:
-    """The matrix stage's eigen-solver against the ``eigh`` oracle."""
-
-    def test_diagonal_matrix(self):
-        lam, u = solve(np.diag([3.0, 1.0]))
-        assert lam == pytest.approx(3.0, rel=1e-10)
-        assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
-
-    def test_exact_rank_one(self):
-        q = np.array([1.0, 2.0, 2.0, 2.0])
-        lam, u = solve(np.outer(q, q))
-        sigma, oracle = leading_singular_pair(np.outer(q, q))
-        assert lam == pytest.approx(sigma, rel=1e-12)
-        assert same_direction(u, oracle, 1e-8)
-
-    def test_small_eigen_gap_converges(self):
-        rng = np.random.default_rng(2)
-        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        values = np.array([3.0, 2.97, 1.0, 0.5, 0.2, 0.1])  # gap ratio 0.99
-        a = basis @ np.diag(values) @ basis.T
-        lam, u = solve(a)
-        assert lam == pytest.approx(3.0, rel=1e-6)
-        assert abs(u @ basis[:, 0]) == pytest.approx(1.0, abs=1e-4)
-
-    def test_most_positive_for_indefinite(self):
-        # the magnitude-dominant pair is (-5, e_2); the projection onto
-        # rank-one PSD matrices needs (1, e_1)
-        a = np.diag([1.0, -5.0])
-        assert leading_singular_pair(a)[0] == pytest.approx(5.0)
-        lam, u = solve(a)
-        assert lam == pytest.approx(1.0, rel=1e-9)
-        assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
-
-    def test_warm_start_matches_all_ones_start(self):
-        rng = np.random.default_rng(11)
-        for m in (5, 12, 30):
-            q = random_recoverable_q(rng, m)
-            noise = rng.normal(scale=0.3, size=(m, m))
-            y = np.outer(q, q) + (noise + noise.T) / 2
-            np.fill_diagonal(y, rng.uniform(0.0, 3.0, size=m))
-            start = rng.normal(size=m)
-            cold = solve(y)
-            warm = solve(y, start / np.linalg.norm(start))
-            values, vectors = np.linalg.eigh(y)
-            for lam, u in (cold, warm):
-                assert lam == pytest.approx(values[-1], rel=POWER_TOL)
-                assert same_direction(u, vectors[:, -1], 1e-8)
-            # the stopping rule bounds each value step by POWER_TOL and each
-            # vector step by 10 POWER_TOL, and the vector's distance from the
-            # eigenvector by that step over the shifted matrix's relative gap
-            assert warm[0] == pytest.approx(cold[0], rel=POWER_TOL)
-            assert same_direction(warm[1], cold[1], 1e-8)
 
 
 class TestResolveSign:
@@ -256,6 +197,16 @@ class TestRecoverRank1Matrix:
                 assert err < 1e-8, f"M={m}"
                 assert rec.lambda_ == pytest.approx(q @ q, rel=1e-8)
 
+    def test_mixed_signs_recovered(self):
+        # the entries of q nearly cancel, so the all-ones start has a
+        # negative value, (sum q)^2 - q'q = -11.5; the fit must leave it
+        q = np.array([1.0, 2.0, -1.5, 0.5, -2.0, -1.0])
+        rec = recover_rank1_matrix(np.outer(q, q) + np.diag(np.linspace(0.5, 2.0, 6)),
+                                   tol=1e-12, max_iter=5000)
+        assert rec.converged
+        assert np.abs(rec.v - resolve_sign(q / np.linalg.norm(q))).max() < 1e-8
+        assert rec.lambda_ == pytest.approx(q @ q, rel=1e-8)
+
     def test_sign_invariance(self):
         rng = np.random.default_rng(4)
         q = random_recoverable_q(rng, 6)
@@ -277,6 +228,10 @@ class TestRecoverRank1Matrix:
         sigma, u = leading_singular_pair(y)
         assert sigma == pytest.approx(lam_true, rel=1e-12)
         assert min(np.abs(u - qhat).max(), np.abs(u + qhat).max()) < 1e-10
+        # and the minimum-residual update, alone and in a batch, keeps it
+        assert np.abs(_factor_step(hollow @ qhat, qhat) - qhat).max() < 1e-12
+        batch = np.vstack([qhat, -qhat])
+        assert np.abs(_factor_step(batch @ hollow, batch) - batch).max() < 1e-12
 
     def test_rank_one_input_recovered_exactly(self):
         q = np.array([1.0, -1.5, 2.0, 0.5, 1.0])
@@ -294,26 +249,36 @@ class TestRecoverRank1Matrix:
             noise = (noise + noise.T) / 2
             rec = recover_rank1_matrix(np.outer(q, q) + noise + np.diag(rng.uniform(0, 1, 7)))
             history = np.array(rec.residual_history)
+            # one residual per update step, the last one exact
+            assert history.size == rec.iterations > 1
+            assert history[-1] == rec.residual
             assert np.all(np.diff(history) <= 1e-9 * max(1.0, history[0]))
 
     @pytest.mark.parametrize("design", ORACLE_DESIGNS, ids=lambda d: "-".join(map(str, d)))
     def test_matches_eigh_oracle(self, design):
-        # the shifted power iteration is an exact eigen-solve to POWER_TOL,
-        # so the alternating map takes the oracle's path
+        # the update's fixed points are the alternating map's, so a fit
+        # ends where the oracle, run far tighter, does.  The oracle's
+        # steps are slow at M = 5, so it gets ten times the budget
         for seed in ORACLE_SEEDS:
             q = design_covariance(*design, seed)
-            outcome, iterations, v = fit_outcome(q)
-            expected, expected_iterations, _, u = rank1_completion(
-                q, DEFAULT_TOL, DEFAULT_MAX_ITER)
-            assert outcome == expected, seed
+            outcome, _, v = fit_outcome(q)
+            expected, _, _, u = rank1_completion(q, 1e-13, 10 * DEFAULT_MAX_ITER)
+            assert outcome == OUTCOME_FLIPS.get((design, seed), expected), seed
             if outcome != "NoSignal":
-                assert iterations == expected_iterations, seed
-                assert same_direction(v, u, 1e-7), seed
+                assert same_direction(v, u, 1e-6), seed
+
+    @pytest.mark.parametrize("design", [(8, 200, 0.3), (6, 100, 0.5), (5, 100, 0.3),
+                                        (5, 60, 0.5)], ids=lambda d: "-".join(map(str, d)))
+    def test_small_designs_end_within_the_budget(self, design):
+        # a fit that runs off towards one method ends at max_iter in the
+        # variance cap's NoSignal; every other fit converges before it
+        for seed in range(40):
+            assert fit_outcome(design_covariance(*design, seed))[0] != "NotConverged", seed
 
     def test_equal_row_sums_not_stuck_on_all_ones(self):
-        # the all-ones start is an eigenvector of H (value 1) and of every
-        # completion H + diag(lambda / 4), so power iteration from it alone
-        # settles on v = (1, 1, 1, 1) / 2 and lambda = 4 / 3
+        # the all-ones start is an eigenvector of H (value 1), so it is a
+        # fixed point of the update, at lambda = 4 / 3 below its residual
+        # 6.53; the fit from the largest pair finds the top eigenvector
         rec = recover_rank1_matrix(EQUAL_ROW_SUMS + 4.0 * np.eye(4))
         values, vectors = np.linalg.eigh(EQUAL_ROW_SUMS)
         assert values[-1] == pytest.approx(5.0)
@@ -321,18 +286,17 @@ class TestRecoverRank1Matrix:
         assert same_direction(rec.v, vectors[:, -1], 1e-7)
         # the alternating map's fixed point lambda = 5 + lambda / 4
         assert rec.lambda_ == pytest.approx(20.0 / 3.0, rel=1e-5)
-        outcome, iterations, lam, u = rank1_completion(
-            EQUAL_ROW_SUMS + 4.0 * np.eye(4), DEFAULT_TOL, DEFAULT_MAX_ITER)
-        assert (outcome, iterations) == ("converged", rec.iterations)
+        outcome, _, lam, u = rank1_completion(
+            EQUAL_ROW_SUMS + 4.0 * np.eye(4), 1e-13, DEFAULT_MAX_ITER)
+        assert outcome == "converged"
         assert rec.lambda_ == pytest.approx(lam, rel=1e-9)
         assert same_direction(rec.v, u, 1e-7)
 
     def test_equal_row_sums_above_every_entry_leave_all_ones(self):
-        # the first solve from the all-ones start returns 1.5984, more
-        # than any entry but less than ||hollow||_F / sqrt 2 = 2.51, so the
-        # solve from the largest pair follows.  From there the fit leaves
-        # the oracle's lambda = 2.60 point, a saddle, and heads for
-        # method 0 alone
+        # the fit from the all-ones start stays there, at lambda = 2.00
+        # below its residual 3.07, so the fit from the largest pair
+        # follows.  From there it leaves the oracle's lambda = 2.60 point,
+        # a saddle, and heads for method 0 alone
         hollow = equal_row_sums_above_every_entry()
         values = np.linalg.eigvalsh(hollow)
         assert np.ptp(hollow.sum(axis=1)) < 1e-12
@@ -341,17 +305,16 @@ class TestRecoverRank1Matrix:
         with pytest.raises(NoSignal, match="dominated by a single method"):
             recover_rank1_matrix(hollow + 10.0 * np.eye(5))
         with pytest.raises(NotConverged) as raised:
-            recover_rank1_matrix(hollow + 10.0 * np.eye(5), max_iter=200)
+            recover_rank1_matrix(hollow + 10.0 * np.eye(5), max_iter=20)
         partial = raised.value.partial
         assert partial.residual_history[-1] < 2.47 < partial.residual_history[0]
         assert abs(partial.v[0]) > 0.97
 
     def test_top_eigenvector_orthogonal_to_all_ones_leaves_all_ones(self):
         # with one entry raised by 1e-3 the row sums differ, but the top
-        # eigenvector still sums to 0, so the all-ones start settles on the
-        # second eigenvalue, above every entry.  It is below
-        # ||hollow||_F / sqrt 2, so the solve from the largest pair follows
-        # and the fit ends as with equal row sums, not at v = 1 / sqrt 5
+        # eigenvector still sums to 0.  The all-ones start is then no fixed
+        # point, and the fit ends as with equal row sums, not at
+        # v = 1 / sqrt 5
         hollow = equal_row_sums_above_every_entry()
         hollow[2, 4] = hollow[4, 2] = hollow[2, 4] + 1e-3
         values, vectors = np.linalg.eigh(hollow)
@@ -361,47 +324,16 @@ class TestRecoverRank1Matrix:
         with pytest.raises(NoSignal, match="dominated by a single method"):
             recover_rank1_matrix(hollow + 10.0 * np.eye(5))
 
-    def test_every_shift_makes_the_solve_psd(self, monkeypatch):
-        # each solve's shift must bound -lambda_min(hollow + diag(d)), or
-        # power iteration may land on a negative eigenvalue of larger
-        # magnitude; record every solve of noisy and noiseless fits
-        solves = []
-        leading_eigenpair = decomposition._leading_eigenpair
-
-        def recording(hollow, shift, d, v):
-            solves.append((hollow, shift, d.copy()))
-            return leading_eigenpair(hollow, shift, d, v)
-
-        monkeypatch.setattr(decomposition, "_leading_eigenpair", recording)
-        matrices = [design_covariance(*design, seed)
-                    for design in ORACLE_DESIGNS for seed in ORACLE_SEEDS]
-        rng = np.random.default_rng(1)
-        for m in range(4, 13):
-            q = random_recoverable_q(rng, m)
-            matrices.append(np.outer(q, q) + np.diag(rng.uniform(0.0, 2.0, size=m)))
-        q = np.array([1.0, -1.5, 2.0, 0.5, 1.0])
-        matrices += [np.outer(q, q), EQUAL_ROW_SUMS + 4.0 * np.eye(4),
-                     equal_row_sums_above_every_entry() + 10.0 * np.eye(5)]
-        for q in matrices:
-            try:
-                recover_rank1_matrix(q)
-            except SummaError:
-                pass
-        assert len(solves) > len(matrices)
-        for hollow, shift, d in solves:
-            values = np.linalg.eigvalsh(hollow + np.diag(d))
-            assert values[0] + shift >= -1e-9 * np.abs(values).max()
-
     def test_identity_is_no_signal(self):
         with pytest.raises(NoSignal):
             recover_rank1_matrix(np.eye(5))
 
     @pytest.mark.parametrize("m", [4, 5, 8])
     def test_equal_negative_offdiag_is_no_signal_at_once(self, m):
-        # the shifted hollow matrix annihilates the all-ones start, and
-        # no rank-one signal has all off-diagonals negative
+        # the all-ones start fits the off-diagonals exactly with a
+        # negative scale, and no rank-one signal has all of them negative
         q = -0.1 * (np.ones((m, m)) - np.eye(m)) + np.eye(m)
-        with pytest.raises(NoSignal, match="annihilated"):
+        with pytest.raises(NoSignal):
             recover_rank1_matrix(q, max_iter=1)
 
     def test_nonsymmetric_rejected(self):
@@ -500,12 +432,11 @@ class TestRecoverRank1Tensor:
             part = part - part.mean(axis=1, keepdims=True)
             cov = part @ part.T / part.shape[1]
             np.fill_diagonal(cov, 0.0)
-            u, lam = v, lam_e
+            u = v
             for _ in range(REFIT_STEPS):
-                w = cov @ u + lam * u**3
+                w = cov @ u / (1 - u**2)
                 u = w / np.linalg.norm(w)
-                lam = u @ cov @ u / (1 - np.sum(u**4))
-            leave_e.append(lam)
+            leave_e.append(u @ cov @ u / (1 - np.sum(u**4)))
             leave_t.append(brute_force_scale(part, u))
         leave_e, leave_t = np.array(leave_e), np.array(leave_t)
         rec = recover_rank1_tensor(c, v)
