@@ -115,18 +115,19 @@ class TensorRecovery:
         return self.lambda_t / self.lambda_t_se
 
 
-def _check_symmetric(matrix) -> np.ndarray:
-    """Validate a finite, symmetric M x M matrix."""
+def _check_symmetric(matrix) -> tuple[np.ndarray, float]:
+    """Validate a finite, symmetric M x M matrix; returns it and max |entry|."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # a NaN or an infinity makes the largest magnitude non-finite
+    peak = float(np.maximum(a.max(), -a.min()))
+    if not math.isfinite(peak):
         raise InvalidInput("matrix entries must be finite")
-    atol = 1e-8 * max(1.0, a.max(), -a.min())
     d = a - a.T
-    if max(d.max(), -d.min()) > atol:
+    if max(d.max(), -d.min()) > 1e-8 * max(1.0, peak):
         raise InvalidInput("matrix must be symmetric")
-    return a
+    return a, peak
 
 
 def check_iteration_controls(tol: float, max_iter: int):
@@ -249,7 +250,7 @@ def recover_rank1_matrix(
     it is not unique).
     """
     check_iteration_controls(tol, max_iter)
-    q = _check_symmetric(q2)
+    q, peak = _check_symmetric(q2)
     m = q.shape[0]
     if m < MATRIX_MIN_METHODS:
         raise TooFewMethods(
@@ -258,7 +259,7 @@ def recover_rank1_matrix(
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
     magnitudes = np.abs(hollow)
-    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, np.abs(q).max()):
+    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, peak):
         raise NoSignal("all off-diagonal covariances are at machine scale")
 
     lam, u, iterations, converged, history = _fit_factor(
@@ -300,9 +301,7 @@ def recover_rank1_matrix(
         # the method's total rank variance, the off-diagonals are
         # dominated by a single method and no amount of iteration will
         # produce an identifiable diagonal split
-        variance_cap = 1.05 * np.maximum(np.diag(q), 0.0) + 1e-9 * max(
-            1.0, float(np.abs(q).max())
-        )
+        variance_cap = 1.05 * np.maximum(np.diag(q), 0.0) + 1e-9 * max(1.0, peak)
         if np.any(lam * u * u > variance_cap):
             raise NoSignal(
                 "rank-one fit exceeds a method's total variance; the "
@@ -402,8 +401,7 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     hint = np.asarray(v_hint, dtype=float)
     m = hint.size
     if m < TENSOR_MIN_METHODS:
-        raise TooFewMethods(
-            f"tensor recovery needs at least {TENSOR_MIN_METHODS} methods, got {m}")
+        raise TooFewMethods(f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage")
     norm_hint = np.linalg.norm(hint)
     if not np.isfinite(norm_hint) or abs(norm_hint - 1.0) > 1e-6:
         raise InvalidInput("v_hint must be a unit vector")

@@ -8,10 +8,11 @@ pins rho(1-rho) = 1/(beta+4), and the sign of lambda_t selects the
 root: positive lambda_t means the positive class is the majority.
 
 From there ||delta|| = sqrt(lambda_e / (rho(1-rho))), each method's
-delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.  Every report
-has a rho, and so deltas and AUROCs: the measured one, a supplied one,
-or the flagged 1/2 taken when the tensor stage measured nothing.
-:func:`performance_estimates` is the one place that makes this choice.
+delta_i = v_i ||delta||, and auroc_i = delta_i / N + 1/2.  Whenever the
+tensor stage measured, its jackknifed lambda_e gives rho and ||delta||
+alike.  Every report has a rho, and so deltas and AUROCs: the measured
+one, a supplied one, or the flagged 1/2 taken when the tensor stage
+measured nothing.  :func:`performance_estimates` makes this choice.
 
 The tensor stage also gives lambda_t a jackknife standard error.  Its
 interval lambda_t -/+ ``Z_CUTOFF`` standard errors, mapped through the
@@ -140,17 +141,17 @@ def performance_estimates(
     reason: str | None = None,
 ) -> PerformanceReport:
     """Per-method delta and AUROC estimates from (v, lambda_e); the one
-    place that chooses the prevalence rho.
+    place that chooses the prevalence rho and the covariance scale.
 
     A supplied ``rho`` in (0, 1) wins; otherwise the tensor stage's fit
     ``tensor`` gives it.  Whenever ``tensor`` is passed it also gives the
     measured beta, lambda_t and :func:`prevalence_interval`, which flags
     the estimate degenerate when it contains 1/2; a supplied rho outside
-    it adds a note (never fails).  With neither, rho is 1/2 with the
-    whole of (0, 1) as its interval, so it is flagged degenerate.
-    ``reason`` says why the tensor stage measured nothing; without a
-    tensor it becomes the one note.  The rho fixes the scale
-    ||delta|| = sqrt(lambda_e / (rho(1-rho))).
+    it adds a note (never fails); its jackknifed lambda_e replaces the
+    ``lambda_e`` argument.  With neither, rho is 1/2 with the whole of
+    (0, 1) as its interval, so it is flagged degenerate.  ``reason``
+    says why the tensor stage measured nothing; without a tensor it
+    becomes the one note.  ||delta|| = sqrt(lambda_e / (rho(1-rho))).
     """
     v = _unit(v)
     if not np.isfinite(lambda_e) or lambda_e <= 0.0:
@@ -165,8 +166,9 @@ def performance_estimates(
 
     notes = ()
     if tensor is not None:
-        estimated, beta = prevalence_from_moments(tensor.lambda_e, tensor.lambda_t)
-        interval = prevalence_interval(tensor.lambda_e, tensor.lambda_t, tensor.lambda_t_se)
+        lambda_e = tensor.lambda_e
+        estimated, beta = prevalence_from_moments(lambda_e, tensor.lambda_t)
+        interval = prevalence_interval(lambda_e, tensor.lambda_t, tensor.lambda_t_se)
         low, high = interval
         if not rho_assumed:
             rho = estimated

@@ -8,7 +8,8 @@ scores.  Shared by the command line and the experiment sweeps.
 The tensor stage is a closed form with a jackknife, so it cannot fail to
 converge; it either measures lambda_t with a standard error, and so a
 prevalence interval, or measures nothing: it finds no distinct-index
-signal, or fewer than ``TENSOR_MIN_METHODS`` methods leave it no fit.
+signal, or too few methods leave it no fit; the stage alone decides.
+When it measures, its jackknifed lambda_e is the report's one scale.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 from .decomposition import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    TENSOR_MIN_METHODS,
     Rank1Recovery,
     TensorRecovery,
     recover_rank1_matrix,
     recover_rank1_tensor,
 )
 from .ensemble import EnsembleScores, summa_scores, woc_scores
-from .exceptions import NoSignal
+from .exceptions import NoSignal, TooFewMethods
 from .inference import PerformanceReport, performance_estimates
 from .moments import covariance_matrix, third_moment_offdiag
 from .ranking import RankMatrix
@@ -47,8 +47,8 @@ class PipelineResult:
                                "converged": recovery.converged, "residual": recovery.residual}
         tensor = self.tensor
         if tensor is not None:
-            payload["tensor"] = {"lambda_e": tensor.lambda_e, "lambda_t_se": tensor.lambda_t_se,
-                                 "z": tensor.z, "rho_interval": list(self.report.rho_interval)}
+            payload["tensor"] = {"lambda_t_se": tensor.lambda_t_se, "z": tensor.z,
+                                 "rho_interval": list(self.report.rho_interval)}
         return payload
 
 
@@ -63,21 +63,20 @@ def run_pipeline(
 
     A supplied ``prevalence`` is the rho of the report, cross-checked by
     the tensor stage; without one the tensor stage measures rho.  When
-    the tensor stage measures nothing (no distinct-index signal, or
-    fewer than ``TENSOR_MIN_METHODS`` methods) the reason goes to
+    the tensor stage measures nothing (too few methods, or no
+    distinct-index signal) the reason goes to
     :func:`performance_estimates`, which makes the one fallback.
     ``tol`` and ``max_iter`` govern the matrix stage.
     """
     recovery = recover_rank1_matrix(covariance_matrix(ranks), tol=tol, max_iter=max_iter)
 
     tensor = reason = None
-    if ranks.n_methods < TENSOR_MIN_METHODS:
-        reason = f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage"
-    else:
-        try:
-            tensor = recover_rank1_tensor(third_moment_offdiag(ranks), recovery.v)
-        except NoSignal:
-            reason = "tensor stage found no signal"
+    try:
+        tensor = recover_rank1_tensor(third_moment_offdiag(ranks), recovery.v)
+    except TooFewMethods as err:
+        reason = str(err)
+    except NoSignal:
+        reason = "tensor stage found no signal"
 
     report = performance_estimates(
         recovery.v, recovery.lambda_, ranks.n_samples, ranks.method_ids,

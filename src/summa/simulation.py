@@ -69,7 +69,6 @@ class SimulatedDataset:
     scores: ScoreMatrix
     labels: LabelVector
     true_aurocs: np.ndarray
-    seed_used: int
 
 
 def separation_for_auroc(target_auroc: float) -> float:
@@ -118,4 +117,4 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
 
     scores = ScoreMatrix.from_array(values)
     true_aurocs.setflags(write=False)
-    return SimulatedDataset(scores, labels, true_aurocs, config.seed)
+    return SimulatedDataset(scores, labels, true_aurocs)

@@ -288,7 +288,7 @@ class TestInfer:
             assert (inf / name).exists()
         manifest = json.loads((inf / "manifest.json").read_text())
         assert len(manifest["input_digests"]) == 1
-        assert set(report["tensor"]) == {"lambda_e", "lambda_t_se", "z", "rho_interval"}
+        assert set(report["tensor"]) == {"lambda_t_se", "z", "rho_interval"}
 
     def test_balanced_design_infers_near_half(self, tmp_path):
         # rho is reported as measured, near (not snapped to) one half,

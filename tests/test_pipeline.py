@@ -1,12 +1,13 @@
 """run_pipeline's choice of prevalence: a supplied value, the tensor's
 estimate with its interval, or an assumed 1/2 flagged as degenerate
-when the tensor stage measures nothing."""
+when the tensor stage measures nothing; and of the one covariance scale."""
 
 import numpy as np
 import pytest
 
 from summa import pipeline
 from summa.decomposition import TensorRecovery
+from summa.exceptions import SummaError
 from summa.inference import prevalence_from_moments, prevalence_interval
 from summa.pipeline import run_pipeline
 from summa.ranking import ScoreMatrix, rank_transform
@@ -43,6 +44,7 @@ class TestTensorFailure:
         assert report.rho_degenerate
         assert report.lambda_t is None
         assert report.beta == 0.0
+        assert report.lambda_e == result.recovery.lambda_
         assert len(report.notes) == 1 and "found no signal" in report.notes[0]
         assert report.to_dict()["rho_source"] == "estimated"
         assert "tensor" not in result.to_dict()
@@ -77,8 +79,18 @@ class TestConvergedTensor:
         assert not report.rho_degenerate
         assert report.notes == ()
         block = result.to_dict()["tensor"]
-        assert block == {"lambda_e": tensor.lambda_e, "lambda_t_se": tensor.lambda_t_se,
-                         "z": tensor.z, "rho_interval": list(report.rho_interval)}
+        assert block == {"lambda_t_se": tensor.lambda_t_se, "z": tensor.z,
+                         "rho_interval": list(report.rho_interval)}
+
+    def test_one_covariance_scale(self, skewed_ranks):
+        # the jackknifed lambda_e that gives rho also sizes every delta
+        result = run_pipeline(skewed_ranks)
+        report = result.report
+        assert report.lambda_e == result.tensor.lambda_e
+        assert result.to_dict()["lambda_e"] == result.tensor.lambda_e
+        rho = report.rho
+        assert report.delta_norm**2 * rho * (1 - rho) == pytest.approx(report.lambda_e, rel=1e-12)
+        assert np.array_equal(report.deltas, report.weights * report.delta_norm)
 
     def test_supplied_prevalence_wins(self, skewed_ranks):
         estimated = run_pipeline(skewed_ranks).report
@@ -115,3 +127,25 @@ class TestConvergedTensor:
         assert report.lambda_t == 1.0
         assert report.to_dict()["rho_source"] == "estimated"
         assert report.notes == ()
+
+
+@pytest.mark.parametrize("design", [(8, 200, 0.3), (12, 400, 0.3)])
+def test_tensor_scale_sizes_aurocs_no_worse_than_matrix_scale(design):
+    # over seeds 0-39, the AUROCs sized by the tensor stage's jackknifed
+    # lambda_e are no further from the truth than the same v sized by the
+    # matrix stage's lambda; a declined run has neither
+    m, n, rho = design
+    tensor_rmse, matrix_rmse = [], []
+    for seed in range(40):
+        data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
+        try:
+            result = run_pipeline(rank_transform(data.scores, "midrank"))
+        except SummaError:
+            continue
+        report = result.report
+        scale = np.sqrt(result.recovery.lambda_ / (report.rho * (1 - report.rho)))
+        matrix_aurocs = report.weights * scale / n + 0.5
+        tensor_rmse.append(np.sqrt(np.mean((report.aurocs - data.true_aurocs) ** 2)))
+        matrix_rmse.append(np.sqrt(np.mean((matrix_aurocs - data.true_aurocs) ** 2)))
+    assert len(tensor_rmse) >= 30
+    assert np.median(tensor_rmse) <= np.median(matrix_rmse)

@@ -162,5 +162,4 @@ def test_dataset_fields():
     assert isinstance(data, SimulatedDataset)
     assert data.scores.n_methods == 3
     assert data.true_aurocs.shape == (3,)
-    assert data.seed_used == 5
     assert all(0.4 <= a <= 0.8 for a in data.true_aurocs)

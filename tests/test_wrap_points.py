@@ -51,7 +51,8 @@ def test_count_functions_return(tracing, tmp_path):
     try:
         data = bench.simulate_ensemble(
             summa.SimulationConfig(n_methods=8, n_samples=200, rho=0.3, seed=3))
-        bench.run_pipeline(bench.rank_transform(data.scores, "midrank"))
+        result = bench.run_pipeline(bench.rank_transform(data.scores, "midrank"))
+        bench.evaluate_ensemble(result.summa, data.labels)
         sim, inf = tmp_path / "sim", tmp_path / "inf"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["simulate", "--methods", "8", "--samples", "200",
@@ -62,6 +63,9 @@ def test_count_functions_return(tracing, tmp_path):
                              "--output-dir", str(tmp_path / "ev")]) == 0
     finally:
         tracer.uninstall()
+    layers = {layer for _, _, layer, _ in tracing.WRAP_POINTS}
+    unrecorded = layers - {span.name for span in tracer.spans}
+    assert not unrecorded, f"no spans recorded for {sorted(unrecorded)}"
     counted = {layer for _, _, layer, count in tracing.WRAP_POINTS if count is not None}
     uncounted = counted - {span.name for span in tracer.spans if span.counts}
     assert not uncounted, f"no counts recorded for {sorted(uncounted)}"
