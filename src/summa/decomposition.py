@@ -76,7 +76,9 @@ class Rank1Recovery:
 
     ``lambda_ * v v^T`` matches the input off-diagonals up to
     ``residual`` (Frobenius norm over off-diagonal entries); ``diag`` is
-    the inferred additive diagonal.
+    the inferred additive diagonal.  ``v`` is the run's one unit method
+    vector, read-only: the tensor stage's ``u`` and the report's
+    ``weights`` are this array.
     """
 
     lambda_: float
@@ -97,7 +99,7 @@ class TensorRecovery:
     lambda_e u u^T over the off-diagonal covariances, both
     bias-corrected by the block jackknife; ``lambda_t_se`` is the
     jackknife standard error of ``lambda_t`` (NaN for a single sample,
-    which leaves nothing to leave out).  ``u`` is the unit hint, so
+    which leaves nothing to leave out).  ``u`` is the unit hint as given, so
     ``lambda_t`` is positive exactly when the positive class is the
     majority (the third central moment carries a (2 rho - 1) factor).
     """
@@ -128,6 +130,16 @@ def _check_symmetric(matrix) -> tuple[np.ndarray, float]:
     if max(d.max(), -d.min()) > 1e-8 * max(1.0, peak):
         raise InvalidInput("matrix must be symmetric")
     return a, peak
+
+
+def check_unit(v, name: str) -> np.ndarray:
+    """Return ``v`` as a float array, undivided, after checking that it is
+    finite and of unit norm to 1e-6."""
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
+        raise InvalidInput(f"{name} must be a unit vector")
+    return v
 
 
 def check_iteration_controls(tol: float, max_iter: int):
@@ -165,8 +177,10 @@ def _fit_factor(hollow: np.ndarray, u: np.ndarray, tol: float, max_iter: int):
     squared off-diagonal residual at the least-squares lambda along u,
     ||H||_F^2 - (u^T H u)^2 / (1 - sum u^4), in O(M).  A step that
     raises it is halved until it does not.  Stops when the update moves
-    no entry by more than ``tol`` / 100.  Returns ``(lambda, u,
-    iterations, converged, residual_history)``.
+    no entry by more than ``tol`` / 100, and raises :class:`NoSignal`
+    when a step puts the whole factor on one method, where lambda is
+    undefined.  Returns ``(lambda, u, iterations, converged,
+    residual_history)``.
     """
     h2 = float(np.vdot(hollow, hollow))
     # rises within the rounding of the squared residual do not count
@@ -183,7 +197,11 @@ def _fit_factor(hollow: np.ndarray, u: np.ndarray, tol: float, max_iter: int):
             hu_new = hollow @ new
             a = float(new @ hu_new)
             u2 = new * new
-            lam = a / (1.0 - float(u2 @ u2))
+            # the squared off-diagonal norm of u u^T, 0 when u is on one method
+            off2 = 1.0 - float(u2 @ u2)
+            if not off2 > 0.0:
+                raise NoSignal("the update puts the whole factor on one method")
+            lam = a / off2
             res2_new = h2 - lam * a
             if res2_new <= res2 + slack:
                 break
@@ -286,6 +304,8 @@ def recover_rank1_matrix(
     history[-1] = residual
 
     v = resolve_sign(u)
+    v = v / float(np.linalg.norm(v))
+    v.setflags(write=False)
     result = Rank1Recovery(
         lambda_=lam,
         v=v,
@@ -380,7 +400,8 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     entries are used (a noiseless a (x) a (x) a is ``a[:, None]``).
     Under conditional independence its rank-one factor has the
     direction of the covariance factor, so only scales are fitted, by
-    least squares along u = ``v_hint``:
+    least squares along u = ``v_hint``, which must be a unit vector to
+    1e-6 and is used as given (it becomes the fit's ``u``):
 
         lambda_e = sum_{i != j} Q_ij u_i u_j / (1 - sum u^4)
         lambda_t = mean_k (s^3 - 3 s q + 2 p) / (1 - 3 sum u^4 + 2 sum u^6)
@@ -396,15 +417,14 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     more pass over C.
     Requires M >= 5: with fewer methods one to four distinct triples
     would carry the whole fit.  Raises :class:`NoSignal` when the
-    covariances or the distinct-index third moments along u vanish.
+    covariances or the distinct-index third moments along u vanish, or
+    when a leave-out fit collapses onto fewer than three methods, which
+    leaves its scales undefined.
     """
-    hint = np.asarray(v_hint, dtype=float)
-    m = hint.size
+    u = check_unit(v_hint, "v_hint")
+    m = u.size
     if m < TENSOR_MIN_METHODS:
         raise TooFewMethods(f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage")
-    norm_hint = np.linalg.norm(hint)
-    if not np.isfinite(norm_hint) or abs(norm_hint - 1.0) > 1e-6:
-        raise InvalidInput("v_hint must be a unit vector")
 
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != m or c.shape[1] < 1:
@@ -412,7 +432,6 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     if not np.all(np.isfinite(c)):
         raise InvalidInput("centred rank entries must be finite")
     n = c.shape[1]
-    u = hint / norm_hint
 
     # one pass over C for the Gram matrix and column sum of every block
     blocks = min(JACKKNIFE_BLOCKS, n)
@@ -447,7 +466,13 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     for _ in range(REFIT_STEPS):
         vs = _factor_step(cov_v, vs)
         cov_v = np.einsum("bij,bj->bi", covs, vs)
-    lams = (vs * cov_v).sum(axis=1) / (1.0 - (vs**4).sum(axis=1))
+    # the squared norms of v v^T off the diagonal and of v (x) v (x) v on
+    # distinct indices: 0 with fewer than two, or three, non-zero entries
+    offs2 = 1.0 - (vs**4).sum(axis=1)
+    norms_t = _distinct_triples(vs * vs)
+    if not ((offs2 > 0.0).all() and (norms_t > 0.0).all()):
+        raise NoSignal("a leave-out fit collapses onto fewer than three methods")
+    lams = (vs * cov_v).sum(axis=1) / offs2
 
     sums, scale = _triple_sums(c, np.vstack([vs, u]), blocks)
     total = float(sums[-1].sum())
@@ -467,7 +492,7 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     # sum_d Cov(y_i, y_j) ybar_l = sum_{i != j} Cov(y_i, y_j) (total - ybar_i - ybar_j)
     cov_sum = total_ybar * (vs * cov_v).sum(axis=1) - 2.0 * (cov_v * vs * ybar).sum(axis=1)
     central = raw - 3.0 * cov_sum - _distinct_triples(ybar)
-    lams_t = central / _distinct_triples(vs * vs)
+    lams_t = central / norms_t
 
     lambda_e, _ = _jackknife(lambda_e, lams)
     lambda_t, lambda_t_se = _jackknife(lambda_t, lams_t)

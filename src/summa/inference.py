@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import TensorRecovery, check_recoverability
+from .decomposition import TensorRecovery, check_recoverability, check_unit
 from .exceptions import InvalidInput, InvalidPrevalence, NoSignal
 
 # Half-width of the lambda_t interval, in jackknife standard errors.
@@ -122,14 +122,6 @@ class PerformanceReport:
         }
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-        raise InvalidInput("weight vector must be unit-norm")
-    return v / norm
-
-
 def performance_estimates(
     v,
     lambda_e: float,
@@ -147,15 +139,16 @@ def performance_estimates(
     ``tensor`` gives it.  Whenever ``tensor`` is passed it also gives the
     measured beta, lambda_t and :func:`prevalence_interval`, which flags
     the estimate degenerate when it contains 1/2; a supplied rho outside
-    it adds a note (never fails); its jackknifed lambda_e replaces the
-    ``lambda_e`` argument.  With neither, rho is 1/2 with the whole of
-    (0, 1) as its interval, so it is flagged degenerate.  ``reason``
-    says why the tensor stage measured nothing; without a tensor it
-    becomes the one note.  ||delta|| = sqrt(lambda_e / (rho(1-rho))).
+    it adds a note (never fails); its jackknifed lambda_e is the scale,
+    and the ``lambda_e`` argument is neither read nor checked.  Without
+    a tensor that argument must be positive.  With neither a rho nor a
+    tensor, rho is 1/2 with the whole of (0, 1) as its interval, so it
+    is flagged degenerate.  ``reason`` says why the tensor stage
+    measured nothing; without a tensor it becomes the one note.
+    ``v`` must be a unit vector to 1e-6; it is used as given, and is
+    the report's ``weights``.  ||delta|| = sqrt(lambda_e / (rho(1-rho))).
     """
-    v = _unit(v)
-    if not np.isfinite(lambda_e) or lambda_e <= 0.0:
-        raise NoSignal(f"covariance leading value must be positive, got {lambda_e}")
+    v = check_unit(v, "v")
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
     if len(method_ids) != v.size:
@@ -178,6 +171,8 @@ def performance_estimates(
                 f"[{low:.4f}, {high:.4f}]",
             )
     else:
+        if not np.isfinite(lambda_e) or lambda_e <= 0.0:
+            raise NoSignal(f"covariance leading value must be positive, got {lambda_e}")
         interval, outcome = None, "cross-check skipped"
         if not rho_assumed:
             # the tensor was the only route to rho, and it rules no prevalence out

@@ -8,8 +8,8 @@ compare them with ``==``.  :class:`ConditionalRankModel` with
 factorized rank model, independently of the closed form in
 :func:`predicted_central_moment`, so the two can be checked against each
 other.
-:func:`rank1_completion` is the matrix stage's alternating map with
-exact LAPACK eigen-solves in place of the shifted power iteration.
+:func:`rank1_completion` is the alternating map with exact eigen-solves:
+an independent route to the fixed points of the matrix stage's update.
 
 They live only in ``tests/`` because the method never calls them: summa
 estimates performance from ranks alone, and its one supervised measure,
@@ -189,8 +189,9 @@ def predicted_central_moment(rho: float, deltas) -> float:
 
 
 def rank1_completion(q, tol: float, max_iter: int):
-    """:func:`summa.decomposition.recover_rank1_matrix`'s alternating map
-    with ``np.linalg.eigh`` inner solves.
+    """The alternating map with exact ``np.linalg.eigh`` eigen-solves: an
+    independent route to the fixed points of the update that
+    :func:`summa.decomposition.recover_rank1_matrix` takes.
 
     Each step completes the hollow of ``q`` with diag(lambda u o u) and
     takes the completion's most positive eigenpair; it stops when

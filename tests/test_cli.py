@@ -23,6 +23,7 @@ from summa.exceptions import InvalidInput, NotConverged
 from summa.inference import Z_CUTOFF
 from summa.pipeline import run_pipeline
 from summa.ranking import ScoreMatrix, rank_transform
+from test_pipeline import COLLAPSED_LEAVE_OUT, ONE_METHOD_FACTOR
 
 
 def run(*argv):
@@ -40,6 +41,14 @@ def simulate(tmp_path, out="sim", **kwargs):
         argv += [key, value]
     assert run(*argv) == 0
     return tmp_path / out
+
+
+def write_scores(path, values):
+    """Write the methods x samples ``values`` as a scores table."""
+    m, n = values.shape
+    write_table(path, ["sample_id", *(f"m{i}" for i in range(m))],
+                [[f"s{k}" for k in range(n)], *values], "csv")
+    return path
 
 
 def reference_csv(path, header, columns):
@@ -411,7 +420,15 @@ class TestInfer:
         assert report["notes"] == []
 
     def test_matrix_not_converged_writes_error_json(self, tmp_path):
+        # one update step cannot meet the step test, so the matrix stage
+        # runs out; the CLI writes the library's partial
         out = simulate(tmp_path, **{"--methods": 30, "--samples": 500})
+        _, _, values = read_matrix_table(out / "scores.csv")
+        ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
+        with pytest.raises(NotConverged) as raised:
+            run_pipeline(ranks, max_iter=1)
+        expected = raised.value.partial
+        assert expected.iterations == 1 and not expected.converged
         inf = tmp_path / "inf"
         assert run("infer", out / "scores.csv", "--max-iter", 1,
                    "--output-dir", inf) == 1
@@ -422,28 +439,32 @@ class TestInfer:
         assert len(partial["v"]) == 30
         assert partial["iterations"] == 1
         assert partial["residual"] >= 0
+        assert partial["v"] == expected.v.tolist()
+        assert partial["lambda"] == expected.lambda_
         manifest = json.loads((inf / "manifest.json").read_text())
         assert "error" in manifest
         assert "error.json" in manifest["outputs"]
 
-    def test_power_iteration_out_of_steps_writes_error_json(self, tmp_path):
-        # one update step cannot meet the step test on the default design,
-        # so the matrix stage runs out; the CLI writes the library's partial
-        out = simulate(tmp_path)
-        _, _, values = read_matrix_table(out / "scores.csv")
-        ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
-        with pytest.raises(NotConverged) as raised:
-            run_pipeline(ranks, max_iter=1)
-        partial = raised.value.partial
-        assert partial.iterations == 1 and not partial.converged
+    def test_factor_on_one_method_is_no_signal(self, tmp_path):
+        table = write_scores(tmp_path / "scores.csv", ONE_METHOD_FACTOR)
         inf = tmp_path / "inf"
-        assert run("infer", out / "scores.csv", "--max-iter", 1,
-                   "--output-dir", inf) == 1
-        error = json.loads((inf / "error.json").read_text())
-        assert error["error"] == "NotConverged"
-        assert error["partial"]["v"] == partial.v.tolist()
-        assert error["partial"]["lambda"] == partial.lambda_
-        assert "error.json" in json.loads((inf / "manifest.json").read_text())["outputs"]
+        assert run("infer", table, "--output-dir", inf) == 1
+        manifest = json.loads((inf / "manifest.json").read_text())
+        assert manifest["error"] == "the update puts the whole factor on one method"
+        assert not (inf / "report.json").exists()
+
+    def test_collapsed_leave_out_fit_reports_degenerate_half(self, tmp_path):
+        table = write_scores(tmp_path / "scores.csv", COLLAPSED_LEAVE_OUT)
+        inf = tmp_path / "inf"
+        assert run("infer", table, "--output-dir", inf) == 0
+        assert "error" not in json.loads((inf / "manifest.json").read_text())
+        report = strict_json(inf / "report.json")
+        assert report["rho"] == 0.5
+        assert report["rho_degenerate"] is True
+        assert report["lambda_t"] is None
+        assert report["notes"] == ["tensor stage found no signal; "
+                                   "rho taken as 1/2 and flagged degenerate"]
+        assert all(0.0 <= m["auroc_raw"] <= 1.0 for m in report["methods"])
 
     def test_no_iterations_rejected(self, tmp_path):
         out = simulate(tmp_path)

@@ -183,6 +183,13 @@ class TestRecoverRank1Matrix:
         assert np.abs(rec.diag - d0).max() < 1e-6
         assert rec.converged
 
+    def test_v_is_unit_and_read_only(self):
+        q = design_covariance(12, 400, 0.3, 0)
+        rec = recover_rank1_matrix(q)
+        assert abs(np.linalg.norm(rec.v) - 1.0) < 1e-15
+        assert not rec.v.flags.writeable
+        assert np.array_equal(rec.diag, np.diag(q) - rec.lambda_ * rec.v * rec.v)
+
     def test_noiseless_sweep(self):
         rng = np.random.default_rng(1)
         for m in range(4, 13):
@@ -371,6 +378,10 @@ class TestRecoverRank1Tensor:
         assert rec.lambda_e == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
         # one sample leaves nothing out, so there is no standard error
         assert math.isnan(rec.lambda_t_se)
+
+    def test_hint_used_as_given(self):
+        c, v = stage_inputs(12, 400, 0.3, 0)
+        assert recover_rank1_tensor(c, v).u is v
 
     def test_hint_alignment_flips_sign(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])

@@ -155,6 +155,21 @@ class TestPerformanceEstimates:
         with pytest.raises(InvalidInput):
             performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"), rho=0.5)
 
+    def test_tensor_fit_ignores_lambda_e_argument(self):
+        # the tensor's jackknifed lambda_e is the scale, so the argument is
+        # neither read nor checked
+        tensor = tensor_fit(0.3, np.array([2.0, 4.0, 4.0, 8.0, 1.0]), Z_CUTOFF + 1)
+        expected = performance_estimates(tensor.u, 7.0, 100, ids(5), tensor=tensor).to_dict()
+        for ignored in (0.0, np.nan):
+            report = performance_estimates(tensor.u, ignored, 100, ids(5), tensor=tensor)
+            assert report.to_dict() == expected
+            assert report.lambda_e == tensor.lambda_e
+
+    def test_weights_are_v_as_given(self):
+        v = np.array([0.9, 0.1, 0.1, np.sqrt(1 - 0.83)])
+        v /= np.linalg.norm(v)
+        assert performance_estimates(v, 1.0, 10, ids(4), rho=0.5).weights is v
+
     def test_crosscheck_notes_but_succeeds(self):
         # the data measured rho in [0.083, 0.121] but the user claims 0.5
         tensor = tensor_fit(0.1, np.full(4, 2.0), 25.0)

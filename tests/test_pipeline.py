@@ -1,17 +1,34 @@
 """run_pipeline's choice of prevalence: a supplied value, the tensor's
 estimate with its interval, or an assumed 1/2 flagged as degenerate
-when the tensor stage measures nothing; and of the one covariance scale."""
+when the tensor stage measures nothing; of the one covariance scale and
+the one method vector; and its outcomes on tiny, tied tables."""
 
 import numpy as np
 import pytest
 
 from summa import pipeline
-from summa.decomposition import TensorRecovery
-from summa.exceptions import SummaError
+from summa.decomposition import TensorRecovery, recover_rank1_matrix, recover_rank1_tensor
+from summa.exceptions import NoSignal, SummaError
 from summa.inference import prevalence_from_moments, prevalence_interval
+from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.pipeline import run_pipeline
 from summa.ranking import ScoreMatrix, rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
+
+
+# 4 methods (rows) by 3 samples, m0 constant: a matrix-stage step puts
+# the whole factor on one method
+ONE_METHOD_FACTOR = np.array([
+    [1.0, 1.0, 1.0],
+    [0.35537271, -0.65382861, -0.12961363],
+    [0.78397547, 1.49343115, -1.25906553],
+    [1.51392377, 1.34587542, 0.7813114],
+])
+# 6 methods by 3 samples: a leave-out fit of the tensor stage's jackknife
+# collapses onto fewer than three methods
+COLLAPSED_LEAVE_OUT = np.array([
+    [0, 1, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 0],
+], dtype=float)
 
 
 def ranks_for(**kwargs):
@@ -149,3 +166,57 @@ def test_tensor_scale_sizes_aurocs_no_worse_than_matrix_scale(design):
         matrix_rmse.append(np.sqrt(np.mean((matrix_aurocs - data.true_aurocs) ** 2)))
     assert len(tensor_rmse) >= 30
     assert np.median(tensor_rmse) <= np.median(matrix_rmse)
+
+
+@pytest.mark.parametrize("design", [(30, 1000, 0.3), (12, 400, 0.5)])
+def test_one_method_vector(design):
+    # the matrix stage's unit v is the tensor fit's u and the report's weights
+    m, n, rho = design
+    for seed in range(10):
+        result = run_pipeline(ranks_for(n_methods=m, n_samples=n, rho=rho, seed=seed))
+        v = result.recovery.v
+        assert not v.flags.writeable
+        assert result.report.weights is v and result.tensor.u is v
+
+
+class TestWeakRegimes:
+    def test_factor_on_one_method_is_no_signal(self):
+        ranks = rank_transform(ScoreMatrix.from_array(ONE_METHOD_FACTOR), "midrank")
+        with pytest.raises(NoSignal, match="the update puts the whole factor on one method"):
+            run_pipeline(ranks)
+
+    def test_collapsed_leave_out_fit_reports_degenerate_half(self):
+        ranks = rank_transform(ScoreMatrix.from_array(COLLAPSED_LEAVE_OUT), "midrank")
+        v = recover_rank1_matrix(covariance_matrix(ranks)).v
+        with pytest.raises(NoSignal, match="leave-out fit collapses"):
+            recover_rank1_tensor(third_moment_offdiag(ranks), v)
+        result = run_pipeline(ranks)
+        report = result.report
+        assert result.tensor is None
+        assert report.rho == 0.5 and report.rho_degenerate
+        assert report.notes == ("tensor stage found no signal; "
+                                "rho taken as 1/2 and flagged degenerate",)
+        assert np.isfinite(report.aurocs).all()
+
+    def test_seeded_sweep_returns_a_rho_or_raises(self):
+        # tables of 4-8 methods and 3-5 samples, half of them tied 0/1/2
+        # integers and every third with a constant method: each run gives
+        # rho in (0, 1) with finite AUROCs or a SummaError, never another
+        # exception or a warning
+        rng = np.random.default_rng(0)
+        for table in range(200):
+            m, n = int(rng.integers(4, 9)), int(rng.integers(3, 6))
+            if table % 2:
+                values = rng.integers(0, 3, size=(m, n)).astype(float)
+            else:
+                values = rng.standard_normal((m, n))
+            if table % 3 == 0:
+                values[rng.integers(m)] = 1.0
+            for ties in ("midrank", "strict"):
+                ranks = rank_transform(ScoreMatrix.from_array(values), ties)
+                try:
+                    report = run_pipeline(ranks).report
+                except SummaError:
+                    continue
+                assert 0.0 < report.rho < 1.0, (table, ties)
+                assert np.isfinite(report.aurocs).all(), (table, ties)
