@@ -445,6 +445,24 @@ class TestInfer:
         assert "error" in manifest
         assert "error.json" in manifest["outputs"]
 
+    def test_power_iteration_out_of_steps_writes_error_json(self, tmp_path):
+        # the same out-of-steps path on the default simulated design
+        out = simulate(tmp_path)
+        _, _, values = read_matrix_table(out / "scores.csv")
+        ranks = rank_transform(ScoreMatrix.from_array(values), "midrank")
+        with pytest.raises(NotConverged) as raised:
+            run_pipeline(ranks, max_iter=1)
+        partial = raised.value.partial
+        assert partial.iterations == 1 and not partial.converged
+        inf = tmp_path / "inf"
+        assert run("infer", out / "scores.csv", "--max-iter", 1,
+                   "--output-dir", inf) == 1
+        error = json.loads((inf / "error.json").read_text())
+        assert error["error"] == "NotConverged"
+        assert error["partial"]["v"] == partial.v.tolist()
+        assert error["partial"]["lambda"] == partial.lambda_
+        assert "error.json" in json.loads((inf / "manifest.json").read_text())["outputs"]
+
     def test_factor_on_one_method_is_no_signal(self, tmp_path):
         table = write_scores(tmp_path / "scores.csv", ONE_METHOD_FACTOR)
         inf = tmp_path / "inf"
