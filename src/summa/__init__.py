@@ -35,7 +35,7 @@ from .inference import (
     performance_estimates,
     prevalence_from_moments,
 )
-from .moments import covariance_matrix, third_moment_offdiag
+from .moments import CentredRanks, covariance_matrix, third_moment_offdiag
 from .pipeline import PipelineResult, run_pipeline
 from .ranking import (
     LabelVector,
@@ -54,6 +54,7 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CentredRanks",
     "DegenerateLabels",
     "EnsembleScores",
     "InvalidInput",

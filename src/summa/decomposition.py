@@ -31,7 +31,10 @@ over the distinct-index entries is a closed form in power sums of the
 centred ranks, O(MN).  The tensor is never built.  A block jackknife,
 whose leave-out covariance fits take a few steps of the same update,
 corrects the bias that fixing v at its noisy estimate puts on the
-scale, and gives it a standard error.
+scale, and gives it a standard error.  Its leave-out covariances come
+from the block Gram matrices of :class:`summa.moments.CentredRanks`,
+the same ones whose sum is the covariance of the matrix stage, so the
+stage makes one more pass over C, for the triple sums, and no other.
 
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
+from .moments import CentredRanks
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 1000
@@ -54,10 +58,9 @@ DEFAULT_MAX_ITER = 1000
 MATRIX_MIN_METHODS = 4
 TENSOR_MIN_METHODS = 5
 
-# The tensor stage's jackknife: samples k mod JACKKNIFE_BLOCKS form the
-# blocks, and each leave-one-block-out covariance fit takes REFIT_STEPS
-# steps of the matrix stage's update from the full fit.
-JACKKNIFE_BLOCKS = 20
+# Each leave-one-block-out covariance fit of the tensor stage's
+# jackknife takes REFIT_STEPS steps of the matrix stage's update from the
+# full fit.
 REFIT_STEPS = 5
 
 # Halvings of a matrix-stage step that raises the residual.
@@ -68,6 +71,9 @@ _SIGNAL_EPS = 1e-13
 
 # Methods times samples per chunk of the tensor stage's pass over C.
 _CHUNK = 1 << 13
+
+# Rows per tile of the symmetry check.
+_SYMMETRY_TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +132,15 @@ def _check_symmetric(matrix) -> tuple[np.ndarray, float]:
     peak = float(np.maximum(a.max(), -a.min()))
     if not math.isfinite(peak):
         raise InvalidInput("matrix entries must be finite")
-    d = a - a.T
-    if max(d.max(), -d.min()) > 1e-8 * max(1.0, peak):
+    # each row tile against the transposed column tile at and right of
+    # the diagonal meets every pair (i, j) once, so max |a_ij - a_ji|
+    # comes without forming a - a^T
+    asymmetry = 0.0
+    for lo in range(0, a.shape[0], _SYMMETRY_TILE):
+        hi = lo + _SYMMETRY_TILE
+        d = a[lo:hi, lo:] - a[lo:, lo:hi].T
+        asymmetry = max(asymmetry, d.max(), -d.min())
+    if asymmetry > 1e-8 * max(1.0, peak):
         raise InvalidInput("matrix must be symmetric")
     return a, peak
 
@@ -391,13 +404,15 @@ def _jackknife(full: float, leave_outs: np.ndarray) -> tuple[float, float]:
     return k * full - (k - 1) * mean, math.sqrt((k - 1) / k * float(spread @ spread))
 
 
-def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
+def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
     """Fit the scale of the third-moment tensor along ``v_hint``.
 
-    ``c`` is a finite M x N matrix of centred rank rows such as
-    :func:`summa.moments.third_moment_offdiag` returns; the tensor is
-    (1/N) sum_k c_k (x) c_k (x) c_k, of which only the distinct-index
-    entries are used (a noiseless a (x) a (x) a is ``a[:, None]``).
+    ``centred`` is the :class:`summa.moments.CentredRanks` that
+    :func:`summa.moments.third_moment_offdiag` returns, or a bare finite
+    M x N matrix C of centred rows, which takes the same block pass
+    first.  The tensor is (1/N) sum_k c_k (x) c_k (x) c_k, of which only
+    the distinct-index entries are used (a noiseless a (x) a (x) a is
+    ``a[:, None]``).
     Under conditional independence its rank-one factor has the
     direction of the covariance factor, so only scales are fitted, by
     least squares along u = ``v_hint``, which must be a unit vector to
@@ -409,9 +424,9 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     with s, q and p the power sums of x_k = u o c_k over the methods.
 
     Fixing u at its noisy estimate shrinks |lambda_t|, so both scales
-    are bias-corrected by a jackknife over ``JACKKNIFE_BLOCKS`` blocks of
-    samples, k mod blocks.  Each leave-one-block-out covariance comes
-    from per-block Gram matrices, re-centred on its own samples; its
+    are bias-corrected by a jackknife over the ``JACKKNIFE_BLOCKS``
+    blocks of samples, k mod blocks.  Each leave-one-block-out covariance
+    comes from the block Gram matrices, re-centred on its own samples; its
     (lambda_e, u) takes ``REFIT_STEPS`` steps of the matrix stage's
     update from the full fit; and all leave-out lambda_t come from one
     more pass over C.
@@ -426,22 +441,18 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     if m < TENSOR_MIN_METHODS:
         raise TooFewMethods(f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage")
 
-    c = np.asarray(c, dtype=float)
+    bare = not isinstance(centred, CentredRanks)
+    c = np.asarray(centred, dtype=float) if bare else centred.c
     if c.ndim != 2 or c.shape[0] != m or c.shape[1] < 1:
         raise InvalidInput(f"centred rank matrix of shape {c.shape} does not match {m} methods")
-    if not np.all(np.isfinite(c)):
+    if bare:
+        centred = CentredRanks.from_centred(c)
+    c, grams, block_sums = centred.c, centred.grams, centred.block_sums
+    # every entry is in one block, so a non-finite entry makes its block's sum non-finite
+    if not np.isfinite(block_sums).all():
         raise InvalidInput("centred rank entries must be finite")
     n = c.shape[1]
-
-    # one pass over C for the Gram matrix and column sum of every block
-    blocks = min(JACKKNIFE_BLOCKS, n)
-    grams = np.empty((blocks, m, m))
-    block_sums = np.empty((blocks, m))
-    for b in range(blocks):
-        # a contiguous copy of the block, which matmul takes several times faster
-        part = np.ascontiguousarray(c[:, b::blocks])
-        grams[b] = part @ part.T
-        block_sums[b] = part.sum(axis=1)
+    blocks = grams.shape[0]
     gram = grams.sum(axis=0)
     diagonal = np.arange(m)
 
@@ -457,7 +468,7 @@ def recover_rank1_tensor(c, v_hint: np.ndarray) -> TensorRecovery:
     left = blocks if n > 1 else 0
     kept = n - np.bincount(np.arange(n) % blocks, minlength=blocks)[:left]
     means = (block_sums.sum(axis=0) - block_sums[:left]) / kept[:, None]
-    covs = np.subtract(gram, grams[:left], out=grams[:left])
+    covs = gram - grams[:left]
     covs /= kept[:, None, None]
     covs -= means[:, :, None] * means[:, None, :]
     covs[:, diagonal, diagonal] = 0.0

@@ -1,8 +1,12 @@
 """End-to-end unsupervised inference over a rank matrix.
 
-Wires the stages together: covariance -> rank-one recovery ->
-third-moment tensor -> prevalence and per-method report -> aggregate
-scores.  Shared by the command line and the experiment sweeps.
+Wires the stages together: centred ranks -> covariance -> rank-one
+recovery -> third-moment tensor -> prevalence and per-method report ->
+aggregate scores.  Shared by the command line and the experiment
+sweeps.  The ranks are centred once, and one pass over the centred
+matrix gives the block Gram matrices that make both the covariance and
+the tensor stage's jackknife; that matrix is dropped before the
+aggregation builds its own M x N temporary.
 :func:`summa.inference.performance_estimates` chooses the prevalence.
 
 The tensor stage is a closed form with a jackknife, so it cannot fail to
@@ -68,15 +72,18 @@ def run_pipeline(
     :func:`performance_estimates`, which makes the one fallback.
     ``tol`` and ``max_iter`` govern the matrix stage.
     """
-    recovery = recover_rank1_matrix(covariance_matrix(ranks), tol=tol, max_iter=max_iter)
+    centred = third_moment_offdiag(ranks)
+    recovery = recover_rank1_matrix(covariance_matrix(centred), tol=tol, max_iter=max_iter)
 
     tensor = reason = None
     try:
-        tensor = recover_rank1_tensor(third_moment_offdiag(ranks), recovery.v)
+        tensor = recover_rank1_tensor(centred, recovery.v)
     except TooFewMethods as err:
         reason = str(err)
     except NoSignal:
         reason = "tensor stage found no signal"
+    # the centred ranks are as large as the ranks themselves
+    del centred
 
     report = performance_estimates(
         recovery.v, recovery.lambda_, ranks.n_samples, ranks.method_ids,

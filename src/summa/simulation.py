@@ -13,7 +13,10 @@ Randomness comes from counter-based Philox streams (numpy's
 scores and the reserved stream 2**64-1 draws the per-method target
 AUROCs.  Because streams never share state, adding methods never
 perturbs the draws of existing ones, and a given (seed, config) pair
-reproduces bit-identical data.
+reproduces bit-identical data.  One Philox per call serves every
+stream: it is re-keyed to (seed, stream) at counter 0, the state a fresh
+``Philox(key=(seed, stream))`` starts from, which skips the entropy a
+fresh one draws for a seed sequence it never uses.
 """
 
 from __future__ import annotations
@@ -89,9 +92,20 @@ def separation_for_auroc(target_auroc: float) -> float:
     return float(np.sqrt(2.0) * NormalDist().inv_cdf(target_auroc))
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed: int):
+    """A function that sets one generator to the start of Philox stream
+    (seed, stream) and returns it."""
+    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    # a fresh Philox's state: counter and buffer 0, buffer used up
+    start = philox.state
+    generator = np.random.Generator(philox)
+
+    def stream(index: int) -> np.random.Generator:
+        start["state"]["key"] = np.array([seed, index], dtype=np.uint64)
+        philox.state = start
+        return generator
+
+    return stream
 
 
 def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
@@ -105,15 +119,15 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
     n1 = round(config.rho * n)
     labels = LabelVector(np.concatenate([np.ones(n1, np.int8), np.zeros(n - n1, np.int8)]))
 
-    meta = _stream(config.seed, _META_STREAM)
-    true_aurocs = meta.uniform(config.auroc_low, config.auroc_high, size=m)
+    stream = _streams(config.seed)
+    true_aurocs = stream(_META_STREAM).uniform(config.auroc_low, config.auroc_high, size=m)
     separations = np.array([separation_for_auroc(a) for a in true_aurocs])
 
     values = np.empty((m, n))
     shift = labels.labels.astype(float)
     for i in range(m):
-        noise = _stream(config.seed, i).standard_normal(n)
-        values[i] = noise + separations[i] * shift
+        row = stream(i).standard_normal(out=values[i])
+        row += separations[i] * shift
 
     scores = ScoreMatrix.from_array(values)
     true_aurocs.setflags(write=False)

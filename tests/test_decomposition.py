@@ -10,7 +10,6 @@ from summa import decomposition
 from summa.decomposition import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    JACKKNIFE_BLOCKS,
     REFIT_STEPS,
     Rank1Recovery,
     _factor_step,
@@ -21,7 +20,7 @@ from summa.decomposition import (
 )
 from summa.exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
 from summa.inference import prevalence_from_moments
-from summa.moments import covariance_matrix, third_moment_offdiag
+from summa.moments import JACKKNIFE_BLOCKS, covariance_matrix, third_moment_offdiag
 from summa.ranking import rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
 
@@ -130,7 +129,7 @@ def stage_inputs(m, n, rho, seed):
     """The centred ranks and the matrix stage's v of one simulated design."""
     data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
     ranks = rank_transform(data.scores, "midrank")
-    return third_moment_offdiag(ranks), recover_rank1_matrix(covariance_matrix(ranks)).v
+    return third_moment_offdiag(ranks).c, recover_rank1_matrix(covariance_matrix(ranks)).v
 
 
 class TestResolveSign:
@@ -349,6 +348,18 @@ class TestRecoverRank1Matrix:
         with pytest.raises(InvalidInput, match="symmetric"):
             recover_rank1_matrix(q)
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (127, 128), (128, 127), (299, 0),
+                                      (0, 299), (200, 250), (250, 200)])
+    def test_asymmetry_found_in_every_tile(self, pair):
+        # 300 methods span three row tiles of the symmetry check; the
+        # perturbation sits just above its threshold, 1e-8 of the peak
+        a = np.full(300, 1.0 / np.sqrt(300))
+        q = np.outer(a, a) * 100.0 + np.eye(300)
+        assert decomposition._check_symmetric(q)[0] is q
+        q[pair] += 2e-8 * np.abs(q).max()
+        with pytest.raises(InvalidInput, match="symmetric"):
+            recover_rank1_matrix(q)
+
     def test_single_nonzero_coordinate_is_no_signal(self):
         q = np.array([2.0, 0.0, 0.0, 0.0])
         with pytest.raises(NoSignal):
@@ -382,6 +393,20 @@ class TestRecoverRank1Tensor:
     def test_hint_used_as_given(self):
         c, v = stage_inputs(12, 400, 0.3, 0)
         assert recover_rank1_tensor(c, v).u is v
+
+    def test_centred_ranks_reused_as_given(self):
+        # the block Grams are read, not written: two fits from one
+        # CentredRanks agree with each other and with the bare matrix
+        data = simulate_ensemble(SimulationConfig(n_methods=12, n_samples=401, rho=0.3, seed=1))
+        centred = third_moment_offdiag(rank_transform(data.scores, "midrank"))
+        grams = centred.grams.copy()
+        v = recover_rank1_matrix(covariance_matrix(centred)).v
+        fits = [recover_rank1_tensor(centred, v), recover_rank1_tensor(centred, v),
+                recover_rank1_tensor(np.array(centred.c), v)]
+        for fit in fits[1:]:
+            assert (fit.lambda_t, fit.lambda_e, fit.lambda_t_se) == (
+                fits[0].lambda_t, fits[0].lambda_e, fits[0].lambda_t_se)
+        assert np.array_equal(centred.grams, grams)
 
     def test_hint_alignment_flips_sign(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])

@@ -24,7 +24,7 @@ def dense_offdiag(ranks):
     force from the centred rows, with zeros at repeated indices; every
     entry is read from its sorted index triple, so the array is exactly
     symmetric."""
-    c = third_moment_offdiag(ranks)
+    c = third_moment_offdiag(ranks).c
     m = c.shape[0]
     t = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
     i, j, l = np.sort(np.indices((m, m, m)), axis=0)
@@ -72,20 +72,42 @@ class TestCovariance:
         rm = rank_transform(sm, "strict")
         assert covariance_matrix(rm).shape == (4, 4)
 
+    @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 333, 1000])
+    @pytest.mark.parametrize("policy", ["midrank", "strict"])
+    def test_block_grams_sum_to_the_product(self, n, policy):
+        # centred ranks are multiples of 1/2, so every Gram entry is exact
+        # and the sum over min(20, N) blocks equals one product bit for bit;
+        # scores drawn from three values make midrank ties in every row
+        rng = np.random.default_rng(n)
+        scores = rng.integers(0, 3, size=(7, n)).astype(float)
+        scores[0] = rng.standard_normal(n)
+        ranks = rank_transform(ScoreMatrix.from_array(scores), policy)
+        centred = third_moment_offdiag(ranks)
+        c = ranks.ranks - ranks.ranks.mean(axis=1, keepdims=True)
+        assert np.array_equal(centred.c, c)
+        assert centred.grams.shape == (min(20, n), 7, 7)
+        assert covariance_matrix(centred).tobytes() == (c @ c.T / n).tobytes()
+        assert covariance_matrix(ranks).tobytes() == (c @ c.T / n).tobytes()
+
+    def test_centred_ranks_are_read_only(self):
+        centred = third_moment_offdiag(np.arange(1.0, 41.0).reshape(4, 10))
+        for arr in (centred.c, centred.grams, centred.block_sums):
+            assert not arr.flags.writeable
+
 
 class TestThirdMoment:
     def test_identical_strict_rows_vanish(self):
         # third central moment of a symmetric distribution is zero
         n = 9
         row = np.arange(1, n + 1, dtype=float)
-        c = third_moment_offdiag(np.array([row, row, row]))
+        c = third_moment_offdiag(np.array([row, row, row])).c
         assert moment(c, 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_prevalence_vanishes_in_expectation(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, n_methods=3, support=8, rho=0.5)
         ranks, _ = model.sample(200_000, rng)
-        c = third_moment_offdiag(ranks)
+        c = third_moment_offdiag(ranks).c
         scale = abs(model.delta(0) * model.delta(1) * model.delta(2))
         assert abs(moment(c, 0, 1, 2)) < 0.05 * max(scale, 1.0)
 
@@ -94,14 +116,14 @@ class TestThirdMoment:
         model = random_model(rng, n_methods=3, support=5, rho=0.3)
         exact = exact_central_moment(model, (0, 1, 2))
         ranks, _ = model.sample(100_000, rng)
-        c = third_moment_offdiag(ranks)
+        c = third_moment_offdiag(ranks).c
         assert moment(c, 0, 1, 2) == pytest.approx(exact, abs=0.3)
 
     def test_dense_symmetric_matches_brute_force(self):
         rng = np.random.default_rng(9)
         ranks = rng.random((6, 40))
         c = ranks - ranks.mean(axis=1, keepdims=True)
-        assert np.array_equal(third_moment_offdiag(ranks), c)
+        assert np.array_equal(third_moment_offdiag(ranks).c, c)
         q3 = dense_offdiag(ranks)
         for i, j, l in itertools.product(range(6), repeat=3):
             if len({i, j, l}) == 3:
@@ -132,7 +154,7 @@ class TestThirdMoment:
         rng = np.random.default_rng(13)
         ranks = rng.random((4, 60))
         perm = [2, 0, 3, 1]
-        assert np.array_equal(third_moment_offdiag(ranks[perm]), third_moment_offdiag(ranks)[perm])
+        assert np.array_equal(third_moment_offdiag(ranks[perm]).c, third_moment_offdiag(ranks).c[perm])
         q3 = dense_offdiag(ranks)
         q3p = dense_offdiag(ranks[perm])
         np.testing.assert_allclose(q3p, q3[np.ix_(perm, perm, perm)], rtol=1e-12, atol=0)

@@ -3,11 +3,14 @@ estimate with its interval, or an assumed 1/2 flagged as degenerate
 when the tensor stage measures nothing; of the one covariance scale and
 the one method vector; and its outcomes on tiny, tied tables."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from summa import pipeline
 from summa.decomposition import TensorRecovery, recover_rank1_matrix, recover_rank1_tensor
+from summa.ensemble import summa_scores
 from summa.exceptions import NoSignal, SummaError
 from summa.inference import prevalence_from_moments, prevalence_interval
 from summa.moments import covariance_matrix, third_moment_offdiag
@@ -177,6 +180,34 @@ def test_one_method_vector(design):
         v = result.recovery.v
         assert not v.flags.writeable
         assert result.report.weights is v and result.tensor.u is v
+
+
+@pytest.mark.parametrize("case", ["default", "four methods", "collapsed leave-out"])
+def test_centred_ranks_dropped_before_aggregation(monkeypatch, case):
+    # the centred ranks are as large as the ranks, so none may still be
+    # alive when the aggregation builds its own M x N temporary, whether
+    # the tensor stage measures, is refused, or finds no signal
+    ranks = {
+        "default": lambda: ranks_for(n_methods=30, n_samples=1000, rho=0.3, seed=0),
+        "four methods": lambda: ranks_for(n_methods=4, n_samples=300, rho=0.3, seed=1),
+        "collapsed leave-out": lambda: rank_transform(
+            ScoreMatrix.from_array(COLLAPSED_LEAVE_OUT), "midrank"),
+    }[case]()
+    refs, alive = [], []
+
+    def centre(ranks):
+        centred = third_moment_offdiag(ranks)
+        refs.append(weakref.ref(centred))
+        return centred
+
+    def aggregate(ranks, v):
+        alive.extend(ref() is not None for ref in refs)
+        return summa_scores(ranks, v)
+
+    monkeypatch.setattr(pipeline, "third_moment_offdiag", centre)
+    monkeypatch.setattr(pipeline, "summa_scores", aggregate)
+    run_pipeline(ranks)
+    assert alive == [False]
 
 
 class TestWeakRegimes:

@@ -132,6 +132,17 @@ class TestRankTransformOracle:
         scores[::9] = np.round(scores[::9], 2)
         self.assert_matches_rankdata(scores)
 
+    def test_one_row(self):
+        # the shape evaluate ranks: one aggregate score row
+        rng = np.random.default_rng(5)
+        scores = rng.standard_normal((1, 3000))
+        self.assert_matches_rankdata(scores)
+        self.assert_matches_rankdata(np.round(scores, 1))
+
+    def test_two_samples(self):
+        rng = np.random.default_rng(6)
+        self.assert_matches_rankdata(rng.integers(0, 2, size=(9, 2)).astype(float))
+
 
 def test_import_leaves_scipy_stats_out():
     # nor the process pool, which only a parallel sweep needs

@@ -100,6 +100,24 @@ class TestSimulateEnsemble:
         assert np.array_equal(small.scores.values, large.scores.values[:4])
         assert np.array_equal(small.true_aurocs, large.true_aurocs[:4])
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("m", [1, 30])
+    def test_rows_are_fresh_philox_streams(self, seed, m):
+        # every row is a fresh Philox(key=(seed, i))'s standard normals
+        # plus the shift, and the targets come from stream 2**64 - 1
+        def fresh(stream):
+            key = np.array([seed, stream], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        config = SimulationConfig(n_methods=m, n_samples=300, rho=0.3, seed=seed)
+        data = simulate_ensemble(config)
+        targets = fresh(2**64 - 1).uniform(config.auroc_low, config.auroc_high, size=m)
+        assert np.array_equal(data.true_aurocs, targets)
+        shift = data.labels.labels.astype(float)
+        for i in range(m):
+            row = fresh(i).standard_normal(300) + separation_for_auroc(targets[i]) * shift
+            assert np.array_equal(data.scores.values[i], row), i
+
     def test_exact_class_counts(self):
         for rho in (0.1, 0.3, 0.5, 0.77):
             data = simulate_ensemble(SimulationConfig(n_methods=2, n_samples=1000, rho=rho))
