@@ -21,20 +21,28 @@ File formats (all stable):
   round-trip exactly.
 * every JSON file is strict JSON (a non-finite float is ``null``),
   indented by one space and ends in a newline.
-* tables are read with ``csv`` for the header record and one
-  ``np.loadtxt`` pass for the body, which takes ``"`` quoting as
+* tables are read with ``csv`` for the header record and
+  ``np.loadtxt`` for the body, which takes ``"`` quoting as
   ``csv.writer`` writes it; a body error names its data row.
+* a large CSV table is written and read in contiguous row parts, one
+  per usable CPU: this process handles the first and forked children
+  the rest, with the same bytes and values as one part.  A read splits
+  only at line starts before the body's first ``"``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import pickle
 import re
+import shutil
 import sys
 import time
 import warnings
@@ -78,6 +86,11 @@ SWEEP_DEFAULT_VALUES = {
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _CHUNK_ROWS = 4096
+# the least cells in one part of a split table.  On one core, parsing
+# 2**16 float cells takes about 24 ms and formatting them about 48 ms,
+# against 2.4 ms to fork, pipe to and reap a child of a 150 MB process;
+# below about 30 000 cells two parts were no faster than one
+_PART_CELLS = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -134,18 +147,108 @@ def _write_json(path: Path, obj):
         handle.write("\n")
 
 
+def _part_count(cells: int) -> int:
+    """How many parts to split a table of ``cells`` cells into: one per
+    usable CPU, each of at least ``_PART_CELLS`` cells; one where
+    ``os.fork`` or the CPU affinity is not available."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // _PART_CELLS))
+
+
+def _child(work, k: int, write_fd: int, close_fds: list[int]):
+    """The forked child of part ``k``: run ``work(k, pipe)`` and leave
+    through ``os._exit``, so no buffer it inherited is flushed twice."""
+    status = 1
+    try:
+        for fd in close_fds:  # the read ends, so a closed one breaks its pipe
+            os.close(fd)
+        with open(write_fd, "wb") as pipe:
+            work(k, pipe)
+        status = 0
+    except BaseException:
+        # imported only on failure here and in _forked, so start-up never loads it
+        import traceback
+
+        os.write(2, traceback.format_exc().encode(errors="replace"))
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(path: Path, parts: int, work):
+    """Run ``work(k, pipe)`` for the parts k = 1 .. ``parts`` - 1 of a
+    table, each in a forked child writing to its own pipe, and yield the
+    read ends in part order.
+
+    On leaving the block every read end is closed before its child is
+    reaped, so a child blocked on a full pipe ends; after an error the
+    children are killed first.  Where the block completes, a child that
+    exited non-zero raises a ``RuntimeError``."""
+    children: list[tuple[int, object]] = []
+    try:
+        for k in range(1, parts):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(work, k, write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        yield [pipe for _, pipe in children]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for k, status in enumerate(statuses, 1):
+        if status:
+            raise RuntimeError(f"{path}: the process of part {k + 1} of {parts} exited "
+                               f"with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _csv_rows(line: str, cells, start: int, stop: int):
+    """The CSV text of rows ``start`` .. ``stop`` - 1, ``_CHUNK_ROWS``
+    rows at a time."""
+    for low in range(start, stop, _CHUNK_ROWS):
+        high = min(low + _CHUNK_ROWS, stop)
+        chunk = [_as_list(c[low:high]) for c in cells]
+        yield "".join([line % row for row in zip(*chunk)])
+
+
 def write_table(path: Path, header: list[str], columns: list, fmt: str):
     """Write equal-length ``columns`` (sequences or 1-D arrays) under
     ``header``.  CSV goes out ``_CHUNK_ROWS`` rows at a time, byte for
-    byte what ``csv.writer`` writes for the cells' ``_fmt`` text."""
+    byte what ``csv.writer`` writes for the cells' ``_fmt`` text; a large
+    table is cut into contiguous row parts, the first formatted here and
+    each other one in a forked child whose bytes follow it in order."""
     if fmt == "csv":
         specs, cells = zip(*(_csv_column(column) for column in columns))
         line = ",".join(specs) + "\r\n"
+        rows = len(cells[0])
+        parts = _part_count(rows * len(cells))
+        bounds = [rows * k // parts for k in range(parts + 1)]
         with open(path, "w", newline="") as handle:
-            handle.write(",".join(_quoted(name) for name in header) + "\r\n")
-            for start in range(0, len(cells[0]), _CHUNK_ROWS):
-                chunk = [_as_list(c[start:start + _CHUNK_ROWS]) for c in cells]
-                handle.write("".join([line % row for row in zip(*chunk)]))
+            def send(k, pipe):
+                # formatted in full first: a write blocks once the pipe is full
+                pipe.writelines([text.encode(handle.encoding)
+                                 for text in _csv_rows(line, cells, bounds[k], bounds[k + 1])])
+
+            with _forked(path, parts, send) as pipes:
+                handle.write(",".join(_quoted(name) for name in header) + "\r\n")
+                handle.writelines(_csv_rows(line, cells, 0, bounds[1]))
+                handle.flush()
+                for pipe in pipes:
+                    shutil.copyfileobj(pipe, handle.buffer)
     else:
         _write_json(path, [
             dict(zip(header, row)) for row in zip(*(_as_list(column) for column in columns))
@@ -159,69 +262,177 @@ _CONVERSION_ERROR = re.compile(r"(could not convert .*) at row (\d+), column (\d
 _CELL_COUNT_ERROR = re.compile(
     r"(?:columns changed from \d+ to \d+|columns but \d+ were found"
     r"|invalid column index \d+) at row (\d+)")
+# the errors a table's text can raise (a UnicodeDecodeError is a
+# ValueError), mapped by _table_error
+_TEXT_ERRORS = (ValueError, csv.Error)
+
+
+def _table_error(path: Path, err: Exception, cells, rows_before: int = 0) -> InvalidInput:
+    """The :class:`InvalidInput` for ``err``, raised by a part of the
+    table that starts after ``rows_before`` data rows; a row of
+    ``cells`` cells was expected."""
+    if isinstance(err, UnicodeDecodeError):
+        return InvalidInput(f"{path}: not {err.encoding} text ({err.reason})")
+    text = str(err)
+    if match := _CONVERSION_ERROR.search(text):
+        row = rows_before + int(match[2]) + 1
+        where = f"data row {row}, column {match[3]}: {match[1]}"
+    elif match := _CELL_COUNT_ERROR.search(text):
+        where = f"data row {rows_before + int(match[1])}: expected {cells} cells"
+    else:
+        where = text
+    return InvalidInput(f"{path}: {where}")
+
+
+class _ByteRange(io.RawIOBase):
+    """The unbuffered binary file ``raw`` from its position up to byte
+    ``end``, read as a file of its own."""
+
+    def __init__(self, raw, end: int):
+        self._raw, self._left = raw, end - raw.tell()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+
+def _line_starts(path: Path, start: int, values: int) -> list[int]:
+    """The byte offsets that cut the body of a table, which starts at
+    byte ``start``, into parts: ``start``, the line starts before which
+    the body holds no ``"`` (a quoted cell may hold a line break), and
+    the end of the file.  The number of parts is set by the value cells
+    of the body, ``values`` per line on the lines of its first 64 KiB;
+    ids are not counted, as a part's ids come back pickled at about the
+    cost of parsing them."""
+    with open(path, "rb") as binary:
+        end = binary.seek(0, os.SEEK_END)
+        binary.seek(start)
+        sample = binary.read(1 << 16)
+        lines = sample.count(b"\n") * (end - start) // max(len(sample), 1)
+        parts = _part_count(lines * values)
+        bounds = [start]
+        for k in range(1, parts):
+            binary.seek(start + (end - start) * k // parts - 1)
+            binary.readline()
+            if bounds[-1] < binary.tell() < end:
+                bounds.append(binary.tell())
+        binary.seek(start)
+        scanned = start
+        while scanned < bounds[-1] and (chunk := binary.read(1 << 20)):
+            if (at := chunk.find(b'"')) >= 0:
+                bounds = [bound for bound in bounds if bound <= scanned + at]
+                break
+            scanned += len(chunk)
+    return bounds + [end]
 
 
 def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
                 usecols: tuple[int, ...] | None = None, converters: dict | None = None):
-    """Read a delimited table: the header record with ``csv.reader``, then
-    the body in one ``np.loadtxt`` pass on the same handle.
+    """Read a delimited table: the header record with ``csv.reader``,
+    then the body with ``np.loadtxt``.  A large body is cut at line
+    starts into parts; the first is parsed here and each other one in a
+    forked child, which sends back its row count, its ids and its raw
+    values for one preallocated array.
 
-    Returns the header and one record per data row: ``id``, the stripped
-    first cell, and ``v``, the cells after it as ``value_type`` (every
+    Returns the header, the ids (each data row's stripped first cell)
+    and the values: the cells after the id as ``value_type`` (every
     header column, or only ``usecols[1:]``), each through its entry of
-    ``converters`` where it has one.  Every failure is an
-    :class:`InvalidInput` naming the file, and a body error names its
-    data row, counted from 1 over the non-blank records."""
+    ``converters`` where it has one, one row per data row.  Every failure
+    is an :class:`InvalidInput` naming the file, and a body error names
+    its data row, counted from 1 over the non-blank records."""
     try:
         with open(path, newline="") as handle:
-            header = next(csv.reader(handle, delimiter=delimiter), None)
-            if header is None:
-                raise InvalidInput(f"{path}: empty table")
-            if len(header) < 2:
-                raise InvalidInput(f"{path}: {header_error}")
-            shape = (len(header) - 1,) if usecols is None else ()
-            with warnings.catch_warnings():
-                # an empty body is reported below, as "no data rows"
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(
-                    handle, dtype=[("id", object), ("v", value_type, shape)],
-                    delimiter=delimiter, quotechar='"', comments=None,
-                    usecols=usecols, ndmin=1,
-                    converters={0: str.strip, **(converters or {})},
-                )
-    except UnicodeDecodeError as err:
-        raise InvalidInput(f"{path}: not {err.encoding} text ({err.reason})") from None
-    except (ValueError, csv.Error) as err:
-        text = str(err)
-        if match := _CONVERSION_ERROR.search(text):
-            where = f"data row {int(match[2]) + 1}, column {match[3]}: {match[1]}"
-        elif match := _CELL_COUNT_ERROR.search(text):
-            cells = len(header) if usecols is None else f"at least {len(usecols)}"
-            where = f"data row {match[1]}: expected {cells} cells"
-        else:
-            where = text
-        raise InvalidInput(f"{path}: {where}") from None
-    if body.size == 0:
+            # readline, unlike iteration, leaves tell() at the body's first byte
+            header = next(csv.reader(iter(handle.readline, ""), delimiter=delimiter), None)
+            start, encoding = handle.tell(), handle.encoding
+    except _TEXT_ERRORS as err:
+        raise _table_error(path, err, None) from None
+    if header is None:
+        raise InvalidInput(f"{path}: empty table")
+    if len(header) < 2:
+        raise InvalidInput(f"{path}: {header_error}")
+    cells = len(header) if usecols is None else f"at least {len(usecols)}"
+    shape = (len(header) - 1,) if usecols is None else ()
+    bounds = _line_starts(path, start, len(header) - 1 if usecols is None else len(usecols) - 1)
+    parts = len(bounds) - 1
+
+    def parse(k):
+        with open(path, "rb") as binary, warnings.catch_warnings():
+            # an empty body is reported below, as "no data rows"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            binary.seek(bounds[k])
+            if k + 1 < parts:
+                # only the parts before the last are bounded: over a bounded
+                # file a text file checks "closed" in Python on every line
+                binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
+            text = io.TextIOWrapper(binary, encoding=encoding, newline="")
+            return np.loadtxt(
+                text, dtype=[("id", object), ("v", value_type, shape)],
+                delimiter=delimiter, quotechar='"', comments=None,
+                usecols=usecols, ndmin=1,
+                converters={0: str.strip, **(converters or {})},
+            )
+
+    def send(k, pipe):
+        try:
+            part = parse(k)
+        except _TEXT_ERRORS as err:
+            pickle.dump((0, None, err), pipe)
+            return
+        pickle.dump((len(part), part["id"].tolist(), None), pipe)
+        pipe.write(np.ascontiguousarray(part["v"]))
+
+    with _forked(path, parts, send) as pipes:
+        try:
+            first = parse(0)
+        except _TEXT_ERRORS as err:
+            raise _table_error(path, err, cells) from None
+        counts, ids = [len(first)], first["id"].tolist()
+        cut_short = "{}: the process of part {} of {} ended before sending it"
+        for k, pipe in enumerate(pipes, 1):
+            try:
+                rows, part_ids, err = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(cut_short.format(path, k + 1, parts)) from None
+            if err is not None:
+                raise _table_error(path, err, cells, sum(counts))
+            counts.append(rows)
+            ids += part_ids
+        values = np.empty((sum(counts), *shape), value_type)
+        values[:counts[0]] = first["v"]
+        del first
+        low = counts[0]
+        for k, pipe in enumerate(pipes, 1):
+            block = values[low:low + counts[k]]
+            if pipe.readinto(block) != block.nbytes:
+                raise RuntimeError(cut_short.format(path, k + 1, parts))
+            low += counts[k]
+    if not ids:
         raise InvalidInput(f"{path}: no data rows")
-    return header, body
+    return header, tuple(ids), values
 
 
 def read_matrix_table(path: Path, delimiter: str = ","):
     """Read a sample-by-method table: header of method ids, first column
     of sample ids, numeric cells."""
-    header, body = _read_table(path, delimiter, float,
-                               "need a sample-id column plus method columns")
+    header, sample_ids, values = _read_table(path, delimiter, float,
+                                             "need a sample-id column plus method columns")
     method_ids = tuple(h.strip() for h in header[1:])
-    return method_ids, tuple(body["id"].tolist()), body["v"].T  # -> methods x samples
+    return method_ids, sample_ids, values.T  # -> methods x samples
 
 
 def read_labels_table(path: Path, delimiter: str = ","):
     """Read a ``sample_id,label`` table; cells after the label are ignored."""
     # int() rejects "0.5" and "1.0", which older numpy releases truncate
     # into an int field with only a DeprecationWarning
-    _, body = _read_table(path, delimiter, int, "expected 'sample_id,label' table",
-                          usecols=(0, 1), converters={1: int})
-    return tuple(body["id"].tolist()), LabelVector(body["v"])
+    _, sample_ids, labels = _read_table(path, delimiter, int,
+                                        "expected 'sample_id,label' table",
+                                        usecols=(0, 1), converters={1: int})
+    return sample_ids, LabelVector(labels)
 
 
 def _align_labels(sample_ids, label_ids, labels: LabelVector) -> LabelVector:
@@ -342,6 +553,7 @@ def _load_rank_matrix(args, manifest: ManifestWriter) -> RankMatrix:
     if args.already_ranked:
         return RankMatrix(values, args.ties, method_ids, sample_ids)
     scores = ScoreMatrix(values, method_ids, sample_ids)
+    del values  # the parsed table; scores holds its own copy
     return rank_transform(scores, args.ties)
 
 
@@ -379,6 +591,7 @@ def cmd_evaluate(args, manifest: ManifestWriter) -> str:
     label_ids, labels = read_labels_table(labels_path, args.delimiter)
     labels = _align_labels(sample_ids, label_ids, labels)
     scores = ScoreMatrix(values, method_ids, sample_ids)
+    del values  # the parsed table; scores holds its own copy
     ranks = rank_transform(scores, "strict")
     aurocs = [auroc_rectangle(row, labels) for row in ranks.ranks]
 

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,42 @@ from summa.exceptions import InvalidInput, NotConverged
 from summa.inference import Z_CUTOFF
 from summa.pipeline import run_pipeline
 from summa.ranking import ScoreMatrix, rank_transform
+from summa.simulation import SimulationConfig, simulate_ensemble
 from test_pipeline import COLLAPSED_LEAVE_OUT, ONE_METHOD_FACTOR
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # every child a command forks must be reaped before it returns
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped (pid {pid or 'still running'})")
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """``split_into(parts)`` makes every table of at least ``parts``
+    cells split into ``parts`` parts, as on a machine with ``parts``
+    usable CPUs; it returns the list of children forked, which grows."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def split(parts):
+        monkeypatch.setattr(cli, "_PART_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    return split
 
 
 def run(*argv):
@@ -105,11 +142,31 @@ def awkward_table(n):
 
 class TestWriteTable:
     @pytest.mark.parametrize("n", [1, 7, 2 * _CHUNK_ROWS + 3])
-    def test_csv_bytes_match_csv_writer(self, tmp_path, n):
+    def test_csv_bytes_match_csv_writer(self, tmp_path, split_into, n):
         header, columns = awkward_table(n)
-        write_table(tmp_path / "new.csv", header, columns, "csv")
         reference_csv(tmp_path / "ref.csv", header, columns)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # row counts that no part count divides; with one row, parts are empty
+        for parts in (1, 2, 3):
+            forked = split_into(parts)
+            before = len(forked)
+            write_table(tmp_path / "new.csv", header, columns, "csv")
+            assert len(forked) == before + parts - 1
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
+        # a part whose process fails must not leave a shorter table unnoticed
+        split_into(3)
+        parent, rows = os.getpid(), cli._csv_rows
+
+        def failing_rows(line, cells, start, stop):
+            if os.getpid() != parent and start > 0:
+                raise MemoryError("no room for the part")
+            return rows(line, cells, start, stop)
+
+        monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+        header, columns = awkward_table(50)
+        with pytest.raises(RuntimeError, match=r"part 2 of 3 exited with status 1"):
+            write_table(tmp_path / "t.csv", header, columns, "csv")
 
     def test_csv_round_trips_floats(self, tmp_path):
         values = np.random.default_rng(1).standard_normal((3, 50))
@@ -134,27 +191,31 @@ class TestReadTables:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1, 3), st.data())
-    def test_round_trip_through_write_table(self, tmp_path, m, data):
+    def test_round_trip_through_write_table(self, tmp_path, split_into, m, data):
         ids = data.draw(st.lists(ID_TEXT, min_size=1, max_size=12))
         n = len(ids)
         values = np.array(data.draw(st.lists(FINITE, min_size=m * n, max_size=m * n)),
                           dtype=float).reshape(m, n)
         methods = data.draw(st.lists(ID_TEXT, min_size=m, max_size=m))
         path = tmp_path / "t.csv"
-        write_table(path, ["sample_id", *methods], [ids, *values], "csv")
-        method_ids, sample_ids, read = read_matrix_table(path)
-        assert method_ids == tuple(name.strip() for name in methods)
-        assert sample_ids == tuple(sid.strip() for sid in ids)
-        assert read.shape == (m, n)
-        assert np.ascontiguousarray(read).tobytes() == values.tobytes()
+        for parts in (1, 3):
+            split_into(parts)
+            write_table(path, ["sample_id", *methods], [ids, *values], "csv")
+            method_ids, sample_ids, read = read_matrix_table(path)
+            assert method_ids == tuple(name.strip() for name in methods)
+            assert sample_ids == tuple(sid.strip() for sid in ids)
+            assert read.shape == (m, n)
+            assert np.ascontiguousarray(read).tobytes() == values.tobytes()
 
-    def test_blank_lines_skipped(self, tmp_path):
+    def test_blank_lines_skipped(self, tmp_path, split_into):
         path = tmp_path / "t.csv"
         path.write_text("sample_id,a,b\r\n\r\ns0,1,2\r\n\r\n\r\n s1 ,3,4\n\n")
-        method_ids, sample_ids, values = read_matrix_table(path)
-        assert method_ids == ("a", "b")
-        assert sample_ids == ("s0", "s1")
-        assert values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        for parts in (1, 2, 3):
+            split_into(parts)
+            method_ids, sample_ids, values = read_matrix_table(path)
+            assert method_ids == ("a", "b")
+            assert sample_ids == ("s0", "s1")
+            assert values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
     @pytest.mark.parametrize("delimiter", [";", "\t"])
     def test_other_delimiters(self, tmp_path, delimiter):
@@ -206,14 +267,18 @@ class TestReadTables:
         assert f"{path}: data row 2, column 2" in str(err.value)
 
     @pytest.mark.parametrize("reader", [read_matrix_table, read_labels_table])
-    def test_undecodable_data_row(self, tmp_path, reader):
-        # far enough into the file that the header decodes cleanly
+    def test_undecodable_data_row(self, tmp_path, split_into, reader):
+        # far enough into the file that the header decodes cleanly; split,
+        # the byte lies in the last part
         path = tmp_path / "t.csv"
         rows = b"".join(b"s%d,1\n" % k for k in range(5000))
         path.write_bytes(b"sample_id,label\n" + rows + b"s5000,\xff1\n")
-        with pytest.raises(InvalidInput, match="not utf-8 text") as err:
-            reader(path)
-        assert str(path) in str(err.value)
+        for parts in (1, 2):
+            forked = split_into(parts)
+            with pytest.raises(InvalidInput, match="not utf-8 text") as err:
+                reader(path)
+            assert str(path) in str(err.value)
+        assert len(forked) == 1
 
     def test_oversized_header_cell(self, tmp_path):
         # csv's field limit applies to the header record only
@@ -231,6 +296,68 @@ class TestReadTables:
         sample_ids, labels = read_labels_table(path)
         assert sample_ids == ("s0", "s1", "s2")
         assert labels.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("reader, rows, bad", [
+        (read_matrix_table, [f"s{k},{k},-{k}" for k in range(40)], "s,5"),
+        (read_matrix_table, [f"s{k},{k},-{k}" for k in range(40)], "s,5,6,7"),
+        (read_matrix_table, [f"s{k},{k},-{k}" for k in range(40)], "s,5,x"),
+        (read_labels_table, [f"s{k},{k % 2}" for k in range(40)], "s"),
+        (read_labels_table, [f"s{k},{k % 2}" for k in range(40)], "s,1.5"),
+    ])
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_error_in_a_later_part_names_its_data_row(self, tmp_path, split_into, reader,
+                                                      rows, bad, parts):
+        # the message of a split read is the one-part message, word for word
+        rows = rows[:5] + [""] + rows[5:30] + ["", ""] + rows[30:36] + [bad] + rows[36:]
+        path = tmp_path / "t.csv"
+        path.write_text(("sample_id,a,b\n" if reader is read_matrix_table
+                         else "sample_id,label\n") + "\n".join(rows) + "\n")
+        with pytest.raises(InvalidInput) as whole:
+            reader(path)
+        assert "data row 37" in str(whole.value)
+        forked = split_into(parts)
+        with pytest.raises(InvalidInput) as split:
+            reader(path)
+        assert len(forked) == parts - 1
+        assert str(split.value) == str(whole.value)
+
+    @pytest.mark.parametrize("at", [3, 60])
+    def test_no_split_after_a_quote(self, tmp_path, split_into, at):
+        # a quoted cell may hold a line break, so no part starts after a '"'
+        rows = [f"s{k},{k}.5,{-k}" for k in range(80)]
+        rows[at] = f'"quoted\r\n{at}",1,2'
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+        whole = read_matrix_table(path)
+        forked = split_into(2)
+        split = read_matrix_table(path)
+        assert split[:2] == whole[:2] and split[1][at] == f"quoted\r\n{at}"
+        assert split[2].tobytes() == whole[2].tobytes()
+        # before the midpoint the quote leaves one part; after it, two
+        assert len(forked) == (at > 40)
+
+    def test_labels_table_split(self, tmp_path, split_into):
+        out = simulate(tmp_path)
+        whole = read_labels_table(out / "labels.csv")
+        forked = split_into(3)
+        split = read_labels_table(out / "labels.csv")
+        assert len(forked) == 2
+        assert split[0] == whole[0]
+        assert split[1].labels.tobytes() == whole[1].labels.tobytes()
+
+    def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
+        path = write_scores(tmp_path / "t.csv", np.ones((3, 60)))
+        split_into(2)
+        parent, loadtxt = os.getpid(), np.loadtxt
+
+        def failing_loadtxt(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("no room for the part")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", failing_loadtxt)
+        with pytest.raises(RuntimeError, match="part 2 of 2 ended before sending it"):
+            read_matrix_table(path)
 
     def test_underscore_digits_rejected(self, tmp_path):
         # float() reads "1_0" as 10.0; numpy's float syntax has no "_"
@@ -278,6 +405,28 @@ class TestSimulate:
         method_ids, sample_ids, values = read_matrix_table(out / "scores.csv")
         assert len(method_ids) == 10
         assert values.shape == (10, 300)
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="a table splits only across two or more usable CPUs")
+    def test_large_table_splits_across_cpus(self, tmp_path):
+        # 5000 rows of 31 cells: large enough that the writer and the
+        # reader really fork, with no setting changed
+        assert cli._part_count(5000 * 31) >= 2
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out = simulate(tmp_path, **{"--methods": 30, "--samples": 5000})
+        assert run("infer", out / "scores.csv", "--output-dir", tmp_path / "inf") == 0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
+
+        data = simulate_ensemble(SimulationConfig(n_methods=30, n_samples=5000, seed=11))
+        method_ids, sample_ids, values = read_matrix_table(out / "scores.csv")
+        assert (method_ids, sample_ids) == (data.scores.method_ids, data.scores.sample_ids)
+        assert values.tobytes() == data.scores.values.tobytes()
+        report = json.loads((tmp_path / "inf" / "report.json").read_text())
+        expected = run_pipeline(rank_transform(data.scores, "midrank")).to_dict()
+        assert report["rho"] == expected["rho"]
+        assert [m["auroc"] for m in report["methods"]] == \
+            [m["auroc"] for m in expected["methods"]]
 
 
 class TestInfer:
@@ -582,6 +731,32 @@ class TestEvaluate:
                    "--output-dir", ev) == 1
         manifest = json.loads((ev / "manifest.json").read_text())
         assert "labels.csv: data row 2: expected at least 2 cells" in manifest["error"]
+
+
+@pytest.mark.parametrize("command", ["infer", "evaluate"])
+def test_parsed_table_dropped_before_ranking(tmp_path, monkeypatch, command):
+    # the parsed table is as large as the scores, so it may not still be
+    # alive when rank_transform builds the ranks
+    sim = simulate(tmp_path)
+    refs, alive = [], []
+
+    def read(path, delimiter=","):
+        method_ids, sample_ids, values = read_matrix_table(path, delimiter)
+        refs.append(weakref.ref(values))
+        return method_ids, sample_ids, values
+
+    def ranks(scores, ties):
+        alive.extend(ref() is not None for ref in refs)
+        return rank_transform(scores, ties)
+
+    monkeypatch.setattr(cli, "read_matrix_table", read)
+    monkeypatch.setattr(cli, "rank_transform", ranks)
+    if command == "infer":
+        argv = ["infer", sim / "scores.csv"]
+    else:
+        argv = ["evaluate", "--scores", sim / "scores.csv", "--labels", sim / "labels.csv"]
+    assert run(*argv, "--output-dir", tmp_path / "out") == 0
+    assert alive == [False]
 
 
 class TestManifestOutputs:
