@@ -23,6 +23,7 @@ from .ranking import (
     LabelVector,
     RankMatrix,
     ScoreMatrix,
+    _frozen_array,
     auroc_rectangle,
     rank_transform,
 )
@@ -42,12 +43,9 @@ class EnsembleScores:
     labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        labels = (scores > 0.0).astype(np.int8)
-        scores.setflags(write=False)
-        labels.setflags(write=False)
+        scores = _frozen_array(self.scores)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _frozen_array(scores > 0.0, np.int8))
 
     @property
     def n_samples(self) -> int:
@@ -63,6 +61,7 @@ def summa_scores(ranks: RankMatrix, v) -> EnsembleScores:
         )
     rbar = (ranks.n_samples + 1) / 2.0
     scores = v @ (rbar - ranks.ranks)
+    scores.setflags(write=False)
     return EnsembleScores(scores, SUMMA, ranks.sample_ids)
 
 
@@ -74,6 +73,7 @@ def woc_scores(ranks: RankMatrix) -> EnsembleScores:
     """
     rbar = (ranks.n_samples + 1) / 2.0
     scores = rbar - ranks.ranks.mean(axis=0)
+    scores.setflags(write=False)
     return EnsembleScores(scores, WOC, ranks.sample_ids)
 
 

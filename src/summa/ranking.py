@@ -21,6 +21,16 @@ and ``"ordinal"``.
 a tie-free rank row against known labels, for ``summa evaluate`` and
 :func:`summa.ensemble.evaluate_ensemble`.  It counts concordant pairs
 in integers, so its float is the correctly rounded exact AUROC.
+
+The frozen result types (``ScoreMatrix``, ``RankMatrix``, ``LabelVector``
+and :class:`summa.ensemble.EnsembleScores`) hold read-only arrays made
+by :func:`_frozen_array`.  It keeps, without a copy, an ``ndarray`` of
+the type's dtype that owns its memory and is already read-only; the
+producers (:func:`rank_transform`, ``simulate_ensemble``,
+``summa_scores`` and ``woc_scores``) freeze the arrays they have just
+built and hand them over so.  Anything else is copied and the copy
+frozen.  No M x N array is therefore held twice: ranking a score matrix
+holds the scores and the ranks once each.
 """
 
 from __future__ import annotations
@@ -36,6 +46,17 @@ MIDRANK = "midrank"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``, copied only if needed.
+
+    An ``ndarray`` of exactly that dtype which owns its memory and is
+    already read-only is kept as it is: its producer froze it before
+    handing it over.  Anything else is copied and the copy frozen, so a
+    caller's writeable array, a read-only view of a writeable base, a
+    memmap or a ``frombuffer`` array cannot change under the result.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.base is None and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -198,7 +219,6 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
     if tie_policy not in (STRICT, MIDRANK):
         raise InvalidInput(f"unknown tie policy {tie_policy!r}")
     m, n = scores.values.shape
-    ranks = np.empty((m, n))
     # whole-matrix sort temporaries made repeated calls' peak memory erratic
     step = max(1, (1 << 17) // n)
     for lo in range(0, m, step):
@@ -224,9 +244,15 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
             np.minimum.accumulate(last, axis=1, out=last)
             first += last[:, ::-1]
             by_position = (first + 2) * 0.5
+        if lo == 0:
+            # allocated above the first block's scratch arrays, which are
+            # freed on return: glibc hands a free heap top past its trim
+            # threshold back to the OS, and the next stage would fault it in
+            ranks = np.empty((m, n))
         block = ranks[lo:lo + step]
         for i in range(block.shape[0]):
             block[i, order[i]] = by_position[i]
+    ranks.setflags(write=False)
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
 
 

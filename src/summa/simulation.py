@@ -117,7 +117,9 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
     """
     m, n = config.n_methods, config.n_samples
     n1 = round(config.rho * n)
-    labels = LabelVector(np.concatenate([np.ones(n1, np.int8), np.zeros(n - n1, np.int8)]))
+    labels = np.concatenate([np.ones(n1, np.int8), np.zeros(n - n1, np.int8)])
+    labels.setflags(write=False)
+    labels = LabelVector(labels)
 
     stream = _streams(config.seed)
     true_aurocs = stream(_META_STREAM).uniform(config.auroc_low, config.auroc_high, size=m)
@@ -128,6 +130,7 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
     for i in range(m):
         row = stream(i).standard_normal(out=values[i])
         row += separations[i] * shift
+    values.setflags(write=False)
 
     scores = ScoreMatrix.from_array(values)
     true_aurocs.setflags(write=False)

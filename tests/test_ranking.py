@@ -9,6 +9,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from scipy.stats import rankdata
 
 import summa
 
+from summa.ensemble import EnsembleScores
 from summa.exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 from summa.ranking import (
     LabelVector,
@@ -29,6 +31,7 @@ from summa.ranking import (
     _default_ids,
     rank_transform,
 )
+from summa.simulation import SimulationConfig, simulate_ensemble
 
 from oracles import auroc_from_delta, delta, exact_auroc_rectangle, mann_whitney_u0
 
@@ -199,6 +202,72 @@ class TestRankMatrix:
             except InvalidInput:
                 accepted = False
             assert accepted == expected, rows
+
+
+# each frozen type, the array it keeps, and a valid source for it
+FROZEN_TYPES = [
+    pytest.param(lambda a: ScoreMatrix.from_array(a).values,
+                 np.array([[0.3, -1.0, 2.5], [0.0, 0.7, 0.2]]), id="ScoreMatrix"),
+    pytest.param(lambda a: RankMatrix(a, "strict", ("a", "b"), ("x", "y", "z")).ranks,
+                 np.array([[2.0, 1.0, 3.0], [3.0, 1.0, 2.0]]), id="RankMatrix"),
+    pytest.param(lambda a: EnsembleScores(a, "summa").scores,
+                 np.array([0.5, -1.0, 2.0]), id="EnsembleScores"),
+    pytest.param(lambda a: LabelVector(a).labels,
+                 np.array([1, 0, 1], dtype=np.int8), id="LabelVector"),
+]
+
+
+@pytest.mark.parametrize("field, source", FROZEN_TYPES)
+def test_frozen_type_copies_unless_handed_a_frozen_owner(field, source):
+    assert np.array_equal(field(source.tolist()), source)
+
+    writeable = source.copy()
+    kept = field(writeable)
+    writeable[...] = 0
+    assert np.array_equal(kept, source) and not kept.flags.writeable
+
+    base = source.copy()
+    view = base[...]
+    view.setflags(write=False)
+    kept = field(view)
+    base[...] = 0
+    assert np.array_equal(kept, source) and not kept.flags.writeable
+
+    owner = source.copy()
+    owner.setflags(write=False)
+    assert field(owner) is owner
+
+
+@pytest.fixture
+def traced_peak():
+    """A function giving a call's traced peak, in bytes above what was
+    traced before it; tracing stops when the test ends."""
+    def measure(call):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    yield measure
+    tracemalloc.stop()
+
+
+# a producer that hands its fresh M x N array over without a copy holds
+# fewer than two of them at once
+PEAK_M, PEAK_N = 30, 20_000
+PEAK_BOUND = 2 * PEAK_M * PEAK_N * 8
+
+
+def test_rank_transform_peak_memory(traced_peak):
+    scores = simulate_ensemble(SimulationConfig(n_methods=PEAK_M, n_samples=PEAK_N)).scores
+    assert traced_peak(lambda: rank_transform(scores, "midrank")) < PEAK_BOUND
+
+
+def test_simulate_ensemble_peak_memory(traced_peak):
+    config = SimulationConfig(n_methods=PEAK_M, n_samples=PEAK_N)
+    simulate_ensemble(SimulationConfig(n_methods=2, n_samples=4))  # its lazy import
+    assert traced_peak(lambda: simulate_ensemble(config)) < PEAK_BOUND
 
 
 class TestDelta:
