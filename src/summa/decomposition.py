@@ -198,20 +198,21 @@ def _fit_factor(hollow: np.ndarray, u: np.ndarray, tol: float, max_iter: int):
     h2 = float(np.vdot(hollow, hollow))
     # rises within the rounding of the squared residual do not count
     slack = 1e3 * np.finfo(float).eps * h2
-    hu = hollow @ u
+    # np.dot runs the same BLAS products as @ with half its call overhead
+    hu = np.dot(hollow, u)
     u2 = u * u
-    a = float(u @ hu)
-    res2 = h2 - a * a / (1.0 - float(u2 @ u2))
+    a = float(np.dot(u, hu))
+    res2 = h2 - a * a / (1.0 - float(np.dot(u2, u2)))
     history = []
     for iterations in range(1, max_iter + 1):
         target = _factor_step(hu, u)
         new = target
         for halving in range(_MAX_HALVINGS):
-            hu_new = hollow @ new
-            a = float(new @ hu_new)
+            hu_new = np.dot(hollow, new)
+            a = float(np.dot(new, hu_new))
             u2 = new * new
             # the squared off-diagonal norm of u u^T, 0 when u is on one method
-            off2 = 1.0 - float(u2 @ u2)
+            off2 = 1.0 - float(np.dot(u2, u2))
             if not off2 > 0.0:
                 raise NoSignal("the update puts the whole factor on one method")
             lam = a / off2
@@ -219,7 +220,7 @@ def _fit_factor(hollow: np.ndarray, u: np.ndarray, tol: float, max_iter: int):
             if res2_new <= res2 + slack:
                 break
             new = u + 0.5**(halving + 1) * (target - u)
-            new /= math.sqrt(new @ new)
+            new /= math.sqrt(np.dot(new, new))
         converged = float(np.abs(target - u).max()) <= tol / 100
         u, hu, res2 = new, hu_new, res2_new
         history.append(math.sqrt(max(res2, 0.0)))

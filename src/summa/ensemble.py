@@ -10,6 +10,11 @@ convention at 0 is otherwise arbitrary).  rbar is the exact mean of a
 tie-free rank row, and midrank rows share the same row sum, so the
 identity holds for both tie policies.  Scaling v by any positive
 constant changes no label and no ordering.
+
+:func:`evaluate_ensemble` scores aggregate scores against known labels
+by the rectangle rule on their strict ranks, which one ``argsort`` of
+the scores gives (:func:`summa.ranking._strict_auroc`); no one-row
+score or rank matrix is built for it.
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput
-from .ranking import (
-    LabelVector,
-    RankMatrix,
-    ScoreMatrix,
-    _frozen_array,
-    auroc_rectangle,
-    rank_transform,
-)
+from .ranking import RankMatrix, _frozen_array, _strict_auroc
+
+# unused here since evaluate_ensemble sorts its scores itself, but the
+# benchmark's tracing (perfbench/tracing.py, WRAP_POINTS) rebinds these
+# names in this module
+from .ranking import auroc_rectangle, rank_transform  # noqa: F401
 
 SUMMA = "summa"
 WOC = "woc"
@@ -80,16 +83,9 @@ def woc_scores(ranks: RankMatrix) -> EnsembleScores:
 def evaluate_ensemble(scores: EnsembleScores, labels) -> float:
     """Rectangle-rule AUROC of aggregate scores against known labels.
 
-    Scores are rank-transformed strictly (ties broken by sample index)
-    before applying the rectangle rule.
+    Scores are ranked strictly (ties broken by sample index) before
+    applying the rectangle rule; one sort of the scores gives both.
     """
-    labels = LabelVector.coerce(labels)
-    if len(labels) != scores.n_samples:
-        raise InvalidInput("scores and labels must have equal length")
-    matrix = ScoreMatrix.from_array(
-        scores.scores[None, :],
-        method_ids=(scores.method,),
-        sample_ids=scores.sample_ids,
-    )
-    ranks = rank_transform(matrix, "strict")
-    return float(auroc_rectangle(ranks.ranks[0], labels))
+    if scores.sample_ids is not None and len(scores.sample_ids) != scores.n_samples:
+        raise InvalidInput("id lists must match the matrix shape")
+    return _strict_auroc(scores.scores, labels)

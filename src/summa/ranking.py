@@ -13,14 +13,22 @@ about 1 MB; the sorted keys are gathered and the ranks scattered row by
 row, which is faster than numpy's ``take_along_axis`` and
 ``put_along_axis`` over the block.  Equal scores (``-0.0`` equals
 ``0.0``) form a tie group: midrank gives each member the group's mean
-position, strict orders the members by sample index.  Both equal
-``scipy.stats.rankdata`` of the negated scores with ``method="average"``
-and ``"ordinal"``.
+position, strict orders the members by sample index, which
+:func:`_break_ties` does for a row with ties in one integer sort.  Both
+equal ``scipy.stats.rankdata`` of the negated scores with
+``method="average"`` and ``"ordinal"``.
 
 :func:`auroc_rectangle` is the one supervised measure here: it scores
-a tie-free rank row against known labels, for ``summa evaluate`` and
-:func:`summa.ensemble.evaluate_ensemble`.  It counts concordant pairs
-in integers, so its float is the correctly rounded exact AUROC.
+a tie-free rank row against known labels, for ``summa evaluate``.  It
+counts concordant pairs in integers, so its float is the correctly
+rounded exact AUROC.  :func:`_strict_auroc`, behind
+:func:`summa.ensemble.evaluate_ensemble`, gives the same measure of a
+score row's strict ranks from one ``argsort`` of the scores, with no
+rank row built and no permutation checked; the two share the count,
+:func:`_rectangle_rule`, and the checks of the rank route.  The
+validations stay cheap: ``RankMatrix`` tests midrank row sums by their
+largest deviation and ``LabelVector`` its at most two distinct labels
+as a set.
 
 The frozen result types (``ScoreMatrix``, ``RankMatrix``, ``LabelVector``
 and :class:`summa.ensemble.EnsembleScores`) hold read-only arrays made
@@ -154,10 +162,11 @@ class RankMatrix:
             if not _rows_are_permutations(ranks):
                 raise InvalidInput("strict rows must each be a permutation of 1..N")
         else:
-            if np.any(ranks < 1.0) or np.any(ranks > n):
+            if ranks.min() < 1.0 or ranks.max() > n:
                 raise InvalidInput("midrank entries must lie in [1, N]")
             target = n * (n + 1) / 2.0
-            if not np.allclose(ranks.sum(axis=1), target, rtol=0, atol=1e-6 * target):
+            # np.allclose's rule at rtol=0; a NaN sum fails the comparison
+            if not np.abs(ranks.sum(axis=1) - target).max() <= 1e-6 * target:
                 raise InvalidInput("midrank rows must sum to N(N+1)/2")
         object.__setattr__(self, "ranks", _frozen_array(ranks))
         object.__setattr__(self, "method_ids", tuple(self.method_ids))
@@ -187,7 +196,8 @@ class LabelVector:
         if labels.ndim != 1:
             raise InvalidInput("labels must be 1-D")
         values = np.unique(labels)
-        if not np.all(np.isin(values, (0, 1))):
+        # at most two distinct values pass, so a set test beats np.isin
+        if not set(values.tolist()) <= {0, 1}:
             raise InvalidInput(f"labels must be 0/1, got values {values}")
         labels = _frozen_array(labels, dtype=np.int8)
         object.__setattr__(self, "labels", labels)
@@ -209,6 +219,21 @@ class LabelVector:
             )
 
 
+def _break_ties(order: np.ndarray, tied: np.ndarray):
+    """Put each tie group's samples in index order, in place, in
+    ``order``, an argsort of one row; ``tied[p]`` says sorted positions
+    p and p + 1 tie.  One integer sort of (group, sample) keys does it,
+    several times faster than a stable argsort of the row."""
+    n = order.size
+    group = np.empty(n, dtype=np.int64)
+    group[0] = 0
+    np.cumsum(~tied, out=group[1:])
+    group *= n
+    order += group
+    order.sort()
+    order -= group
+
+
 def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix:
     """Convert scores to per-method ranks; higher score => lower rank number.
 
@@ -226,14 +251,15 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
         order = np.argsort(keys, axis=1)
         ordered = np.empty_like(keys)
         for i in range(keys.shape[0]):
-            np.take(keys[i], order[i], out=ordered[i])
+            # argsort's indices are in range, so "clip" changes none; it
+            # spares the copy of out that the default mode makes
+            keys[i].take(order[i], out=ordered[i], mode="clip")
         tied = ordered[:, 1:] == ordered[:, :-1]  # sorted position k + 1 ties k
         del ordered
         by_position = np.broadcast_to(np.arange(1.0, n + 1), keys.shape)
         if tie_policy == STRICT:
-            # re-sort only the rows with ties, stably, so ties keep sample order
-            rows = tied.any(axis=1)
-            order[rows] = np.argsort(keys[rows], axis=1, kind="stable")
+            for i in np.flatnonzero(tied.any(axis=1)):
+                _break_ties(order[i], tied[i])
         elif tied.any():
             # the tie group spanning sorted positions first..last (0-based)
             # shares the rank (first + last) / 2 + 1, exactly representable
@@ -251,9 +277,24 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
             ranks = np.empty((m, n))
         block = ranks[lo:lo + step]
         for i in range(block.shape[0]):
-            block[i, order[i]] = by_position[i]
+            block[i][order[i]] = by_position[i]  # twice as fast as block[i, order[i]]
     ranks.setflags(write=False)
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
+
+
+def _rectangle_rule(by_rank: np.ndarray, labels: LabelVector) -> float:
+    """The AUROC of ``by_rank``, the labels in rank order (entry p the
+    label of the sample at rank p + 1), from its concordant pairs.
+
+    The positive at 0-based position p precedes N - 1 - p samples, all
+    negatives but for the positives after it; summed over the n1
+    positives that is n1 (N - 1) - n1 (n1 - 1) / 2 - (sum of their p),
+    counted in integers, so the ratio is correctly rounded.
+    """
+    n1 = labels.n_positive
+    positions = int(np.flatnonzero(by_rank).sum())
+    concordant = n1 * (len(labels) - 1) - n1 * (n1 - 1) // 2 - positions
+    return concordant / (n1 * labels.n_negative)
 
 
 def auroc_rectangle(ranks, labels) -> float:
@@ -273,5 +314,36 @@ def auroc_rectangle(ranks, labels) -> float:
             "rectangle-rule AUROC is defined only on tie-free rank permutations")
     by_rank = np.empty(len(labels), dtype=np.int8)  # the label at each rank
     by_rank[r.astype(np.intp) - 1] = labels.labels
-    true_pos = np.cumsum(by_rank, dtype=np.int64)
-    return int(true_pos[by_rank == 0].sum()) / (labels.n_positive * labels.n_negative)
+    return _rectangle_rule(by_rank, labels)
+
+
+def _strict_auroc(scores, labels) -> float:
+    """:func:`auroc_rectangle` of a score row's strict ranks, from one sort.
+
+    Equals ``auroc_rectangle(rank_transform(ScoreMatrix.from_array(
+    scores[None]), "strict").ranks[0], labels)``.  The row is sorted by
+    descending score with one ``argsort``, tied samples are put in index
+    order by :func:`_break_ties`, as in :func:`rank_transform`, and the
+    labels are read in that order.
+    The checks, in that route's order: equal lengths, at least 2
+    samples, finite scores (read off the sorted ends, where argsort puts
+    any infinity or NaN) and both classes present.
+    """
+    labels = LabelVector.coerce(labels)
+    keys = -np.asarray(scores, dtype=float)
+    if keys.ndim != 1:
+        raise InvalidInput("scores must be 1-D")
+    n = keys.size
+    if len(labels) != n:
+        raise InvalidInput("scores and labels must have equal length")
+    if n < 2:
+        raise InvalidInput(f"need at least 1 method and 2 samples, got 1x{n}")
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if not (-np.inf < ordered[0] and ordered[-1] < np.inf):
+        raise InvalidInput("scores must be finite")
+    labels.require_both_classes()
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        _break_ties(order, tied)
+    return _rectangle_rule(labels.labels[order], labels)

@@ -21,6 +21,7 @@ fresh one draws for a seed sequence it never uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ def separation_for_auroc(target_auroc: float) -> float:
 
     if not 0.0 < target_auroc < 1.0:
         raise InvalidInput(f"AUROC target must lie in (0, 1), got {target_auroc}")
-    return float(np.sqrt(2.0) * NormalDist().inv_cdf(target_auroc))
+    return math.sqrt(2.0) * NormalDist().inv_cdf(target_auroc)
 
 
 def _streams(seed: int):
@@ -123,7 +124,7 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
 
     stream = _streams(config.seed)
     true_aurocs = stream(_META_STREAM).uniform(config.auroc_low, config.auroc_high, size=m)
-    separations = np.array([separation_for_auroc(a) for a in true_aurocs])
+    separations = np.array([separation_for_auroc(a) for a in true_aurocs.tolist()])
 
     values = np.empty((m, n))
     shift = labels.labels.astype(float)

@@ -3,6 +3,8 @@ evaluation wrapper."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summa.ensemble import (
     EnsembleScores,
@@ -11,7 +13,7 @@ from summa.ensemble import (
     woc_scores,
 )
 from summa.exceptions import DegenerateLabels, InvalidInput
-from summa.ranking import LabelVector, RankMatrix, ScoreMatrix, rank_transform
+from summa.ranking import LabelVector, RankMatrix, ScoreMatrix, auroc_rectangle, rank_transform
 
 
 def strict_ranks(rows):
@@ -126,3 +128,51 @@ class TestEvaluateEnsemble:
         scores = EnsembleScores(np.array([1.0, 2.0]), "woc")
         with pytest.raises(DegenerateLabels):
             evaluate_ensemble(scores, np.array([1, 1]))
+
+    def test_single_class_rejected_for_either_class(self):
+        scores = EnsembleScores(np.array([1.0, 2.0, 0.5]), "summa")
+        for labels in ([0, 0, 0], [True, True, True]):
+            with pytest.raises(DegenerateLabels):
+                evaluate_ensemble(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = EnsembleScores(np.array([1.0, bad, 0.5, 0.2]), "summa")
+        with pytest.raises(InvalidInput, match="finite"):
+            evaluate_ensemble(scores, [1, 0, 1, 0])
+        # before the class check, as when the scores were ranked first
+        with pytest.raises(InvalidInput, match="finite"):
+            evaluate_ensemble(scores, [1, 1, 1, 1])
+
+    def test_length_mismatch_rejected(self):
+        scores = EnsembleScores(np.array([1.0, 2.0, 0.5]), "summa")
+        for labels in ([1, 0], [1, 0, 1, 0]):
+            with pytest.raises(InvalidInput, match="equal length"):
+                evaluate_ensemble(scores, labels)
+
+    def test_one_sample_rejected(self):
+        with pytest.raises(InvalidInput, match="2 samples"):
+            evaluate_ensemble(EnsembleScores(np.array([1.0]), "summa"), [1])
+
+    # few distinct values, so most rows tie; -0.0 and 0.0 compare equal
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.integers(2, 60))
+    def test_equals_rectangle_rule_on_strict_ranks(self, data, n):
+        values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                           st.floats(-1e300, 1e300, allow_nan=False))
+        s = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        labels[data.draw(st.permutations(range(n)))[:2]] = (0, 1)
+        strict = rank_transform(ScoreMatrix.from_array(s[None]), "strict").ranks[0]
+        expected = auroc_rectangle(strict, labels)
+        assert evaluate_ensemble(EnsembleScores(s, "woc"), labels) == expected
+
+    @pytest.mark.parametrize("s, labels, expected", [
+        ([0.0, -0.0], [1, 0], 1.0),      # equal: sample order decides
+        ([-0.0, 0.0], [0, 1], 0.0),
+        ([1.0, 1.0], [0, 1], 0.0),
+        ([-3.0, 2.0], [0, 1], 1.0),
+        ([0.0, -0.0, 0.0, -0.0], [0, 1, 1, 0], 0.5),
+    ])
+    def test_ties_broken_by_sample_index(self, s, labels, expected):
+        assert evaluate_ensemble(EnsembleScores(np.array(s), "woc"), labels) == expected

@@ -203,6 +203,50 @@ class TestRankMatrix:
                 accepted = False
             assert accepted == expected, rows
 
+    def test_midrank_row_sum_tolerance(self):
+        # the row-sum check keeps np.allclose(sums, N(N+1)/2, rtol=0,
+        # atol=1e-6 N(N+1)/2) as its rule: sweep the first rank across the
+        # tolerance's edge in steps of 2**-50, finer than the sum's rounding
+        n, target = 4, 10.0
+        atol = 1e-6 * target
+        deviations = {True: [], False: []}
+        for k in range(-12, 13):
+            row = np.array([1.0 + atol + k * 2.0**-50, 2.0, 3.0, 4.0])
+            expected = np.allclose(row.sum(), target, rtol=0, atol=atol)
+            try:
+                RankMatrix([row], "midrank", ("a",), tuple("wxyz"))
+                accepted = True
+            except InvalidInput as err:
+                assert "sum to N(N+1)/2" in str(err)
+                accepted = False
+            assert accepted == expected, k
+            deviations[accepted].append(row.sum() - target)
+        # the largest sum accepted and the smallest rejected are neighbours
+        assert max(deviations[True]) <= atol < min(deviations[False])
+        assert min(deviations[False]) - max(deviations[True]) == np.spacing(target)
+        for bad in (np.nan, 1.0 - atol):
+            with pytest.raises(InvalidInput):
+                RankMatrix([[bad, 2.0, 3.0, 4.0]], "midrank", ("a",), tuple("wxyz"))
+
+
+class TestLabelVector:
+    @pytest.mark.parametrize("labels", [
+        [True, False, True], [1.0, 0.0, 0.0], [-0.0, 1.0], [1, 1], np.array([0, 1], np.uint8),
+    ])
+    def test_zero_one_accepted(self, labels):
+        lv = LabelVector(np.asarray(labels))
+        assert lv.labels.dtype == np.int8
+        assert lv.labels.tolist() == [int(x) for x in labels]
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.0], [2, 0], [-1, 0], [np.nan, 1.0], [np.inf, 0.0], ["0", "1"], ["a", "b"],
+    ])
+    def test_other_values_rejected_with_their_list(self, labels):
+        values = np.unique(np.asarray(labels))
+        with pytest.raises(InvalidInput) as err:
+            LabelVector(np.asarray(labels))
+        assert str(err.value) == f"labels must be 0/1, got values {values}"
+
 
 # each frozen type, the array it keeps, and a valid source for it
 FROZEN_TYPES = [
