@@ -18,7 +18,11 @@ File formats (all stable):
   sample.  CSV by default, ``--format json`` writes a list of records.
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
-  round-trip exactly.
+  round-trip exactly: each cell as ``format(x, ".17g")`` writes it.  A
+  float64 array cell with 1e-4 <= |x| < 1e16 gets that text from
+  numpy integer arithmetic, a chunk of cells at a time; every other
+  cell (zeros, non-finite values, other magnitudes, floats outside
+  float64 arrays) from ``format`` itself.
 * every JSON file is strict JSON (a non-finite float is ``null``),
   indented by one space and ends in a newline.
 * tables are read with ``csv`` for the header record and
@@ -85,11 +89,15 @@ SWEEP_DEFAULT_VALUES = {
 # ---------------------------------------------------------------------------
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# a chunk of a CSV table holds at most _CHUNK_ROWS rows and, in a wide
+# table, about _CHUNK_CELLS cells, so its text and scratch stay small
 _CHUNK_ROWS = 4096
+_CHUNK_CELLS = 1 << 13
 # the least cells in one part of a split table.  On one core, parsing
-# 2**16 float cells takes about 24 ms and formatting them about 48 ms,
+# 2**16 float cells takes about 24 ms and formatting them about 8 ms,
 # against 2.4 ms to fork, pipe to and reap a child of a 150 MB process;
-# below about 30 000 cells two parts were no faster than one
+# below about 30 000 cells two parts were no faster than one, measured
+# when the formatting took 48 ms
 _PART_CELLS = 1 << 16
 
 
@@ -121,19 +129,177 @@ def _jsonable(value):
     return value
 
 
-def _csv_column(column):
-    """The ``%`` spec of one column and the cells it formats: float64 and
-    integer arrays format in the row's one ``%`` string, any other cell
-    becomes its quoted text first."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return "%.17g", column
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return "%d", column
-    text = [_fmt(cell) for cell in column]
-    # one search over the whole column; the common id column needs no quotes
-    if _NEEDS_QUOTES.search("".join(text)):
-        text = [_quoted(cell) for cell in text]
-    return "%s", text
+def _csv_columns(columns):
+    """The ``%`` specs of a table's columns and the cells they format:
+    each run of adjacent float64 arrays is one :class:`_FloatColumns`
+    whose text fills one ``%s``, integer arrays format in the row's one
+    ``%`` string, and any other cell becomes its quoted text first."""
+    specs, cells = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            if cells and isinstance(cells[-1], _FloatColumns):
+                cells[-1].columns.append(column)
+                continue
+            spec, column = "%s", _FloatColumns([column])
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+            spec = "%d"
+        else:
+            spec, column = "%s", [_fmt(cell) for cell in column]
+            # one search over the whole column; the common id column needs no quotes
+            if _NEEDS_QUOTES.search("".join(column)):
+                column = [_quoted(cell) for cell in column]
+        specs.append(spec)
+        cells.append(column)
+    return specs, cells
+
+
+# ---------------------------------------------------------------------------
+# %.17g text of float64 cells
+#
+# format(x, ".17g") writes a cell with 1e-4 <= |x| < 1e16 in fixed
+# notation.  Its 17 digits are D = |x| * 10**(16 - E) rounded half to even,
+# with E = floor(log10|x|).  Dekker's product (1971) gives that product
+# exactly, as the sum of two doubles, so D holds the correctly rounded
+# digits that CPython's dtoa prints (Gay 1990).  Each cell's text is laid
+# out in a 32-byte slot, NUL where it has no character, and bytes.translate
+# drops the NULs.  Slot bytes:
+#   0        the separator before the cell
+#   1        the sign
+#   2 - 6    where E < 0, "0." and the -E - 1 zeros after the point
+#   6 + j    digit j where j <= E, the integer part
+#   7 + E    the point, where a digit follows it
+#   7 + j    digit j where E < j, up to the last nonzero digit
+# Every other cell (zeros, non-finite values and magnitudes outside that
+# range) takes format.
+# ---------------------------------------------------------------------------
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _halves(a):
+    """Veltkamp's split of ``a`` into two doubles of 26 bits each."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+_GROUP4 = np.arange(10_000, dtype=np.int64)
+# a 4-digit group's ASCII, first digit in the lowest byte, and its trailing zeros
+_ASCII4 = sum(((_GROUP4 // 10**(3 - i) % 10 + 48) << 8 * i) for i in range(4)).astype(np.uint64)
+_ZEROS4 = sum((_GROUP4 % 10**i == 0).astype(np.int64) for i in range(1, 5))
+
+
+def _slot_tables():
+    """The slot's masks for the digits before and after the point, and its
+    fixed characters, for each (E + 4) * 18 + kept digits, as rows of four
+    64-bit words."""
+    e = np.arange(-4, 16, dtype=np.int64)[:, None, None]
+    kept = np.arange(18, dtype=np.int64)[None, :, None]
+    byte = np.arange(32, dtype=np.int64)[None, None, :]
+    whole = (byte >= 6) & (byte - 6 <= e)
+    fraction = (byte - 7 > e) & (byte - 7 < kept)
+    chars = np.where(e < 0, np.select([byte == 2, byte == 3, (byte >= 4) & (byte < 3 - e)],
+                                      [ord("0"), ord("."), ord("0")], 0),
+                     np.where((byte == 7 + e) & (kept > e + 1), ord("."), 0))
+
+    def words(table):
+        table = np.broadcast_to(table, (20, 18, 32)).astype(np.uint8)
+        return np.ascontiguousarray(table).reshape(360, 32).view("<u8")
+    return words(whole * 255), words(fraction * 255), words(chars)
+
+
+_WHOLE_MASK, _FRACTION_MASK, _SLOT_CHARS = _slot_tables()
+_U8, _U32, _U48, _U56 = (np.uint64(k) for k in (8, 32, 48, 56))
+
+
+def _scaled(a, e):
+    """``a * 10**(16 - e)`` as the exact sum ``high + low``."""
+    k = 16 - e
+    a_high, a_low = _halves(a)
+    p_high, p_low = _POW10_HIGH[k], _POW10_LOW[k]
+    high = a * _POW10[k]
+    return high, (((a_high * p_high - high) + a_high * p_low) + a_low * p_high) + a_low * p_low
+
+
+def _float_slots(x):
+    """The ``(len(x), 32)`` uint8 slots of the float64 cells ``x``, each
+    the cell's ``format(x, ".17g")`` text with NULs between its
+    characters; byte 0, NUL, is free for a separator."""
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    high, low = _scaled(a, e)
+    # log10 can land on the wrong side of a power of ten: keep D in [1e16, 1e17)
+    below = (high < 1e16) | ((high == 1e16) & (low < 0))
+    above = (high > 1e17) | ((high == 1e17) & (low >= 0))
+    wrong = np.flatnonzero(below | above)
+    if len(wrong):
+        e[wrong] += above[wrong].astype(np.int64) - below[wrong]
+        high[wrong], low[wrong] = _scaled(a[wrong], e[wrong])
+    # high is an even integer (> 2**53), so rounding low rounds the sum.  D
+    # stays below 1e17: the double nearest below a power of ten is at
+    # least 8 units of its 17th digit away
+    d = high.astype(np.int64) + np.rint(low).astype(np.int64)
+    first = d // 10**16
+    rest = d - first * 10**16
+    eights = np.concatenate([rest // 10**8, rest % 10**8])
+    # the groups of digits 1-4, 9-12, 5-8 and 13-16
+    groups = np.concatenate([eights // 10**4, eights % 10**4])
+    zeros = np.take(_ZEROS4, groups).reshape(4, n)
+    zeros = zeros[3] + (zeros[3] == 4) * (zeros[1] + (zeros[1] == 4) * (
+        zeros[2] + (zeros[2] == 4) * zeros[0]))
+    table = (e + 4) * 18 + (17 - zeros)
+    table[~fast] = 0
+    ascii4 = np.take(_ASCII4, groups).reshape(4, n)
+    digits1 = ascii4[0] | (ascii4[2] << _U32)
+    digits9 = ascii4[1] | (ascii4[3] << _U32)
+    first = (first + 48).astype(np.uint64)
+    # the digits at 7 + j, to keep after the point, and at 6 + j, before it
+    fraction = np.zeros((n, 4), "<u8")
+    fraction[:, 0] = first << _U56
+    fraction[:, 1] = digits1
+    fraction[:, 2] = digits9
+    fraction &= np.take(_FRACTION_MASK, table, axis=0)
+    whole = np.zeros((n, 4), "<u8")
+    whole[:, 0] = (first << _U48) | (digits1 << _U56)
+    whole[:, 1] = (digits1 >> _U8) | (digits9 << _U56)
+    whole[:, 2] = digits9 >> _U8
+    whole &= np.take(_WHOLE_MASK, table, axis=0)
+    fraction |= whole
+    fraction |= np.take(_SLOT_CHARS, table, axis=0)
+    fraction[:, 0] |= np.signbit(x).astype(np.uint64) * np.uint64(ord("-") << 8)
+    slots = fraction.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = b"".join(format(cell, ".17g").encode().ljust(31, b"\0")
+                        for cell in x[slow].tolist())
+        slots[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 31)
+    return slots
+
+
+class _FloatColumns:
+    """Adjacent float64 columns of a CSV table.  A slice of rows gives one
+    text per row: the row's cells as ``format(x, ".17g")`` writes them,
+    joined by commas."""
+
+    def __init__(self, columns: list):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        width = len(self.columns)
+        cells = np.empty((rows.stop - rows.start, width))
+        for k, column in enumerate(self.columns):
+            cells[:, k] = column[rows]
+        slots = _float_slots(cells.reshape(-1))
+        slots[:, 0] = ord(",")
+        slots[::width, 0] = ord("\n")
+        return slots.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:]
 
 
 def _as_list(cells):
@@ -217,25 +383,27 @@ def _forked(path: Path, parts: int, work):
 
 
 def _csv_rows(line: str, cells, start: int, stop: int):
-    """The CSV text of rows ``start`` .. ``stop`` - 1, ``_CHUNK_ROWS``
-    rows at a time."""
-    for low in range(start, stop, _CHUNK_ROWS):
-        high = min(low + _CHUNK_ROWS, stop)
+    """The CSV text of rows ``start`` .. ``stop`` - 1, a chunk of rows at
+    a time."""
+    width = sum(len(c.columns) if isinstance(c, _FloatColumns) else 1 for c in cells)
+    step = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
+    for low in range(start, stop, step):
+        high = min(low + step, stop)
         chunk = [_as_list(c[low:high]) for c in cells]
         yield "".join([line % row for row in zip(*chunk)])
 
 
 def write_table(path: Path, header: list[str], columns: list, fmt: str):
     """Write equal-length ``columns`` (sequences or 1-D arrays) under
-    ``header``.  CSV goes out ``_CHUNK_ROWS`` rows at a time, byte for
-    byte what ``csv.writer`` writes for the cells' ``_fmt`` text; a large
+    ``header``.  CSV goes out a chunk of rows at a time, byte for byte
+    what ``csv.writer`` writes for the cells' ``_fmt`` text; a large
     table is cut into contiguous row parts, the first formatted here and
     each other one in a forked child whose bytes follow it in order."""
     if fmt == "csv":
-        specs, cells = zip(*(_csv_column(column) for column in columns))
+        specs, cells = _csv_columns(columns)
         line = ",".join(specs) + "\r\n"
         rows = len(cells[0])
-        parts = _part_count(rows * len(cells))
+        parts = _part_count(rows * len(columns))
         bounds = [rows * k // parts for k in range(parts + 1)]
         with open(path, "w", newline="") as handle:
             def send(k, pipe):

@@ -10,8 +10,10 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,122 @@ class TestWriteTable:
         write_table(tmp_path / "new.json", header, columns, "json")
         reference_json(tmp_path / "ref.json", header, columns)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 1001, 2 * _CHUNK_ROWS + 3])
+    def test_float_runs_match_csv_writer(self, tmp_path, split_into, n):
+        # float64 columns before, between and after text and integer
+        # columns; with 11 cells a row, no chunk or part size divides n
+        rng = np.random.default_rng(5)
+        scores = rng.standard_normal((8, n))
+        scores.flat[rng.choice(scores.size, size=min(40, scores.size), replace=False)] = (
+            [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-300, 9.99e-5, 1e16, -3e17]
+            * 4)[:min(40, scores.size)]
+        ids = [f"s{k}" for k in range(n)]
+        labels = rng.integers(0, 2, size=n)
+        header = ["a", "b", "sample_id", "c", "d", "e", "label", "f", "count", "g", "h"]
+        columns = [scores[0], scores[1], ids, scores[2], scores[3], scores[4], labels,
+                   scores[5], labels.astype(np.int8), scores[6], scores[7]]
+        reference_csv(tmp_path / "ref.csv", header, columns)
+        for parts in (1, 2, 3):
+            split_into(parts)
+            write_table(tmp_path / "new.csv", header, columns, "csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_wide_float_table_peak_memory(self, tmp_path):
+        # the writer's scratch is sized by the cells of a chunk: a copy of
+        # the 8 MB of values would exceed the bound
+        values = np.random.default_rng(6).standard_normal((200, 5000))
+        header = ["sample_id", *(f"m{i}" for i in range(200))]
+        columns = [[f"s{k}" for k in range(5000)], *values]
+        assert values.nbytes >= 2 * WRITE_SCRATCH
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", header, columns, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < WRITE_SCRATCH
+
+
+# a fixed bound on what write_table allocates at once, whatever the size
+# of the table
+WRITE_SCRATCH = 4_000_000
+
+
+def float_text(values):
+    """The CSV text write_table gives each of the float64 ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    return cli._FloatColumns([values])[0:len(values)]
+
+
+def assert_float_text(values):
+    values = np.asarray(values, dtype=np.float64).tolist()
+    expected = [format(x, ".17g") for x in values]
+    text = float_text(values)
+    assert len(text) == len(expected)
+    wrong = [(x, t) for x, t, e in zip(values, text, expected) if t != e]
+    assert not wrong, wrong[:10]
+
+
+def half_way_ties():
+    """Doubles x = k / 2**(17 - E), k odd, in each decade E: |x| * 10**(16 - E)
+    is an integer and a half, so the 17th digit is rounded half to even."""
+    ties = []
+    for e in range(-6, 17):
+        low = math.ceil(Fraction(10) ** e * 2 ** (17 - e))
+        high = math.ceil(Fraction(10) ** (e + 1) * 2 ** (17 - e)) - 1
+        for k in (low, low + 1, low + 7, (low + high) // 2, high - 2, high):
+            k |= 1
+            if low <= k <= high and k < 2**53:
+                ties.append(math.ldexp(k, e - 17))
+    return ties
+
+
+def around_powers_of_ten():
+    """Each power of ten from 1e-6 to 1e17 and the two doubles on each side."""
+    cells = []
+    for k in range(-6, 18):
+        below = above = float(f"1e{k}")
+        cells.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            cells += [below, above]
+    return cells
+
+
+EDGE_FLOATS = (
+    around_powers_of_ten()
+    + half_way_ties()
+    + [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+       np.nan, np.inf, 9.999999999999999e-5, 9999999999999998.0, 0.5, 100.0, 123456.0]
+)
+
+
+class TestFloatText:
+    def test_matches_format_on_edges(self):
+        # powers of ten and their neighbours, half-way ties, the two ends of
+        # fixed notation, zeros, subnormals and non-finite values, both signs
+        edges = np.array(EDGE_FLOATS)
+        assert len(half_way_ties()) > 100
+        assert_float_text(np.concatenate([edges, -edges]))
+
+    def test_half_way_tie_rounds_to_even(self):
+        assert float_text([1 + 2**-17, -(1 + 2**-17)]) == ["1.0000076293945312",
+                                                           "-1.0000076293945312"]
+
+    def test_matches_format_on_random_cells(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+        decades = rng.standard_normal(100_000) * 10.0 ** rng.integers(-5, 17, size=100_000)
+        assert_float_text(np.concatenate([bits, decades, rng.standard_normal(50_000)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+        st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+    ), min_size=1, max_size=50))
+    def test_matches_format_on_any_bit_pattern(self, values):
+        assert_float_text(values)
 
 
 # ids that need every kind of CSV quoting, and padding the reader strips
