@@ -31,10 +31,10 @@ over the distinct-index entries is a closed form in power sums of the
 centred ranks, O(MN).  The tensor is never built.  A block jackknife,
 whose leave-out covariance fits take a few steps of the same update,
 corrects the bias that fixing v at its noisy estimate puts on the
-scale, and gives it a standard error.  Its leave-out covariances come
-from the block Gram matrices of :class:`summa.moments.CentredRanks`,
-the same ones whose sum is the covariance of the matrix stage, so the
-stage makes one more pass over C, for the triple sums, and no other.
+scale, and gives it a standard error.  Its leave-out covariances are
+applied, never formed, from the Gram matrix G of the matrix stage's
+covariance and the block-grouped C of :class:`summa.moments.CentredRanks`,
+as (G - C_b C_b^T) v re-centred; the triple sums take one more pass.
 
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
@@ -362,25 +362,25 @@ def _distinct_triples(x: np.ndarray) -> np.ndarray:
     return _from_power_sums(x.sum(axis=1), (x * x).sum(axis=1), (x * x * x).sum(axis=1))
 
 
-def _triple_sums(c: np.ndarray, vectors: np.ndarray, blocks: int):
+def _triple_sums(blocks: np.ndarray, vectors: np.ndarray):
     """Sums of x_i x_j x_l over distinct (i, j, l), x = v o c_k, per
     row v and block of samples.
 
-    Entry (r, b) of the first result adds them up over the samples
-    k = b mod ``blocks`` for row r; the second result bounds the
-    rounding in the last row's total.  The samples are taken in chunks
-    that start at multiples of ``blocks``, so the temporaries stay
-    small beside C.
+    Entry (r, b) of the first result adds them up over the samples of
+    ``blocks[b]`` for row r; the second result bounds the rounding in the
+    last row's total.  The blocks are taken in chunks along their sample
+    axis, so the temporaries stay small beside them; a zero-padded
+    sample adds exactly 0.
     """
-    m, n = c.shape
+    count, m, length = blocks.shape
     rows = vectors.shape[0]
     squares = vectors * vectors
     cubes = squares * vectors
-    width = max(1, _CHUNK // (max(m, rows) * blocks)) * blocks
-    sums = np.zeros((rows, blocks))
-    scale = 0.0
-    for lo in range(0, n, width):
-        x = c[:, lo:lo + width]
+    width = max(1, _CHUNK // (max(m, rows) * count))
+    sums = scale = 0.0
+    for lo in range(0, length, width):
+        # every block's chunk in one M x (B w) copy: one product per power sum
+        x = blocks[:, :, lo:lo + width].transpose(1, 0, 2).reshape(m, -1)
         s = vectors @ x
         x2 = x * x
         q = squares @ x2
@@ -388,11 +388,7 @@ def _triple_sums(c: np.ndarray, vectors: np.ndarray, blocks: int):
         p = cubes @ x2
         s_abs = np.abs(s[-1])
         scale += float((s_abs * (s_abs * s_abs + 3.0 * q[-1]) + 2.0 * np.abs(p[-1])).sum())
-        t = _from_power_sums(s, q, p)
-        w = x.shape[1]
-        whole = w - w % blocks
-        sums += t[:, :whole].reshape(rows, -1, blocks).sum(axis=1)
-        sums[:, :w - whole] += t[:, whole:]
+        sums += _from_power_sums(s, q, p).reshape(rows, count, -1).sum(axis=2)
     return sums, scale
 
 
@@ -405,15 +401,15 @@ def _jackknife(full: float, leave_outs: np.ndarray) -> tuple[float, float]:
     return k * full - (k - 1) * mean, math.sqrt((k - 1) / k * float(spread @ spread))
 
 
-def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
+def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRecovery:
     """Fit the scale of the third-moment tensor along ``v_hint``.
 
-    ``centred`` is the :class:`summa.moments.CentredRanks` that
-    :func:`summa.moments.third_moment_offdiag` returns, or a bare finite
-    M x N matrix C of centred rows, which takes the same block pass
-    first.  The tensor is (1/N) sum_k c_k (x) c_k (x) c_k, of which only
-    the distinct-index entries are used (a noiseless a (x) a (x) a is
-    ``a[:, None]``).
+    ``centred`` is the :class:`summa.moments.CentredRanks` of the
+    centred rows C, from :func:`summa.moments.third_moment_offdiag` or
+    ``CentredRanks.from_centred``.  The tensor is
+    (1/N) sum_k c_k (x) c_k (x) c_k, of which only the distinct-index
+    entries are used (a noiseless a (x) a (x) a is
+    ``CentredRanks.from_centred(a[:, None])``).
     Under conditional independence its rank-one factor has the
     direction of the covariance factor, so only scales are fitted, by
     least squares along u = ``v_hint``, which must be a unit vector to
@@ -426,11 +422,11 @@ def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
 
     Fixing u at its noisy estimate shrinks |lambda_t|, so both scales
     are bias-corrected by a jackknife over the ``JACKKNIFE_BLOCKS``
-    blocks of samples, k mod blocks.  Each leave-one-block-out covariance
-    comes from the block Gram matrices, re-centred on its own samples; its
+    blocks of samples, k mod blocks.  Each leave-one-block-out covariance,
+    re-centred on its own samples, is applied without being formed; its
     (lambda_e, u) takes ``REFIT_STEPS`` steps of the matrix stage's
     update from the full fit; and all leave-out lambda_t come from one
-    more pass over C.
+    more pass over the blocks.
     Requires M >= 5: with fewer methods one to four distinct triples
     would carry the whole fit.  Raises :class:`NoSignal` when the
     covariances or the distinct-index third moments along u vanish, or
@@ -442,42 +438,37 @@ def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
     if m < TENSOR_MIN_METHODS:
         raise TooFewMethods(f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage")
 
-    bare = not isinstance(centred, CentredRanks)
-    c = np.asarray(centred, dtype=float) if bare else centred.c
-    if c.ndim != 2 or c.shape[0] != m or c.shape[1] < 1:
-        raise InvalidInput(f"centred rank matrix of shape {c.shape} does not match {m} methods")
-    if bare:
-        centred = CentredRanks.from_centred(c)
-    c, grams, block_sums = centred.c, centred.grams, centred.block_sums
-    # every entry is in one block, so a non-finite entry makes its block's sum non-finite
-    if not np.isfinite(block_sums).all():
-        raise InvalidInput("centred rank entries must be finite")
-    n = c.shape[1]
-    blocks = grams.shape[0]
-    gram = grams.sum(axis=0)
-    diagonal = np.arange(m)
+    blocks, n, gram = centred.blocks, centred.n, centred.gram
+    if gram.shape[0] != m:
+        raise InvalidInput(f"centred ranks of {gram.shape[0]} methods do not match {m} methods")
 
     # C is centred, so its second moments are the covariances
     hollow = gram / n
-    hollow[diagonal, diagonal] = 0.0
+    np.fill_diagonal(hollow, 0.0)
     u_cov_u = float(u @ hollow @ u)
     if not u_cov_u > 0.0:
         raise NoSignal("the off-diagonal covariances have no positive scale along v_hint")
     lambda_e = u_cov_u / (1.0 - float(np.sum(u**4)))
 
-    # the leave-one-block-out covariances; a single sample leaves nothing out
-    left = blocks if n > 1 else 0
-    kept = n - np.bincount(np.arange(n) % blocks, minlength=blocks)[:left]
-    means = (block_sums.sum(axis=0) - block_sums[:left]) / kept[:, None]
-    covs = gram - grams[:left]
-    covs /= kept[:, None, None]
-    covs -= means[:, :, None] * means[:, None, :]
-    covs[:, diagonal, diagonal] = 0.0
+    # the hollow leave-one-block-out covariances, each applied to its own
+    # vector; a single sample leaves nothing out
+    left = len(blocks) if n > 1 else 0
+    leave = blocks[:left]
+    kept = n - np.bincount(np.arange(n) % len(blocks))[:left, None]
+    means = (centred.block_sums.sum(axis=0) - centred.block_sums[:left]) / kept
+    diag = (np.diagonal(gram) - centred.block_squares[:left]) / kept - means * means
+
+    def leave_out_products(vs):
+        # cov_b v = ((G - C_b C_b^T) v) / kept_b - m_b (m_b . v) - diag_b o v
+        inner = np.matmul(np.matmul(vs[:, None, :], leave), leave.transpose(0, 2, 1))[:, 0]
+        mean_v = (means * vs).sum(axis=1, keepdims=True)
+        return (vs @ gram - inner) / kept - means * mean_v - diag * vs
+
     vs = np.tile(u, (left, 1))
-    cov_v = np.einsum("bij,bj->bi", covs, vs)
+    cov_v = leave_out_products(vs)
     for _ in range(REFIT_STEPS):
         vs = _factor_step(cov_v, vs)
-        cov_v = np.einsum("bij,bj->bi", covs, vs)
+        cov_v = leave_out_products(vs)
     # the squared norms of v v^T off the diagonal and of v (x) v (x) v on
     # distinct indices: 0 with fewer than two, or three, non-zero entries
     offs2 = 1.0 - (vs**4).sum(axis=1)
@@ -486,7 +477,7 @@ def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
         raise NoSignal("a leave-out fit collapses onto fewer than three methods")
     lams = (vs * cov_v).sum(axis=1) / offs2
 
-    sums, scale = _triple_sums(c, np.vstack([vs, u]), blocks)
+    sums, scale = _triple_sums(blocks, np.vstack([vs, u]))
     total = float(sums[-1].sum())
     if abs(total) <= 1e3 * np.finfo(float).eps * scale:
         raise NoSignal("the distinct-index third moments vanish along v_hint")
@@ -498,7 +489,7 @@ def recover_rank1_tensor(centred, v_hint: np.ndarray) -> TensorRecovery:
     # re-centre each leave-out's triple sum on its own mean ybar, with
     # e3 the sum over distinct (i, j, l) and y = v o c:
     # mean e3(y - ybar) = mean e3(y) - 3 sum_d Cov(y_i, y_j) ybar_l - e3(ybar)
-    raw = (sums[:-1].sum(axis=1) - np.diagonal(sums[:-1])) / kept
+    raw = (sums[:-1].sum(axis=1) - np.diagonal(sums[:-1])) / kept[:, 0]
     ybar = vs * means
     total_ybar = ybar.sum(axis=1)
     # sum_d Cov(y_i, y_j) ybar_l = sum_{i != j} Cov(y_i, y_j) (total - ybar_i - ybar_j)

@@ -15,16 +15,15 @@ Covariances are population-normalized (divide by N): that is what makes
 the variance of a tie-free rank row exactly (N^2 - 1) / 12.
 
 Both moments come from one pass over the centred rank matrix C:
-:func:`third_moment_offdiag` centres the ranks once and takes the Gram
-matrix C_b C_b^T and the row sums of each block of samples
-k = b mod ``JACKKNIFE_BLOCKS``, and returns them with C as one read-only
-:class:`CentredRanks`.  :func:`covariance_matrix` sums the block Grams,
-and :func:`summa.decomposition.recover_rank1_tensor` reads them for its
-jackknife.  On rank data every centred entry is a multiple of 1/2, so
-every product and partial sum of a Gram entry is an exact float64 while
-N (N^2 - 1) / 12 < 2^51 (N up to about 3e5): the block sum then equals
-the single product C C^T bit for bit.  On other float input the two may
-differ in the last bits.
+:func:`third_moment_offdiag` centres the ranks straight into the blocks
+of samples k = b mod ``JACKKNIFE_BLOCKS`` of a :class:`CentredRanks`,
+with the one Gram matrix G = C C^T.  :func:`covariance_matrix` is G / N,
+and :func:`summa.decomposition.recover_rank1_tensor` applies its
+leave-out covariances from G and the blocks.  On rank data every centred
+entry is a multiple of 1/2, so every product and partial sum of a Gram
+entry is an exact float64 while N (N^2 - 1) / 12 < 2^51 (N up to about
+3e5): G then equals the single product C C^T bit for bit.  On other
+float input the two may differ in the last bits.
 
 Third moments are never stored as an M x M x M array:
 :func:`summa.decomposition.recover_rank1_tensor` fits the scale of the
@@ -45,43 +44,59 @@ import numpy as np
 from .exceptions import InvalidInput
 from .ranking import RankMatrix
 
-# Samples k mod JACKKNIFE_BLOCKS form the blocks whose Gram matrices sum
-# to the covariance and whose leave-one-out fits make the tensor stage's
-# jackknife.
+# Samples k mod JACKKNIFE_BLOCKS form the blocks whose leave-one-out
+# fits make the tensor stage's jackknife.
 JACKKNIFE_BLOCKS = 20
 
 
 @dataclass(frozen=True, eq=False)
 class CentredRanks:
-    """Centred rank rows with the moments of each block of samples.
+    """The N centred rank columns of C, grouped by jackknife block.
 
-    ``c`` is the M x N matrix C of centred rows.  With B =
-    min(``JACKKNIFE_BLOCKS``, N) and C_b the samples k = b mod B,
-    ``grams[b]`` is C_b C_b^T (B x M x M) and ``block_sums[b]`` the row
-    sums of C_b (B x M).  All three arrays are read-only.
+    With B = min(``JACKKNIFE_BLOCKS``, N), ``blocks[b]`` holds the samples
+    k = b mod B in order (B x M x ceil(N / B)), zero-padded where block b
+    is one sample short, which adds exactly 0 to every moment.  ``gram``
+    is C C^T, and ``block_sums`` and ``block_squares`` the row sums of
+    each block and of its squares (B x M).  The arrays are read-only.
     """
 
-    c: np.ndarray
-    grams: np.ndarray
+    blocks: np.ndarray
+    n: int
+    gram: np.ndarray
     block_sums: np.ndarray
+    block_squares: np.ndarray
 
     @classmethod
     def from_centred(cls, c: np.ndarray) -> "CentredRanks":
-        """One pass over a centred M x N float matrix for the block
-        moments; ``c`` itself is kept, behind a read-only view."""
-        m, n = c.shape
-        blocks = min(JACKKNIFE_BLOCKS, n)
-        grams = np.empty((blocks, m, m))
-        block_sums = np.empty((blocks, m))
-        for b in range(blocks):
-            # a contiguous copy of the block, which matmul takes several times faster
-            part = np.ascontiguousarray(c[:, b::blocks])
-            grams[b] = part @ part.T
-            block_sums[b] = part.sum(axis=1)
-        c = c.view()
-        for arr in (c, grams, block_sums):
+        """Group a copy of a finite, centred M x N float matrix, N >= 1."""
+        c = np.asarray(c, dtype=float)
+        if c.ndim != 2 or c.shape[1] < 1:
+            raise InvalidInput(f"centred rank matrix of shape {c.shape} is not M x N with N >= 1")
+        return cls._grouped(c, np.zeros(c.shape[0]))
+
+    @classmethod
+    def _grouped(cls, r: np.ndarray, mean: np.ndarray) -> "CentredRanks":
+        """Write the rows of ``r`` less ``mean`` into their blocks."""
+        m, n = r.shape
+        count = min(JACKKNIFE_BLOCKS, n)
+        whole, rest = divmod(n, count)
+        blocks = np.zeros((count, m, whole + (rest > 0)))
+        samples = blocks.transpose(1, 2, 0)  # sample k = j B + b at [:, j, b]
+        np.subtract(r[:, :whole * count].reshape(m, whole, count), mean[:, None, None],
+                    out=samples[:, :whole])
+        if rest:
+            np.subtract(r[:, whole * count:], mean[:, None], out=samples[:, whole, :rest])
+        block_sums = blocks.sum(axis=2)
+        # every entry is in one block, so a non-finite entry makes its block's sum non-finite
+        if not np.isfinite(block_sums).all():
+            raise InvalidInput("centred rank entries must be finite")
+        gram = np.zeros((m, m))
+        for part in blocks:
+            gram += part @ part.T
+        block_squares = np.einsum("bml,bml->bm", blocks, blocks)
+        for arr in (blocks, gram, block_sums, block_squares):
             arr.setflags(write=False)
-        return cls(c, grams, block_sums)
+        return cls(blocks, n, gram, block_sums, block_squares)
 
 
 def _as_rank_array(ranks) -> np.ndarray:
@@ -93,25 +108,19 @@ def _as_rank_array(ranks) -> np.ndarray:
     return arr
 
 
-def covariance_matrix(ranks) -> np.ndarray:
-    """Population covariance (1/N) of the M rank rows, the sum of the
-    block Gram matrices over N.
-
-    ``ranks`` is a :class:`CentredRanks`, or ranks, which are centred
-    first by :func:`third_moment_offdiag`.
-    """
-    if not isinstance(ranks, CentredRanks):
-        ranks = third_moment_offdiag(ranks)
-    return ranks.grams.sum(axis=0) / ranks.c.shape[1]
+def covariance_matrix(centred: CentredRanks) -> np.ndarray:
+    """Population covariance (1/N) of the centred rank rows, G / N."""
+    return centred.gram / centred.n
 
 
 def third_moment_offdiag(ranks) -> CentredRanks:
-    """The centred rank rows C (M x N) with their block moments.
+    """The rank rows, centred into their jackknife blocks, with the block
+    moments.
 
-    C is the sample form of the third moments: that of methods i, j, l
-    is mean(c_i c_j c_l), and
+    The centred rows C are the sample form of the third moments: that of
+    methods i, j, l is mean(c_i c_j c_l), and
     :func:`summa.decomposition.recover_rank1_tensor` takes the tensor of
-    those moments straight from C.
+    those moments straight from the blocks.
     """
     r = _as_rank_array(ranks)
-    return CentredRanks.from_centred(r - r.mean(axis=1, keepdims=True))
+    return CentredRanks._grouped(r, r.mean(axis=1))

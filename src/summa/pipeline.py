@@ -3,10 +3,10 @@
 Wires the stages together: centred ranks -> covariance -> rank-one
 recovery -> third-moment tensor -> prevalence and per-method report ->
 aggregate scores.  Shared by the command line and the experiment
-sweeps.  The ranks are centred once, and one pass over the centred
-matrix gives the block Gram matrices that make both the covariance and
-the tensor stage's jackknife; that matrix is dropped before the
-aggregation builds its own M x N temporary.
+sweeps.  The ranks are centred once, into the jackknife blocks of a
+:class:`summa.moments.CentredRanks`, whose Gram matrix makes the
+covariance and, with the blocks, the tensor stage's leave-out fits; the
+blocks are dropped before the aggregation's own M x N temporary.
 :func:`summa.inference.performance_estimates` chooses the prevalence.
 
 The tensor stage is a closed form with a jackknife, so it cannot fail to

@@ -18,6 +18,7 @@ from summa.cli import _SWEEP_AXES, _axis_value, _replicate_seed, _sweep_replicat
 from summa.decomposition import recover_rank1_matrix, recover_rank1_tensor, resolve_sign
 from summa.ensemble import evaluate_ensemble
 from summa.exceptions import SummaError
+from summa.moments import CentredRanks
 from summa.pipeline import run_pipeline
 from summa.ranking import LabelVector, rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
@@ -264,7 +265,7 @@ def test_noiseless_recovery():
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             hint = resolve_sign(a / np.linalg.norm(a))
             # one sample a: the tensor (1/N) sum_k c_k c_k c_k is a (x) a (x) a
-            rec = recover_rank1_tensor(a[:, None], hint)
+            rec = recover_rank1_tensor(CentredRanks.from_centred(a[:, None]), hint)
             a_rec = np.cbrt(rec.lambda_t) * rec.u
             worst_tensor = max(worst_tensor, float(np.abs(a_rec - a).max()))
             tensor_trials += 1

@@ -20,7 +20,7 @@ from summa.decomposition import (
 )
 from summa.exceptions import InvalidInput, NoSignal, NotConverged, TooFewMethods
 from summa.inference import prevalence_from_moments
-from summa.moments import JACKKNIFE_BLOCKS, covariance_matrix, third_moment_offdiag
+from summa.moments import JACKKNIFE_BLOCKS, CentredRanks, covariance_matrix, third_moment_offdiag
 from summa.ranking import rank_transform
 from summa.simulation import SimulationConfig, simulate_ensemble
 
@@ -81,7 +81,7 @@ def leading_singular_pair(matrix):
 
 def design_covariance(m, n, rho, seed):
     data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
-    return covariance_matrix(rank_transform(data.scores, "midrank"))
+    return covariance_matrix(third_moment_offdiag(rank_transform(data.scores, "midrank")))
 
 
 def fit_outcome(q):
@@ -126,10 +126,17 @@ def brute_force_scale(c, u):
 
 
 def stage_inputs(m, n, rho, seed):
-    """The centred ranks and the matrix stage's v of one simulated design."""
+    """The centred rank matrix C and the matrix stage's v of one
+    simulated design."""
     data = simulate_ensemble(SimulationConfig(n_methods=m, n_samples=n, rho=rho, seed=seed))
     ranks = rank_transform(data.scores, "midrank")
-    return third_moment_offdiag(ranks).c, recover_rank1_matrix(covariance_matrix(ranks)).v
+    c = ranks.ranks - ranks.ranks.mean(axis=1, keepdims=True)
+    return c, recover_rank1_matrix(covariance_matrix(third_moment_offdiag(ranks))).v
+
+
+def fit_tensor(c, v_hint):
+    """The tensor stage on a bare centred matrix C."""
+    return recover_rank1_tensor(CentredRanks.from_centred(c), v_hint)
 
 
 class TestResolveSign:
@@ -383,7 +390,7 @@ class TestRecoverRank1Tensor:
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         a = a / np.linalg.norm(a) * 2.0
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(one_sample(a), ahat)
+        rec = fit_tensor(one_sample(a), ahat)
         assert np.abs(rec.u - ahat).max() < 1e-12
         assert rec.lambda_t == pytest.approx(np.linalg.norm(a) ** 3, rel=1e-12)
         assert rec.lambda_e == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
@@ -392,26 +399,26 @@ class TestRecoverRank1Tensor:
 
     def test_hint_used_as_given(self):
         c, v = stage_inputs(12, 400, 0.3, 0)
-        assert recover_rank1_tensor(c, v).u is v
+        assert fit_tensor(c, v).u is v
 
     def test_centred_ranks_reused_as_given(self):
-        # the block Grams are read, not written: two fits from one
-        # CentredRanks agree with each other and with the bare matrix
+        # the blocks and their moments are read, not written: two fits
+        # from one CentredRanks agree with each other
         data = simulate_ensemble(SimulationConfig(n_methods=12, n_samples=401, rho=0.3, seed=1))
         centred = third_moment_offdiag(rank_transform(data.scores, "midrank"))
-        grams = centred.grams.copy()
+        fields = ("blocks", "gram", "block_sums", "block_squares")
+        before = [getattr(centred, name).copy() for name in fields]
         v = recover_rank1_matrix(covariance_matrix(centred)).v
-        fits = [recover_rank1_tensor(centred, v), recover_rank1_tensor(centred, v),
-                recover_rank1_tensor(np.array(centred.c), v)]
-        for fit in fits[1:]:
-            assert (fit.lambda_t, fit.lambda_e, fit.lambda_t_se) == (
-                fits[0].lambda_t, fits[0].lambda_e, fits[0].lambda_t_se)
-        assert np.array_equal(centred.grams, grams)
+        fits = [recover_rank1_tensor(centred, v), recover_rank1_tensor(centred, v)]
+        assert (fits[1].lambda_t, fits[1].lambda_e, fits[1].lambda_t_se) == (
+            fits[0].lambda_t, fits[0].lambda_e, fits[0].lambda_t_se)
+        for name, copy in zip(fields, before):
+            assert np.array_equal(getattr(centred, name), copy), name
 
     def test_hint_alignment_flips_sign(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(one_sample(a), -ahat)
+        rec = fit_tensor(one_sample(a), -ahat)
         assert np.abs(rec.u + ahat).max() < 1e-12
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-12)
 
@@ -419,7 +426,7 @@ class TestRecoverRank1Tensor:
         # tensor built from -a: aligned to +a direction the value is negative
         a = np.array([0.8, 1.2, 0.7, 1.0, 1.4, 0.9])
         ahat = a / np.linalg.norm(a)
-        rec = recover_rank1_tensor(-one_sample(a), ahat)
+        rec = fit_tensor(-one_sample(a), ahat)
         assert rec.lambda_t == pytest.approx(-np.linalg.norm(a) ** 3, rel=1e-12)
         assert np.abs(rec.u - ahat).max() < 1e-12
 
@@ -428,7 +435,7 @@ class TestRecoverRank1Tensor:
         for m in range(5, 11):
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             ahat = resolve_sign(a / np.linalg.norm(a))
-            rec = recover_rank1_tensor(one_sample(a), ahat)
+            rec = fit_tensor(one_sample(a), ahat)
             sign = 1.0 if (ahat @ a) > 0 else -1.0
             assert np.abs(rec.u - sign * a / np.linalg.norm(a)).max() < 1e-12, f"M={m}"
             assert rec.lambda_t == pytest.approx(sign * np.linalg.norm(a) ** 3, rel=1e-12)
@@ -440,7 +447,7 @@ class TestRecoverRank1Tensor:
         ahat = a / np.linalg.norm(a)
         n = 10 * JACKKNIFE_BLOCKS
         for rho in (0.3, 0.8):
-            rec = recover_rank1_tensor(two_class_centred(a, rho, n), ahat)
+            rec = fit_tensor(two_class_centred(a, rho, n), ahat)
             norm = np.linalg.norm(a)
             assert rec.lambda_e == pytest.approx(rho * (1 - rho) * norm**2, rel=1e-12)
             expected = rho * (1 - rho) * (1 - 2 * rho) * norm**3
@@ -452,42 +459,56 @@ class TestRecoverRank1Tensor:
             assert rho_hat == pytest.approx(1 - rho, abs=1e-9)
         # at exact balance the noiseless third moments vanish altogether
         with pytest.raises(NoSignal):
-            recover_rank1_tensor(two_class_centred(a, 0.5, n), ahat)
+            fit_tensor(two_class_centred(a, 0.5, n), ahat)
 
     def test_matches_brute_force_leave_outs(self):
         # every leave-one-block-out fit, redone by hand on its re-centred
-        # samples with the same warm refit and the dense tensor
-        c, v = stage_inputs(8, 203, 0.3, 4)
-        n, k = c.shape[1], JACKKNIFE_BLOCKS
-        gram = c @ c.T / n
-        np.fill_diagonal(gram, 0.0)
-        lam_e = v @ gram @ v / (1 - np.sum(v**4))
-        leave_e, leave_t = [], []
-        for b in range(k):
-            part = c[:, np.arange(n) % k != b]
-            part = part - part.mean(axis=1, keepdims=True)
-            cov = part @ part.T / part.shape[1]
-            np.fill_diagonal(cov, 0.0)
-            u = v
-            for _ in range(REFIT_STEPS):
-                w = cov @ u / (1 - u**2)
-                u = w / np.linalg.norm(w)
-            leave_e.append(u @ cov @ u / (1 - np.sum(u**4)))
-            leave_t.append(brute_force_scale(part, u))
-        leave_e, leave_t = np.array(leave_e), np.array(leave_t)
-        rec = recover_rank1_tensor(c, v)
-        lam_t = brute_force_scale(c, v)
-        assert rec.lambda_e == pytest.approx(k * lam_e - (k - 1) * leave_e.mean(), rel=1e-10)
-        assert rec.lambda_t == pytest.approx(k * lam_t - (k - 1) * leave_t.mean(), rel=1e-10)
-        se = math.sqrt((k - 1) / k * np.sum((leave_t - leave_t.mean()) ** 2))
-        assert rec.lambda_t_se == pytest.approx(se, rel=1e-10)
-        assert rec.z == rec.lambda_t / rec.lambda_t_se
+        # samples with the same warm refit and the dense tensor; N below
+        # the block count, N = 0, 1 and 19 mod 20 (no, one and all but one
+        # block a sample short, so zero-padded) and N = 203
+        for n in (13, 200, 201, 219, 203):
+            c, v = stage_inputs(8, n, 0.3, 4)
+            k = min(JACKKNIFE_BLOCKS, n)
+            gram = c @ c.T / n
+            np.fill_diagonal(gram, 0.0)
+            lam_e = v @ gram @ v / (1 - np.sum(v**4))
+            leave_e, leave_t = [], []
+            for b in range(k):
+                part = c[:, np.arange(n) % k != b]
+                part = part - part.mean(axis=1, keepdims=True)
+                cov = part @ part.T / part.shape[1]
+                np.fill_diagonal(cov, 0.0)
+                u = v
+                for _ in range(REFIT_STEPS):
+                    w = cov @ u / (1 - u**2)
+                    u = w / np.linalg.norm(w)
+                leave_e.append(u @ cov @ u / (1 - np.sum(u**4)))
+                leave_t.append(brute_force_scale(part, u))
+            leave_e, leave_t = np.array(leave_e), np.array(leave_t)
+            rec = fit_tensor(c, v)
+            lam_t = brute_force_scale(c, v)
+            jackknifed_e = k * lam_e - (k - 1) * leave_e.mean()
+            assert rec.lambda_e == pytest.approx(jackknifed_e, rel=1e-10), n
+            jackknifed_t = k * lam_t - (k - 1) * leave_t.mean()
+            assert rec.lambda_t == pytest.approx(jackknifed_t, rel=1e-10), n
+            se = math.sqrt((k - 1) / k * np.sum((leave_t - leave_t.mean()) ** 2))
+            assert rec.lambda_t_se == pytest.approx(se, rel=1e-10), n
+            assert rec.z == rec.lambda_t / rec.lambda_t_se
+        # a single sample is one block and leaves nothing out
+        a = np.random.default_rng(4).uniform(0.5, 2.0, size=8)
+        v = a / np.linalg.norm(a)
+        rec = fit_tensor(one_sample(a), v)
+        outer = np.outer(a, a)
+        np.fill_diagonal(outer, 0.0)
+        assert rec.lambda_e == pytest.approx(v @ outer @ v / (1 - np.sum(v**4)), rel=1e-12)
+        assert rec.lambda_t == pytest.approx(brute_force_scale(one_sample(a), v), rel=1e-12)
+        assert math.isnan(rec.lambda_t_se)
 
     def test_chunked_pass_matches_one_chunk(self, monkeypatch):
         c, v = stage_inputs(12, 3001, 0.3, 8)
-        whole = recover_rank1_tensor(c, v)
+        whole = fit_tensor(c, v)
         monkeypatch.setattr(decomposition, "_CHUNK", 12 * JACKKNIFE_BLOCKS * 7)
-        chunked = recover_rank1_tensor(c, v)
+        chunked = fit_tensor(c, v)
         assert chunked.lambda_t == pytest.approx(whole.lambda_t, rel=1e-12)
         assert chunked.lambda_t_se == pytest.approx(whole.lambda_t_se, rel=1e-10)
 
@@ -506,8 +527,8 @@ class TestRecoverRank1Tensor:
                 continue  # the matrix stage declines, so no tensor stage runs
             stages += 1
             scale = 1.0 + 2.0**-52
-            base = recover_rank1_tensor(c, v)
-            moved = recover_rank1_tensor(c * scale, v)
+            base = fit_tensor(c, v)
+            moved = fit_tensor(c * scale, v)
             size = max(abs(base.lambda_t), base.lambda_t_se) * scale**3
             assert abs(moved.lambda_t - base.lambda_t * scale**3) <= 1e-12 * size, seed
             rho = prevalence_from_moments(base.lambda_e, base.lambda_t)[0]
@@ -523,7 +544,7 @@ class TestRecoverRank1Tensor:
         strict_row = np.arange(1.0, 10.0) - 5.0
         for c in (np.zeros((5, 30)), two_rows, np.tile(strict_row, (5, 1))):
             with pytest.raises(NoSignal):
-                recover_rank1_tensor(c, np.full(5, 1 / np.sqrt(5)))
+                fit_tensor(c, np.full(5, 1 / np.sqrt(5)))
 
     def test_repeated_index_entries_ignored_and_untouched(self):
         # a sample column with one nonzero method moves only the diagonal
@@ -542,8 +563,8 @@ class TestRecoverRank1Tensor:
         padded = np.hstack([c, np.zeros((12, 3 * k))])
         filled = np.hstack([c, extra])
         before = filled.copy()
-        base = recover_rank1_tensor(padded, hint)
-        rec = recover_rank1_tensor(filled, hint)
+        base = fit_tensor(padded, hint)
+        rec = fit_tensor(filled, hint)
         assert rec.lambda_t == pytest.approx(base.lambda_t, rel=1e-12)
         assert rec.lambda_e == pytest.approx(base.lambda_e, rel=1e-12)
         assert rec.lambda_t_se == pytest.approx(base.lambda_t_se, rel=1e-10)
@@ -552,7 +573,7 @@ class TestRecoverRank1Tensor:
     def test_four_methods_refused(self):
         a = np.ones(4)
         with pytest.raises(TooFewMethods):
-            recover_rank1_tensor(one_sample(a), np.full(4, 0.5))
+            fit_tensor(one_sample(a), np.full(4, 0.5))
 
     def test_malformed_tensor_rejected(self):
         rows = np.random.default_rng(4).normal(size=(5, 20))
@@ -569,7 +590,7 @@ class TestRecoverRank1Tensor:
             inf_entry,
         ):
             with pytest.raises(InvalidInput):
-                recover_rank1_tensor(c, np.full(5, 1 / np.sqrt(5)))
+                fit_tensor(c, np.full(5, 1 / np.sqrt(5)))
 
     def test_no_iterations_rejected(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
@@ -588,4 +609,4 @@ class TestRecoverRank1Tensor:
     def test_non_unit_hint_rejected(self):
         a = np.ones(5)
         with pytest.raises(InvalidInput):
-            recover_rank1_tensor(one_sample(a), np.ones(5))
+            fit_tensor(one_sample(a), np.ones(5))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from summa.exceptions import InvalidInput
-from summa.moments import covariance_matrix, third_moment_offdiag
+from summa.moments import CentredRanks, covariance_matrix, third_moment_offdiag
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
 
 from oracles import ConditionalRankModel, exact_central_moment, predicted_central_moment
@@ -19,12 +19,28 @@ def moment(c, i, j, l):
     return float(np.mean(c[i] * c[j] * c[l]))
 
 
+def centre(ranks):
+    """The centred rows C of an M x N rank array, by hand."""
+    return ranks - ranks.mean(axis=1, keepdims=True)
+
+
+def ungroup(centred):
+    """C rebuilt from the blocks of a CentredRanks: sample k = j B + b is
+    column j of block b."""
+    count, m, length = centred.blocks.shape
+    return centred.blocks.transpose(1, 2, 0).reshape(m, count * length)[:, :centred.n]
+
+
+def covariance_of(ranks):
+    return covariance_matrix(third_moment_offdiag(ranks))
+
+
 def dense_offdiag(ranks):
     """The dense distinct-index array of the third moments, by brute
     force from the centred rows, with zeros at repeated indices; every
     entry is read from its sorted index triple, so the array is exactly
     symmetric."""
-    c = third_moment_offdiag(ranks).c
+    c = centre(ranks)
     m = c.shape[0]
     t = np.einsum("ik,jk,lk->ijl", c, c, c) / c.shape[1]
     i, j, l = np.sort(np.indices((m, m, m)), axis=0)
@@ -47,52 +63,76 @@ class TestCovariance:
         for n in (4, 5, 8, 100):
             rng = np.random.default_rng(n)
             rows = np.array([rng.permutation(np.arange(1, n + 1)) for _ in range(3)])
-            q2 = covariance_matrix(rows.astype(float))
+            q2 = covariance_of(rows.astype(float))
             for i in range(3):
                 assert q2[i, i] == (n * n - 1) / 12
 
     def test_identical_rows(self):
         row = np.arange(1, 5, dtype=float)
-        q2 = covariance_matrix(np.array([row, row]))
+        q2 = covariance_of(np.array([row, row]))
         assert q2[0, 1] == pytest.approx(15 / 12, abs=1e-14)
 
     def test_anticorrelated_rows(self):
         row = np.arange(1, 5, dtype=float)
-        q2 = covariance_matrix(np.array([row, 5 - row]))
+        q2 = covariance_of(np.array([row, 5 - row]))
         assert q2[0, 1] == pytest.approx(-15 / 12, abs=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         ranks = np.array([rng.permutation(np.arange(1, 31)) for _ in range(6)], float)
-        q2 = covariance_matrix(ranks)
+        q2 = covariance_of(ranks)
         assert np.array_equal(q2, q2.T)
 
     def test_accepts_rank_matrix(self):
         sm = ScoreMatrix.from_array(np.random.default_rng(0).normal(size=(4, 12)))
         rm = rank_transform(sm, "strict")
-        assert covariance_matrix(rm).shape == (4, 4)
+        assert covariance_of(rm).shape == (4, 4)
 
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 333, 1000])
     @pytest.mark.parametrize("policy", ["midrank", "strict"])
     def test_block_grams_sum_to_the_product(self, n, policy):
-        # centred ranks are multiples of 1/2, so every Gram entry is exact
-        # and the sum over min(20, N) blocks equals one product bit for bit;
-        # scores drawn from three values make midrank ties in every row
+        # the covariance_matrix bytes equal C C^T / N: centred ranks are
+        # multiples of 1/2, so every Gram entry is exact and the products
+        # of the min(20, N) zero-padded blocks sum to one product bit for
+        # bit; scores drawn from three values make midrank ties in every row
         rng = np.random.default_rng(n)
         scores = rng.integers(0, 3, size=(7, n)).astype(float)
         scores[0] = rng.standard_normal(n)
         ranks = rank_transform(ScoreMatrix.from_array(scores), policy)
         centred = third_moment_offdiag(ranks)
-        c = ranks.ranks - ranks.ranks.mean(axis=1, keepdims=True)
-        assert np.array_equal(centred.c, c)
-        assert centred.grams.shape == (min(20, n), 7, 7)
+        c = centre(ranks.ranks)
+        blocks = min(20, n)
+        length = -(-n // blocks)
+        assert centred.blocks.shape == (blocks, 7, length) and centred.n == n
+        # block b holds the samples k = b mod B in order, then zeros
+        padded = np.zeros((7, length * blocks))
+        padded[:, :n] = c
+        assert np.array_equal(centred.blocks, padded.reshape(7, length, blocks).transpose(2, 0, 1))
         assert covariance_matrix(centred).tobytes() == (c @ c.T / n).tobytes()
-        assert covariance_matrix(ranks).tobytes() == (c @ c.T / n).tobytes()
+        assert np.array_equal(centred.block_sums, centred.blocks.sum(axis=2))
+        assert np.array_equal(centred.block_squares, (centred.blocks**2).sum(axis=2))
 
     def test_centred_ranks_are_read_only(self):
         centred = third_moment_offdiag(np.arange(1.0, 41.0).reshape(4, 10))
-        for arr in (centred.c, centred.grams, centred.block_sums):
+        for arr in (centred.blocks, centred.gram, centred.block_sums, centred.block_squares):
             assert not arr.flags.writeable
+
+    def test_from_centred_copies_and_checks(self):
+        # the input is copied, not kept or written; ranks and centred
+        # input give the same grouping
+        ranks = np.random.default_rng(2).random((5, 23))
+        c = centre(ranks)
+        before = c.copy()
+        centred = CentredRanks.from_centred(c)
+        assert np.array_equal(c, before)
+        assert not np.shares_memory(centred.blocks, c)
+        assert np.array_equal(centred.blocks, third_moment_offdiag(ranks).blocks)
+        nan_entry, inf_entry = c.copy(), c.copy()
+        nan_entry[0, 3] = np.nan
+        inf_entry[4, 0] = np.inf
+        for bad in (c[:, :0], c[:, 0], c[..., None], nan_entry, inf_entry):
+            with pytest.raises(InvalidInput):
+                CentredRanks.from_centred(bad)
 
 
 class TestThirdMoment:
@@ -100,14 +140,14 @@ class TestThirdMoment:
         # third central moment of a symmetric distribution is zero
         n = 9
         row = np.arange(1, n + 1, dtype=float)
-        c = third_moment_offdiag(np.array([row, row, row])).c
+        c = centre(np.array([row, row, row]))
         assert moment(c, 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_prevalence_vanishes_in_expectation(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, n_methods=3, support=8, rho=0.5)
         ranks, _ = model.sample(200_000, rng)
-        c = third_moment_offdiag(ranks).c
+        c = centre(ranks)
         scale = abs(model.delta(0) * model.delta(1) * model.delta(2))
         assert abs(moment(c, 0, 1, 2)) < 0.05 * max(scale, 1.0)
 
@@ -116,14 +156,14 @@ class TestThirdMoment:
         model = random_model(rng, n_methods=3, support=5, rho=0.3)
         exact = exact_central_moment(model, (0, 1, 2))
         ranks, _ = model.sample(100_000, rng)
-        c = third_moment_offdiag(ranks).c
+        c = centre(ranks)
         assert moment(c, 0, 1, 2) == pytest.approx(exact, abs=0.3)
 
     def test_dense_symmetric_matches_brute_force(self):
         rng = np.random.default_rng(9)
         ranks = rng.random((6, 40))
         c = ranks - ranks.mean(axis=1, keepdims=True)
-        assert np.array_equal(third_moment_offdiag(ranks).c, c)
+        assert np.array_equal(ungroup(third_moment_offdiag(ranks)), c)
         q3 = dense_offdiag(ranks)
         for i, j, l in itertools.product(range(6), repeat=3):
             if len({i, j, l}) == 3:
@@ -154,7 +194,8 @@ class TestThirdMoment:
         rng = np.random.default_rng(13)
         ranks = rng.random((4, 60))
         perm = [2, 0, 3, 1]
-        assert np.array_equal(third_moment_offdiag(ranks[perm]).c, third_moment_offdiag(ranks).c[perm])
+        assert np.array_equal(ungroup(third_moment_offdiag(ranks[perm])),
+                              ungroup(third_moment_offdiag(ranks))[perm])
         q3 = dense_offdiag(ranks)
         q3p = dense_offdiag(ranks[perm])
         np.testing.assert_allclose(q3p, q3[np.ix_(perm, perm, perm)], rtol=1e-12, atol=0)
@@ -233,7 +274,7 @@ class TestMonteCarloConsistency:
         errors = {}
         for n in (1_000, 10_000, 100_000):
             reps = [
-                abs(covariance_matrix(model.sample(n, rng)[0])[0, 1] - target)
+                abs(covariance_of(model.sample(n, rng)[0])[0, 1] - target)
                 for _ in range(5)
             ]
             errors[n] = np.mean(reps)

@@ -3,6 +3,7 @@ estimate with its interval, or an assumed 1/2 flagged as degenerate
 when the tensor stage measures nothing; of the one covariance scale and
 the one method vector; and its outcomes on tiny, tied tables."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -210,6 +211,22 @@ def test_centred_ranks_dropped_before_aggregation(monkeypatch, case):
     assert alive == [False]
 
 
+def test_peak_memory_is_linear_in_ranks_and_gram():
+    # the stages hold the grouped centred ranks, one M x M Gram matrix and
+    # a few M x M and O(MN) temporaries, never an array per jackknife
+    # block: at M = N = 300 twenty block matrices of M x M floats would
+    # alone take 14 MB, twice the bound
+    m = n = 300
+    ranks = ranks_for(n_methods=m, n_samples=n, rho=0.3, seed=0)
+    tracemalloc.start()
+    try:
+        run_pipeline(ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * (m * n + m * m), peak
+
+
 class TestWeakRegimes:
     def test_factor_on_one_method_is_no_signal(self):
         ranks = rank_transform(ScoreMatrix.from_array(ONE_METHOD_FACTOR), "midrank")
@@ -218,9 +235,10 @@ class TestWeakRegimes:
 
     def test_collapsed_leave_out_fit_reports_degenerate_half(self):
         ranks = rank_transform(ScoreMatrix.from_array(COLLAPSED_LEAVE_OUT), "midrank")
-        v = recover_rank1_matrix(covariance_matrix(ranks)).v
+        centred = third_moment_offdiag(ranks)
+        v = recover_rank1_matrix(covariance_matrix(centred)).v
         with pytest.raises(NoSignal, match="leave-out fit collapses"):
-            recover_rank1_tensor(third_moment_offdiag(ranks), v)
+            recover_rank1_tensor(centred, v)
         result = run_pipeline(ranks)
         report = result.report
         assert result.tensor is None

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from summa.exceptions import InvalidInput
-from summa.moments import covariance_matrix
+from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import auroc_rectangle, rank_transform
 from summa.simulation import (
     SimulationConfig,
@@ -163,7 +163,7 @@ class TestSimulateEnsemble:
             )
             data = simulate_ensemble(config)
             ranks = rank_transform(data.scores, "strict")
-            q2 = covariance_matrix(ranks)
+            q2 = covariance_matrix(third_moment_offdiag(ranks))
             rho_hat = data.labels.n_positive / n
             deltas = [delta(row, data.labels) for row in ranks.ranks]
             for i, j in pair_values:
