@@ -27,7 +27,14 @@ File formats (all stable):
   indented by one space and ends in a newline.
 * tables are read with ``csv`` for the header record and
   ``np.loadtxt`` for the body, which takes ``"`` quoting as
-  ``csv.writer`` writes it; a body error names its data row.
+  ``csv.writer`` writes it; a body error names its data row.  A float
+  table's part whose text is plain (ASCII without quotes, whitespace,
+  blank lines or lone carriage returns, the header's number of cells on
+  every line, each value cell a decimal number, a delimiter that is no
+  character of a number) is read instead by a numpy kernel, a chunk of
+  whole lines at a time, into the same ids and the same correctly
+  rounded float64 values; a part with any other text goes to
+  ``np.loadtxt`` whole.
 * a large CSV table is written and read in contiguous row parts, one
   per usable CPU: this process handles the first and forked children
   the rest, with the same bytes and values as one part.  A read splits
@@ -37,6 +44,7 @@ File formats (all stable):
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -94,10 +102,12 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 1 << 13
 # the least cells in one part of a split table.  On one core, parsing
-# 2**16 float cells takes about 24 ms and formatting them about 8 ms,
-# against 2.4 ms to fork, pipe to and reap a child of a 150 MB process;
-# below about 30 000 cells two parts were no faster than one, measured
-# when the formatting took 48 ms
+# 2**16 float cells takes about 7 ms (np.loadtxt: 24 ms) and formatting
+# them about 8 ms, against 2.4 ms to fork, pipe to and reap a child of a
+# 150 MB process.  In such a process a 30-column table of 2**16 cells
+# read in 8.1 ms as two parts and 9.7 ms as one, and 2**15 cells in 5.6
+# and 4.3 ms (medians of 15); below about 30 000 cells two parts were no
+# faster than one, measured when the formatting took 48 ms
 _PART_CELLS = 1 << 16
 
 
@@ -161,7 +171,7 @@ def _csv_columns(columns):
 # with E = floor(log10|x|).  Dekker's product (1971) gives that product
 # exactly, as the sum of two doubles, so D holds the correctly rounded
 # digits that CPython's dtoa prints (Gay 1990).  Each cell's text is laid
-# out in a 32-byte slot, NUL where it has no character, and bytes.translate
+# out in a 24-byte slot, NUL where it has no character, and bytes.translate
 # drops the NULs.  Slot bytes:
 #   0        the separator before the cell
 #   1        the sign
@@ -170,10 +180,13 @@ def _csv_columns(columns):
 #   7 + E    the point, where a digit follows it
 #   7 + j    digit j where E < j, up to the last nonzero digit
 # Every other cell (zeros, non-finite values and magnitudes outside that
-# range) takes format.
+# range) takes format, written into its slot after the separator where it
+# fits; one of 24 characters leaves _LONG_CELL there, replaced in the text.
 # ---------------------------------------------------------------------------
 
-_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10 = np.array([float(10**k) for k in range(24)])
+_SLOT = 24
+_LONG_CELL = "\x01"
 
 
 def _halves(a):
@@ -192,11 +205,11 @@ _ZEROS4 = sum((_GROUP4 % 10**i == 0).astype(np.int64) for i in range(1, 5))
 
 def _slot_tables():
     """The slot's masks for the digits before and after the point, and its
-    fixed characters, for each (E + 4) * 18 + kept digits, as rows of four
+    fixed characters, for each (E + 4) * 18 + kept digits, as rows of three
     64-bit words."""
     e = np.arange(-4, 16, dtype=np.int64)[:, None, None]
     kept = np.arange(18, dtype=np.int64)[None, :, None]
-    byte = np.arange(32, dtype=np.int64)[None, None, :]
+    byte = np.arange(_SLOT, dtype=np.int64)[None, None, :]
     whole = (byte >= 6) & (byte - 6 <= e)
     fraction = (byte - 7 > e) & (byte - 7 < kept)
     chars = np.where(e < 0, np.select([byte == 2, byte == 3, (byte >= 4) & (byte < 3 - e)],
@@ -204,8 +217,8 @@ def _slot_tables():
                      np.where((byte == 7 + e) & (kept > e + 1), ord("."), 0))
 
     def words(table):
-        table = np.broadcast_to(table, (20, 18, 32)).astype(np.uint8)
-        return np.ascontiguousarray(table).reshape(360, 32).view("<u8")
+        table = np.broadcast_to(table, (20, 18, _SLOT)).astype(np.uint8)
+        return np.ascontiguousarray(table).reshape(360, _SLOT).view("<u8")
     return words(whole * 255), words(fraction * 255), words(chars)
 
 
@@ -223,9 +236,11 @@ def _scaled(a, e):
 
 
 def _float_slots(x):
-    """The ``(len(x), 32)`` uint8 slots of the float64 cells ``x``, each
-    the cell's ``format(x, ".17g")`` text with NULs between its
-    characters; byte 0, NUL, is free for a separator."""
+    """The ``(len(x), _SLOT)`` uint8 slots of the float64 cells ``x``,
+    each the cell's ``format(x, ".17g")`` text with NULs between its
+    characters, or ``_LONG_CELL`` for a text too long for it; byte 0,
+    NUL, is free for a separator.  Also returns the long texts, in
+    order."""
     n = len(x)
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -258,12 +273,12 @@ def _float_slots(x):
     digits9 = ascii4[1] | (ascii4[3] << _U32)
     first = (first + 48).astype(np.uint64)
     # the digits at 7 + j, to keep after the point, and at 6 + j, before it
-    fraction = np.zeros((n, 4), "<u8")
+    fraction = np.zeros((n, 3), "<u8")
     fraction[:, 0] = first << _U56
     fraction[:, 1] = digits1
     fraction[:, 2] = digits9
     fraction &= np.take(_FRACTION_MASK, table, axis=0)
-    whole = np.zeros((n, 4), "<u8")
+    whole = np.zeros((n, 3), "<u8")
     whole[:, 0] = (first << _U48) | (digits1 << _U56)
     whole[:, 1] = (digits1 >> _U8) | (digits9 << _U56)
     whole[:, 2] = digits9 >> _U8
@@ -273,11 +288,14 @@ def _float_slots(x):
     fraction[:, 0] |= np.signbit(x).astype(np.uint64) * np.uint64(ord("-") << 8)
     slots = fraction.view(np.uint8)
     slow = np.flatnonzero(~fast)
+    long = []
     if len(slow):
-        text = b"".join(format(cell, ".17g").encode().ljust(31, b"\0")
-                        for cell in x[slow].tolist())
-        slots[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 31)
-    return slots
+        texts = [format(cell, ".17g") for cell in x[slow].tolist()]
+        long = [text for text in texts if len(text) >= _SLOT]
+        text = b"".join((text if len(text) < _SLOT else _LONG_CELL).encode()
+                        .ljust(_SLOT - 1, b"\0") for text in texts)
+        slots[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
+    return slots, long
 
 
 class _FloatColumns:
@@ -296,10 +314,229 @@ class _FloatColumns:
         cells = np.empty((rows.stop - rows.start, width))
         for k, column in enumerate(self.columns):
             cells[:, k] = column[rows]
-        slots = _float_slots(cells.reshape(-1))
+        slots, long = _float_slots(cells.reshape(-1))
         slots[:, 0] = ord(",")
         slots[::width, 0] = ord("\n")
-        return slots.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:]
+        text = slots.tobytes().translate(None, b"\0").decode("ascii")
+        if long:
+            pieces = text.split(_LONG_CELL)
+            text = "".join(piece + cell for piece, cell in zip(pieces, [*long, ""]))
+        return text.split("\n")[1:]
+
+
+# ---------------------------------------------------------------------------
+# float64 cells from the text of a table body
+#
+# A chunk of whole lines sits in a byte buffer after _WINDOW bytes of
+# room.  One flatnonzero finds its separators (the delimiter and line
+# feeds) and points.  Each value cell is read right-aligned into a
+# _WINDOW-byte window of three little-endian words.  The bytes before the
+# cell, and its sign, are masked off; the point is taken out by moving
+# the digits before it up one byte; the digits fold SWAR-style, eight to
+# a word, into an integer D < 10**19 with f digits after the point.
+# D * 10**-f is then rounded correctly (Clinger 1990, Lemire 2021) by the
+# fast path where D <= 2**53 and f <= 22: float(D) and 10**f are exact,
+# so one division rounds correctly.  Elsewhere D, as two doubles, times
+# 10**-f, as a double-double, is within 2**-100 of itself relative to
+# it, and its rounded sum is the correctly rounded value wherever it lies
+# farther than that from the midpoints on either side (Ziv's test; below
+# a power of two the gap is half as wide).  A cell that is too long, has another
+# form (an exponent, a leading "+") or fails the test is read by float(),
+# once it matches the decimal grammar np.loadtxt reads the same way.  Any
+# other text (quotes, blank lines, whitespace, control or non-ASCII
+# bytes, a lone carriage return, nan, inf, "1_0", an empty cell) and the
+# chunk is not taken: its reader reads the whole part with np.loadtxt.
+# ---------------------------------------------------------------------------
+
+# the bytes of text a chunk reads at once, unless one line is longer
+_READ_BYTES = 1 << 18
+_WINDOW = 24
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_U16, _U63 = np.uint64(16), np.uint64(63)
+# one byte in every byte of a word; the low 8, 16 and 32 bits of every
+# 16, 32 and 64-bit lane
+_ZERO_CHARS, _DIGIT_LIMIT, _HIGH_BITS = (np.uint64(0x0101010101010101 * b)
+                                         for b in (0x30, 0x76, 0x80))
+_LANES8, _LANES16, _LANES32 = (np.uint64(m)
+                               for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0xFFFFFFFF))
+_TEN, _TEN2, _TEN4, _TEN8, _TEN16 = (np.uint64(10**k) for k in (1, 2, 4, 8, 16))
+_TOP_DIGITS = np.uint64(1000)  # the first word of D below it: D < 10**19
+_EXACT_INT = np.uint64(2**53)
+_MANTISSA = np.uint64(2**52 - 1)
+
+
+def _window_masks(keep):
+    """Rows of three words, 0xFF in each byte of ``keep`` (rows, _WINDOW)."""
+    return np.ascontiguousarray(keep * np.uint8(255)).view("<u8")
+
+
+_BYTES = np.arange(_WINDOW)
+# by the cell's length after its sign, and by its point's byte in the
+# window (_WINDOW where it has none)
+_CELL_MASK = _window_masks(_BYTES >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
+_BEFORE_POINT = _window_masks(_BYTES < np.r_[np.arange(_WINDOW), 0][:, None])
+_AFTER_POINT = _window_masks(_BYTES > np.r_[np.arange(_WINDOW), -1][:, None])
+
+
+def _inverse_power(f: int) -> tuple[float, float]:
+    """10**-f as a double-double: the correctly rounded double, and the
+    rest rounded; both by integer true division, which rounds correctly."""
+    high = 1 / 10**f
+    num, den = high.as_integer_ratio()
+    return high, (den - num * 10**f) / (den * 10**f)
+
+
+_INVERSE_HIGH, _INVERSE_LOW = np.array([_inverse_power(f) for f in range(_WINDOW)]).T.copy()
+_INVERSE_HALVES = _halves(_INVERSE_HIGH)
+
+
+def _texts(buf, starts, ends) -> list[str]:
+    """The ASCII text of each ``buf[start:end]``, from one gather."""
+    lengths = ends - starts + 1
+    offsets = np.cumsum(lengths) - lengths
+    joined = buf[np.arange(offsets[-1] + lengths[-1]) + np.repeat(starts - offsets, lengths)]
+    joined[offsets + lengths - 1] = ord("\n")
+    return joined.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _float_cells(buf, stop: int, width: int, delimiter: int):
+    """The ids and the (rows, ``width``) float64 values of the lines in
+    ``buf[_WINDOW:stop]``, each ending in a line feed, split by the byte
+    ``delimiter``; or None where the text holds anything the kernel does
+    not read as np.loadtxt would."""
+    text = buf[_WINDOW:stop]
+    found = np.flatnonzero((text == delimiter) | (text == ord("\n")) | (text == ord(".")))
+    found += _WINDOW
+    is_point = buf[found] == ord(".")
+    points = np.flatnonzero(is_point)
+    seps = np.compress(~is_point, found)
+    per_row = width + 1
+    rows = len(seps) // per_row
+    line_ends = seps[width::per_row]
+    crs = buf[line_ends - 1] == ord("\r")
+    # outside "!" .. "~" are only the line feeds, a carriage return before
+    # each of some, and tab delimiters
+    others = rows + np.count_nonzero(crs) + (rows * width if delimiter == ord("\t") else 0)
+    if (len(seps) != rows * per_row or np.count_nonzero(text == ord("\n")) != rows
+            or np.count_nonzero(buf[line_ends] != ord("\n"))
+            or np.count_nonzero(text == ord("\r")) != np.count_nonzero(crs)
+            or np.count_nonzero(text == ord('"'))
+            or np.count_nonzero(text - np.uint8(0x21) > np.uint8(0x5D)) != others):
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = _WINDOW
+    starts[1:] = seps[:-1] + 1
+    ends = seps
+    ends[width::per_row] -= crs
+    if np.count_nonzero(ends <= starts):
+        return None
+    # each cell's point, or its end where it has none; a point's cell is
+    # the count of separators before it
+    at = ends.copy()
+    at[points - np.arange(len(points))] = found[points]
+    ends = ends.reshape(rows, per_row)
+    ids = _texts(buf, starts[::per_row], ends[:, 0])
+    start = starts.reshape(rows, per_row)[:, 1:].ravel()
+    end = ends[:, 1:].ravel()
+    point = at.reshape(rows, per_row)[:, 1:].ravel() - end + _WINDOW
+    negative = buf[start] == ord("-")
+    length = end - start - negative
+    fast = length <= _WINDOW
+    has_point = point < _WINDOW
+    fast &= length > has_point
+    np.minimum(length, _WINDOW, out=length)
+    np.maximum(point, 0, out=point)
+    # every _WINDOW bytes of buf, one a byte: unaligned, read by one gather
+    windows = np.ndarray((len(buf) - _WINDOW + 1,), f"V{_WINDOW}", buf, strides=(1,))
+    x = windows[end - _WINDOW].view("<u8").reshape(-1, 3)
+    x ^= _ZERO_CHARS
+    x &= np.take(_CELL_MASK, length, axis=0)
+    before = x & np.take(_BEFORE_POINT, point, axis=0)
+    x &= np.take(_AFTER_POINT, point, axis=0)
+    x[:, 0] |= before[:, 0] << _U8
+    x[:, 1] |= (before[:, 1] << _U8) | (before[:, 0] >> _U56)
+    x[:, 2] |= (before[:, 2] << _U8) | (before[:, 1] >> _U56)
+    # a byte above 9 reaches 0x80 with 0x76 added, or has it already
+    bad = (x + _DIGIT_LIMIT) | x
+    bad &= _HIGH_BITS
+    fast &= (bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0
+    # digits to pairs, fours and eights: each lane's first (lower) half
+    # times 10**k plus its second half
+    x = (x * _TEN + (x >> _U8)) & _LANES8
+    x = (x * _TEN2 + (x >> _U16)) & _LANES16
+    x = (x * _TEN4 + (x >> _U32)) & _LANES32
+    fast &= x[:, 0] < _TOP_DIGITS
+    np.minimum(x[:, 0], _TOP_DIGITS, out=x[:, 0])  # so D fits, and converts back, below
+    d = x[:, 0] * _TEN16 + x[:, 1] * _TEN8 + x[:, 2]
+    f = np.where(has_point, _WINDOW - 1 - point, 0)
+    high = d.astype(np.float64)
+    low = (d - high.astype(np.uint64)).view(np.int64).astype(np.float64)
+    inverse = _INVERSE_HIGH[f]
+    # Dekker's product: high * inverse = product + error exactly
+    product = high * inverse
+    a_high, a_low = _halves(high)
+    b_high, b_low = _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f]
+    error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
+    rest = error + (high * _INVERSE_LOW[f] + low * inverse)
+    value = product + rest
+    miss = rest - (value - product)  # the sum's rounding error, exactly
+    half_gap = np.spacing(value) * np.where(
+        (miss < 0) & ((value.view(np.uint64) & _MANTISSA) == 0), 0.25, 0.5)
+    clinger = (d <= _EXACT_INT) & (f <= 22)
+    fast &= clinger | (np.abs(miss) + value * 2.0**-100 < half_gap)
+    value = np.where(clinger, high / _POW10[f], value)
+    bits = value.view(np.uint64)
+    bits ^= negative.astype(np.uint64) << _U63
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        for k, cell in zip(slow.tolist(), _texts(buf, start[slow], end[slow])):
+            if not _DECIMAL.fullmatch(cell):
+                return None
+            value[k] = float(cell)
+    return ids, value.reshape(rows, width)
+
+
+def _float_chunks(path: Path, begin: int, end: int, width: int, delimiter: int):
+    """Read bytes ``begin`` .. ``end`` of ``path``, whole lines of about
+    ``_READ_BYTES`` at a time, with :func:`_float_cells`: yield each
+    chunk's ids and values, or yield None and stop at the first chunk it
+    does not take."""
+    buf = bytearray(_WINDOW + _READ_BYTES + 1)
+    kept, left = 0, end - begin  # the bytes of a line carried over, and still to read
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(begin)
+        while kept or left:
+            stop = _WINDOW + kept
+            got = raw.readinto(memoryview(buf)[stop:min(len(buf) - 1, stop + left)])
+            stop += got
+            left = left - got if got else 0
+            if left:
+                cut = buf.rfind(b"\n", _WINDOW, stop) + 1
+                if not cut:  # a line longer than the buffer
+                    buf.extend(bytes(len(buf)))
+                    kept = stop - _WINDOW
+                    continue
+            else:
+                cut = stop
+                if buf[cut - 1] != ord("\n"):  # the last line ends without one
+                    buf[cut] = ord("\n")
+                    cut += 1
+            cells = _float_cells(np.frombuffer(buf, np.uint8), cut, width, delimiter)
+            yield cells
+            if cells is None:
+                return
+            kept = max(stop - cut, 0)
+            buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
+
+
+def _kernel_delimiter(delimiter: str, encoding: str) -> int | None:
+    """The byte :func:`_float_cells` splits on for ``delimiter``, or None
+    where it cannot: a character of a number, a quote, whitespace other
+    than a tab, a byte outside ASCII, or text in an encoding that does
+    not write ASCII as itself."""
+    if codecs.lookup(encoding).name not in ("utf-8", "ascii") or delimiter in '"+-.0123456789Ee':
+        return None
+    return ord(delimiter) if delimiter == "\t" or "!" <= delimiter <= "~" else None
 
 
 def _as_list(cells):
@@ -468,14 +705,15 @@ class _ByteRange(io.RawIOBase):
         return count
 
 
-def _line_starts(path: Path, start: int, values: int) -> list[int]:
+def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
     """The byte offsets that cut the body of a table, which starts at
     byte ``start``, into parts: ``start``, the line starts before which
     the body holds no ``"`` (a quoted cell may hold a line break), and
     the end of the file.  The number of parts is set by the value cells
     of the body, ``values`` per line on the lines of its first 64 KiB;
     ids are not counted, as a part's ids come back pickled at about the
-    cost of parsing them."""
+    cost of parsing them.  Also returns the body's lines: its line feeds,
+    plus one where it ends without one."""
     with open(path, "rb") as binary:
         end = binary.seek(0, os.SEEK_END)
         binary.seek(start)
@@ -489,22 +727,34 @@ def _line_starts(path: Path, start: int, values: int) -> list[int]:
             if bounds[-1] < binary.tell() < end:
                 bounds.append(binary.tell())
         binary.seek(start)
-        scanned = start
-        while scanned < bounds[-1] and (chunk := binary.read(1 << 20)):
-            if (at := chunk.find(b'"')) >= 0:
-                bounds = [bound for bound in bounds if bound <= scanned + at]
-                break
-            scanned += len(chunk)
-    return bounds + [end]
+        block, feeds, quote, last = bytearray(1 << 20), 0, end, ord("\n")
+        while count := binary.readinto(block):
+            feeds += np.count_nonzero(np.frombuffer(block, np.uint8, count) == ord("\n"))
+            if quote == end and (at := block.find(b'"', 0, count)) >= 0:
+                quote = binary.tell() - count + at
+            last = block[count - 1]
+    return [bound for bound in bounds if bound <= quote] + [end], feeds + (last != ord("\n"))
+
+
+def _with_rows(values, rows: int):
+    """``values``, or a copy of it with room for ``rows`` rows where it has
+    fewer."""
+    if rows <= len(values):
+        return values
+    grown = np.empty((rows, *values.shape[1:]), values.dtype)
+    grown[:len(values)] = values
+    return grown
 
 
 def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
                 usecols: tuple[int, ...] | None = None, converters: dict | None = None):
     """Read a delimited table: the header record with ``csv.reader``,
-    then the body with ``np.loadtxt``.  A large body is cut at line
-    starts into parts; the first is parsed here and each other one in a
-    forked child, which sends back its row count, its ids and its raw
-    values for one preallocated array.
+    then the body, into one array with a row for each of its lines.  A
+    large body is cut at line starts into parts; the first is parsed here
+    and each other one in a forked child, which sends back its row count,
+    its ids and its raw values.  A float table's part is read by
+    :func:`_float_cells`, a chunk of lines at a time, unless it holds
+    text that kernel does not take; every other part by ``np.loadtxt``.
 
     Returns the header, the ids (each data row's stripped first cell)
     and the values: the cells after the id as ``value_type`` (every
@@ -525,10 +775,25 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
         raise InvalidInput(f"{path}: {header_error}")
     cells = len(header) if usecols is None else f"at least {len(usecols)}"
     shape = (len(header) - 1,) if usecols is None else ()
-    bounds = _line_starts(path, start, len(header) - 1 if usecols is None else len(usecols) - 1)
+    bounds, lines = _line_starts(path, start, len(header) - 1 if usecols is None
+                                 else len(usecols) - 1)
     parts = len(bounds) - 1
+    kernel = (_kernel_delimiter(delimiter, encoding)
+              if value_type is float and usecols is None else None)
 
-    def parse(k):
+    def parse(k, put):
+        """Part k's ids; its values go to ``put(block, row)`` a block of
+        rows at a time, ``row`` counting the part's rows before the block.
+        A part the kernel does not take goes again from row 0."""
+        if kernel is not None:
+            ids = []
+            for chunk in _float_chunks(path, bounds[k], bounds[k + 1], len(header) - 1, kernel):
+                if chunk is None:
+                    break
+                put(chunk[1], len(ids))
+                ids += chunk[0]
+            else:
+                return ids
         with open(path, "rb") as binary, warnings.catch_warnings():
             # an empty body is reported below, as "no data rows"
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -538,28 +803,52 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
                 # file a text file checks "closed" in Python on every line
                 binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
             text = io.TextIOWrapper(binary, encoding=encoding, newline="")
-            return np.loadtxt(
+            table = np.loadtxt(
                 text, dtype=[("id", object), ("v", value_type, shape)],
                 delimiter=delimiter, quotechar='"', comments=None,
                 usecols=usecols, ndmin=1,
                 converters={0: str.strip, **(converters or {})},
             )
+        put(table["v"], 0)
+        return table["id"].tolist()
 
     def send(k, pipe):
+        blocks = []
+
+        def keep(block, row):
+            if not row:
+                blocks.clear()
+            blocks.append(np.ascontiguousarray(block))
+
         try:
-            part = parse(k)
+            ids = parse(k, keep)
         except _TEXT_ERRORS as err:
             pickle.dump((0, None, err), pipe)
             return
-        pickle.dump((len(part), part["id"].tolist(), None), pipe)
-        pipe.write(np.ascontiguousarray(part["v"]))
+        pickle.dump((len(ids), ids, None), pipe)
+        for block in blocks:
+            pipe.write(block)
+
+    def place(block, row):
+        nonlocal values
+        values = _with_rows(values, row + len(block))
+        values[row:row + len(block)] = block
 
     with _forked(path, parts, send) as pipes:
+        # a row a line (only lines ending in a lone carriage return make
+        # more), in a mapping of its own: the caller copies the values and
+        # drops them, and their memory goes back to the system at once
+        # instead of leaving a hole in the heap for later arrays to split.
+        # Imported here, so start-up never loads it
+        import mmap
+
+        dtype, size = np.dtype(value_type), lines * math.prod(shape)
+        values = np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype,
+                               size).reshape(lines, *shape)
         try:
-            first = parse(0)
+            ids = parse(0, place)
         except _TEXT_ERRORS as err:
             raise _table_error(path, err, cells) from None
-        counts, ids = [len(first)], first["id"].tolist()
         cut_short = "{}: the process of part {} of {} ended before sending it"
         for k, pipe in enumerate(pipes, 1):
             try:
@@ -567,21 +856,15 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(cut_short.format(path, k + 1, parts)) from None
             if err is not None:
-                raise _table_error(path, err, cells, sum(counts))
-            counts.append(rows)
-            ids += part_ids
-        values = np.empty((sum(counts), *shape), value_type)
-        values[:counts[0]] = first["v"]
-        del first
-        low = counts[0]
-        for k, pipe in enumerate(pipes, 1):
-            block = values[low:low + counts[k]]
+                raise _table_error(path, err, cells, len(ids))
+            values = _with_rows(values, len(ids) + rows)
+            block = values[len(ids):len(ids) + rows]
             if pipe.readinto(block) != block.nbytes:
                 raise RuntimeError(cut_short.format(path, k + 1, parts))
-            low += counts[k]
+            ids += part_ids
     if not ids:
         raise InvalidInput(f"{path}: no data rows")
-    return header, tuple(ids), values
+    return header, tuple(ids), values if len(ids) == len(values) else values[:len(ids)]
 
 
 def read_matrix_table(path: Path, delimiter: str = ","):

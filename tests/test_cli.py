@@ -3,6 +3,7 @@ and error exit codes.  Commands run in-process through main(argv)."""
 
 import concurrent.futures
 import csv
+import decimal
 import json
 import math
 import os
@@ -466,14 +467,14 @@ class TestReadTables:
     def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
         path = write_scores(tmp_path / "t.csv", np.ones((3, 60)))
         split_into(2)
-        parent, loadtxt = os.getpid(), np.loadtxt
+        parent, float_cells = os.getpid(), cli._float_cells
 
-        def failing_loadtxt(*args, **kwargs):
+        def failing_float_cells(*args):
             if os.getpid() != parent:
                 raise MemoryError("no room for the part")
-            return loadtxt(*args, **kwargs)
+            return float_cells(*args)
 
-        monkeypatch.setattr(np, "loadtxt", failing_loadtxt)
+        monkeypatch.setattr(cli, "_float_cells", failing_float_cells)
         with pytest.raises(RuntimeError, match="part 2 of 2 ended before sending it"):
             read_matrix_table(path)
 
@@ -483,6 +484,196 @@ class TestReadTables:
         path.write_text("sample_id,a\ns0,1_0\n")
         with pytest.raises(InvalidInput, match="data row 1, column 2"):
             read_matrix_table(path)
+
+
+def mantissa_text(digits, point, negative):
+    """The digits of ``digits`` with a point before digit ``point``, and a
+    minus sign where ``negative``."""
+    text = str(digits)
+    point = min(point, len(text))
+    return "-" * negative + text[:point] + "." + text[point:]
+
+
+def below_midpoint(x, digits):
+    """The exact midpoint of the positive double ``x`` and the next one
+    up, cut to ``digits`` significant digits: just below the midpoint, or
+    on it where it has no more digits."""
+    with decimal.localcontext() as context:
+        context.prec, context.rounding = 1100, decimal.ROUND_DOWN
+        midpoint = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        context.prec = digits
+        return format(+midpoint, "f")
+
+
+# the cell forms float tables come in: 17, 15 and 6 significant digits,
+# repr, exponent form, a leading "+", a point at either end, a signed
+# zero, 18 and 19 digit mantissas, and decimals on or just below the
+# midpoint of two doubles
+FLOAT_CELLS = st.one_of(
+    FINITE.map(lambda x: format(x, ".17g")),
+    FINITE.map(repr),
+    FINITE.map(lambda x: format(x, ".6g")),
+    FINITE.map(lambda x: format(x, ".15g")),
+    FINITE.map(lambda x: format(x, ".3e")),
+    FINITE.map(lambda x: "+" + format(abs(x), ".17g")),
+    st.sampled_from([".5", "5.", "-0", "-0.0", "0.", "-.25", "+.5", "007", "0.000"]),
+    st.builds(mantissa_text, st.integers(10**17, 10**19 - 1), st.integers(0, 19),
+              st.booleans()),
+    st.builds(below_midpoint, st.floats(1e-5, 1e19), st.integers(15, 26)),
+    st.builds(below_midpoint, st.floats(2.0**49, 2.0**64, exclude_max=True),
+              st.integers(16, 20)),
+)
+
+
+def loadtxt_values(path, delimiter=","):
+    """The value cells of a table as np.loadtxt reads them, methods x samples."""
+    with open(path, newline="") as handle:
+        return np.loadtxt(handle, delimiter=delimiter, skiprows=1, ndmin=2, comments=None,
+                          converters={0: lambda cell: 0.0}).T[1:]
+
+
+def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
+    """``read_matrix_table``'s outcome with the float kernel and with
+    np.loadtxt alone, each its (method ids, sample ids, value bytes) or
+    its InvalidInput message; and whether the kernel declined a chunk."""
+    declined, float_cells = [], cli._float_cells
+
+    def spied(*args):
+        cells = float_cells(*args)
+        declined.append(cells is None)
+        return cells
+
+    def outcome():
+        try:
+            method_ids, sample_ids, values = read_matrix_table(path, delimiter)
+        except InvalidInput as err:
+            return str(err)
+        return method_ids, sample_ids, np.ascontiguousarray(values).tobytes()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_float_cells", spied)
+        kernel = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_kernel_delimiter", lambda delimiter, encoding: None)
+        plain = outcome()
+    return kernel, plain, any(declined)
+
+
+class TestReadFloatCells:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 4), st.integers(1, 30), st.sampled_from([",", ";", "\t"]),
+           st.sampled_from(["\n", "\r\n"]), st.booleans(), st.data())
+    def test_values_match_loadtxt(self, tmp_path, monkeypatch, split_into, m, n, delimiter,
+                                  newline, last_newline, data):
+        cells = data.draw(st.lists(FLOAT_CELLS, min_size=m * n, max_size=m * n))
+        lines = [delimiter.join(["sample_id", *(f"m{i}" for i in range(m))])]
+        lines += [delimiter.join([f"s{k}", *cells[k * m:(k + 1) * m]]) for k in range(n)]
+        path = tmp_path / "t.csv"
+        path.write_text(newline.join(lines) + newline * last_newline, newline="")
+        expected = loadtxt_values(path, delimiter)
+        for parts in (1, 3):
+            split_into(parts)
+            kernel, plain, declined = read_with_and_without_kernel(monkeypatch, path, delimiter)
+            assert not declined
+            assert kernel == plain
+            assert kernel[1] == tuple(f"s{k}" for k in range(n))
+            assert kernel[2] == expected.tobytes()
+
+    def test_many_cells_match_float(self, tmp_path):
+        # 104 000 cells of the forms above, drawn by numpy, through one part
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(40_000) * 10.0 ** rng.integers(-6, 20, size=40_000)).tolist()
+        mantissas = rng.integers(10**17, 10**19, size=10_000, dtype=np.uint64).tolist()
+        near = rng.uniform(1, 2, size=5_000) * 2.0 ** rng.integers(-16, 64, size=5_000)
+        # midpoints with 1 to 4 digits after the point, each exactly a tie;
+        # a tenth of those with 4 round the wrong way by the product alone
+        ties = rng.uniform(2.0**49, 2.0**53, size=4_000)
+        cells = ([format(v, ".17g") for v in x] + [repr(v) for v in x[:20_000]]
+                 + [format(v, ".15g") for v in x[20_000:]]
+                 + [mantissa_text(d, k % 20, k % 3 == 0) for k, d in enumerate(mantissas)]
+                 + [below_midpoint(v, 16 + k % 5) for k, v in enumerate(near.tolist())]
+                 + [below_midpoint(v, 20) for v in ties.tolist()]
+                 + ["-0", ".5", "5.", "+1.5", "1e5"] * 1000)
+        assert len(cells) % 4 == 0
+        rows = np.array(cells).reshape(-1, 4)
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b,c,d\n" + "".join(
+            f"s{k},{','.join(row)}\n" for k, row in enumerate(rows)))
+        _, _, values = read_matrix_table(path)
+        expected = np.array([float(cell) for cell in cells]).reshape(-1, 4).T
+        assert np.ascontiguousarray(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [16, 100, 1000])
+    def test_chunks_and_long_lines_round_trip(self, tmp_path, monkeypatch, split_into, chunk):
+        # lines carried over from one chunk to the next, and lines longer
+        # than a chunk's buffer
+        monkeypatch.setattr(cli, "_READ_BYTES", chunk)
+        values = np.random.default_rng(3).standard_normal((6, 90))
+        path = write_scores(tmp_path / "t.csv", values)
+        for parts in (1, 3):
+            split_into(parts)
+            method_ids, sample_ids, read = read_matrix_table(path)
+            assert sample_ids == tuple(f"s{k}" for k in range(90))
+            assert np.ascontiguousarray(read).tobytes() == values.tobytes()
+
+    def test_cli_tall_table_matches_loadtxt(self, tmp_path):
+        # the benchmark's CSV workload: 30 methods, 10**5 samples
+        out = tmp_path / "tall"
+        assert run("simulate", "--methods", 30, "--samples", 100_000, "--rho", 0.3,
+                   "--seed", 1, "--output-dir", out) == 0
+        method_ids, sample_ids, values = read_matrix_table(out / "scores.csv")
+        assert method_ids == tuple(f"m{i:02d}" for i in range(30))
+        assert sample_ids == tuple(f"s{k:05d}" for k in range(100_000))
+        expected = loadtxt_values(out / "scores.csv")
+        assert np.ascontiguousarray(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("body, expected", [
+        pytest.param('"s0",1.5,2\ns1,3,4\n', ("s0", "s1"), id="quoted id"),
+        pytest.param("s0,1.5,2\n\ns1,3,4\n", ("s0", "s1"), id="blank line"),
+        pytest.param("s0, 1.5,2\ns1,3,4\n", ("s0", "s1"), id="space"),
+        pytest.param("s0,nan,2\ns1,3,4\n", ("s0", "s1"), id="nan"),
+        pytest.param("s0,1.5,-inf\ns1,3,4\n", ("s0", "s1"), id="inf"),
+        pytest.param("s0,1.5,2\rs1,3,4\n", ("s0", "s1"), id="lone carriage return"),
+        pytest.param("sé,1.5,2\ns1,3,4\n", ("sé", "s1"), id="non-ASCII id"),
+        pytest.param("s0,1_0,2\ns1,3,4\n", "data row 21, column 2: could not convert",
+                     id="underscore"),
+        pytest.param("s0,,2\ns1,3,4\n", "data row 21, column 2: could not convert",
+                     id="empty cell"),
+        pytest.param("s0,1.5,2,7\ns1,3,4\n", "data row 21: expected 3 cells", id="extra cell"),
+        pytest.param("s0,1.5.1,2\ns1,3,4\n", "data row 21, column 2: could not convert",
+                     id="two points"),
+        pytest.param("s0,.,2\ns1,3,4\n", "data row 21, column 2: could not convert",
+                     id="lone point"),
+        pytest.param("s0,-,2\ns1,3,4\n", "data row 21, column 2: could not convert",
+                     id="lone sign"),
+    ])
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_declined_text_reads_as_loadtxt(self, tmp_path, monkeypatch, split_into, body,
+                                            expected, parts):
+        # the ids that end the table, or its error
+        path = tmp_path / "t.csv"
+        path.write_bytes(("sample_id,a,b\n" + "s,1,2\n" * 20 + body).encode())
+        split_into(parts)
+        kernel, plain, declined = read_with_and_without_kernel(monkeypatch, path)
+        # split, the text is in the second part, whose child declines it
+        assert declined == (parts == 1)
+        assert kernel == plain
+        if isinstance(expected, tuple):
+            assert kernel[1] == ("s",) * 20 + expected
+            assert kernel[2] == loadtxt_values(path).tobytes()
+        else:
+            assert kernel.startswith(f"{path}: {expected}")
+
+    @pytest.mark.parametrize("delimiter", [".", "-", "e", "5", " "])
+    def test_delimiter_in_a_number_reads_as_loadtxt(self, tmp_path, monkeypatch, delimiter):
+        path = tmp_path / "t.csv"
+        rows = [["id", "a", "b"], ["s0", "1", "2"], ["s1", "3", "4"]]
+        path.write_text("".join(delimiter.join(row) + "\n" for row in rows))
+        assert cli._kernel_delimiter(delimiter, "utf-8") is None
+        kernel, plain, _ = read_with_and_without_kernel(monkeypatch, path, delimiter)
+        assert kernel == plain
+        assert isinstance(kernel, tuple)
 
 
 class TestSimulate:
