@@ -44,20 +44,10 @@ File formats (all stable):
 from __future__ import annotations
 
 import argparse
-import codecs
-import contextlib
-import csv
 import hashlib
-import io
-import json
-import math
 import os
-import pickle
-import re
-import shutil
 import sys
 import time
-import warnings
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -78,6 +68,7 @@ from .ranking import (
     rank_transform,
 )
 from .simulation import SimulationConfig, simulate_ensemble
+from .tables import _write_json, read_labels_table, read_matrix_table, write_table
 
 DEFAULT_OUTPUT_DIR_ENV = "SUMMA_OUTPUT_DIR"
 
@@ -90,800 +81,6 @@ SWEEP_DEFAULT_VALUES = {
     "samples": ["30", "250", "1000", "4000"],
     "prevalence": [f"{v / 10:.1f}" for v in range(1, 10)],
 }
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-# ---------------------------------------------------------------------------
-
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-# a chunk of a CSV table holds at most _CHUNK_ROWS rows and, in a wide
-# table, about _CHUNK_CELLS cells, so its text and scratch stay small
-_CHUNK_ROWS = 4096
-_CHUNK_CELLS = 1 << 13
-# the least cells in one part of a split table.  On one core, parsing
-# 2**16 float cells takes about 7 ms (np.loadtxt: 24 ms) and formatting
-# them about 8 ms, against 2.4 ms to fork, pipe to and reap a child of a
-# 150 MB process.  In such a process a 30-column table of 2**16 cells
-# read in 8.1 ms as two parts and 9.7 ms as one, and 2**15 cells in 5.6
-# and 4.3 ms (medians of 15); below about 30 000 cells two parts were no
-# faster than one, measured when the formatting took 48 ms
-_PART_CELLS = 1 << 16
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _quoted(text: str) -> str:
-    """A CSV cell as ``csv.writer`` quotes it (QUOTE_MINIMAL)."""
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _jsonable(value):
-    """``value`` with numpy scalars made Python ones and every non-finite
-    float made ``None``, through dicts, lists and tuples, so that
-    ``json`` writes strict JSON."""
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _csv_columns(columns):
-    """The ``%`` specs of a table's columns and the cells they format:
-    each run of adjacent float64 arrays is one :class:`_FloatColumns`
-    whose text fills one ``%s``, integer arrays format in the row's one
-    ``%`` string, and any other cell becomes its quoted text first."""
-    specs, cells = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray) and column.dtype == np.float64:
-            if cells and isinstance(cells[-1], _FloatColumns):
-                cells[-1].columns.append(column)
-                continue
-            spec, column = "%s", _FloatColumns([column])
-        elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-            spec = "%d"
-        else:
-            spec, column = "%s", [_fmt(cell) for cell in column]
-            # one search over the whole column; the common id column needs no quotes
-            if _NEEDS_QUOTES.search("".join(column)):
-                column = [_quoted(cell) for cell in column]
-        specs.append(spec)
-        cells.append(column)
-    return specs, cells
-
-
-# ---------------------------------------------------------------------------
-# %.17g text of float64 cells
-#
-# format(x, ".17g") writes a cell with 1e-4 <= |x| < 1e16 in fixed
-# notation.  Its 17 digits are D = |x| * 10**(16 - E) rounded half to even,
-# with E = floor(log10|x|).  Dekker's product (1971) gives that product
-# exactly, as the sum of two doubles, so D holds the correctly rounded
-# digits that CPython's dtoa prints (Gay 1990).  Each cell's text is laid
-# out in a 24-byte slot, NUL where it has no character, and bytes.translate
-# drops the NULs.  Slot bytes:
-#   0        the separator before the cell
-#   1        the sign
-#   2 - 6    where E < 0, "0." and the -E - 1 zeros after the point
-#   6 + j    digit j where j <= E, the integer part
-#   7 + E    the point, where a digit follows it
-#   7 + j    digit j where E < j, up to the last nonzero digit
-# Every other cell (zeros, non-finite values and magnitudes outside that
-# range) takes format, written into its slot after the separator where it
-# fits; one of 24 characters leaves _LONG_CELL there, replaced in the text.
-# ---------------------------------------------------------------------------
-
-_POW10 = np.array([float(10**k) for k in range(24)])
-_SLOT = 24
-_LONG_CELL = "\x01"
-
-
-def _halves(a):
-    """Veltkamp's split of ``a`` into two doubles of 26 bits each."""
-    c = a * 134217729.0  # 2**27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
-_POW10_HIGH, _POW10_LOW = _halves(_POW10)
-_GROUP4 = np.arange(10_000, dtype=np.int64)
-# a 4-digit group's ASCII, first digit in the lowest byte, and its trailing zeros
-_ASCII4 = sum(((_GROUP4 // 10**(3 - i) % 10 + 48) << 8 * i) for i in range(4)).astype(np.uint64)
-_ZEROS4 = sum((_GROUP4 % 10**i == 0).astype(np.int64) for i in range(1, 5))
-
-
-def _slot_tables():
-    """The slot's masks for the digits before and after the point, and its
-    fixed characters, for each (E + 4) * 18 + kept digits, as rows of three
-    64-bit words."""
-    e = np.arange(-4, 16, dtype=np.int64)[:, None, None]
-    kept = np.arange(18, dtype=np.int64)[None, :, None]
-    byte = np.arange(_SLOT, dtype=np.int64)[None, None, :]
-    whole = (byte >= 6) & (byte - 6 <= e)
-    fraction = (byte - 7 > e) & (byte - 7 < kept)
-    chars = np.where(e < 0, np.select([byte == 2, byte == 3, (byte >= 4) & (byte < 3 - e)],
-                                      [ord("0"), ord("."), ord("0")], 0),
-                     np.where((byte == 7 + e) & (kept > e + 1), ord("."), 0))
-
-    def words(table):
-        table = np.broadcast_to(table, (20, 18, _SLOT)).astype(np.uint8)
-        return np.ascontiguousarray(table).reshape(360, _SLOT).view("<u8")
-    return words(whole * 255), words(fraction * 255), words(chars)
-
-
-_WHOLE_MASK, _FRACTION_MASK, _SLOT_CHARS = _slot_tables()
-_U8, _U32, _U48, _U56 = (np.uint64(k) for k in (8, 32, 48, 56))
-
-
-def _scaled(a, e):
-    """``a * 10**(16 - e)`` as the exact sum ``high + low``."""
-    k = 16 - e
-    a_high, a_low = _halves(a)
-    p_high, p_low = _POW10_HIGH[k], _POW10_LOW[k]
-    high = a * _POW10[k]
-    return high, (((a_high * p_high - high) + a_high * p_low) + a_low * p_high) + a_low * p_low
-
-
-def _float_slots(x):
-    """The ``(len(x), _SLOT)`` uint8 slots of the float64 cells ``x``,
-    each the cell's ``format(x, ".17g")`` text with NULs between its
-    characters, or ``_LONG_CELL`` for a text too long for it; byte 0,
-    NUL, is free for a separator.  Also returns the long texts, in
-    order."""
-    n = len(x)
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    high, low = _scaled(a, e)
-    # log10 can land on the wrong side of a power of ten: keep D in [1e16, 1e17)
-    below = (high < 1e16) | ((high == 1e16) & (low < 0))
-    above = (high > 1e17) | ((high == 1e17) & (low >= 0))
-    wrong = np.flatnonzero(below | above)
-    if len(wrong):
-        e[wrong] += above[wrong].astype(np.int64) - below[wrong]
-        high[wrong], low[wrong] = _scaled(a[wrong], e[wrong])
-    # high is an even integer (> 2**53), so rounding low rounds the sum.  D
-    # stays below 1e17: the double nearest below a power of ten is at
-    # least 8 units of its 17th digit away
-    d = high.astype(np.int64) + np.rint(low).astype(np.int64)
-    first = d // 10**16
-    rest = d - first * 10**16
-    eights = np.concatenate([rest // 10**8, rest % 10**8])
-    # the groups of digits 1-4, 9-12, 5-8 and 13-16
-    groups = np.concatenate([eights // 10**4, eights % 10**4])
-    zeros = np.take(_ZEROS4, groups).reshape(4, n)
-    zeros = zeros[3] + (zeros[3] == 4) * (zeros[1] + (zeros[1] == 4) * (
-        zeros[2] + (zeros[2] == 4) * zeros[0]))
-    table = (e + 4) * 18 + (17 - zeros)
-    table[~fast] = 0
-    ascii4 = np.take(_ASCII4, groups).reshape(4, n)
-    digits1 = ascii4[0] | (ascii4[2] << _U32)
-    digits9 = ascii4[1] | (ascii4[3] << _U32)
-    first = (first + 48).astype(np.uint64)
-    # the digits at 7 + j, to keep after the point, and at 6 + j, before it
-    fraction = np.zeros((n, 3), "<u8")
-    fraction[:, 0] = first << _U56
-    fraction[:, 1] = digits1
-    fraction[:, 2] = digits9
-    fraction &= np.take(_FRACTION_MASK, table, axis=0)
-    whole = np.zeros((n, 3), "<u8")
-    whole[:, 0] = (first << _U48) | (digits1 << _U56)
-    whole[:, 1] = (digits1 >> _U8) | (digits9 << _U56)
-    whole[:, 2] = digits9 >> _U8
-    whole &= np.take(_WHOLE_MASK, table, axis=0)
-    fraction |= whole
-    fraction |= np.take(_SLOT_CHARS, table, axis=0)
-    fraction[:, 0] |= np.signbit(x).astype(np.uint64) * np.uint64(ord("-") << 8)
-    slots = fraction.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    long = []
-    if len(slow):
-        texts = [format(cell, ".17g") for cell in x[slow].tolist()]
-        long = [text for text in texts if len(text) >= _SLOT]
-        text = b"".join((text if len(text) < _SLOT else _LONG_CELL).encode()
-                        .ljust(_SLOT - 1, b"\0") for text in texts)
-        slots[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
-    return slots, long
-
-
-class _FloatColumns:
-    """Adjacent float64 columns of a CSV table.  A slice of rows gives one
-    text per row: the row's cells as ``format(x, ".17g")`` writes them,
-    joined by commas."""
-
-    def __init__(self, columns: list):
-        self.columns = columns
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        width = len(self.columns)
-        cells = np.empty((rows.stop - rows.start, width))
-        for k, column in enumerate(self.columns):
-            cells[:, k] = column[rows]
-        slots, long = _float_slots(cells.reshape(-1))
-        slots[:, 0] = ord(",")
-        slots[::width, 0] = ord("\n")
-        text = slots.tobytes().translate(None, b"\0").decode("ascii")
-        if long:
-            pieces = text.split(_LONG_CELL)
-            text = "".join(piece + cell for piece, cell in zip(pieces, [*long, ""]))
-        return text.split("\n")[1:]
-
-
-# ---------------------------------------------------------------------------
-# float64 cells from the text of a table body
-#
-# A chunk of whole lines sits in a byte buffer after _WINDOW bytes of
-# room.  One flatnonzero finds its separators (the delimiter and line
-# feeds) and points.  Each value cell is read right-aligned into a
-# _WINDOW-byte window of three little-endian words.  The bytes before the
-# cell, and its sign, are masked off; the point is taken out by moving
-# the digits before it up one byte; the digits fold SWAR-style, eight to
-# a word, into an integer D < 10**19 with f digits after the point.
-# D * 10**-f is then rounded correctly (Clinger 1990, Lemire 2021) by the
-# fast path where D <= 2**53 and f <= 22: float(D) and 10**f are exact,
-# so one division rounds correctly.  Elsewhere D, as two doubles, times
-# 10**-f, as a double-double, is within 2**-100 of itself relative to
-# it, and its rounded sum is the correctly rounded value wherever it lies
-# farther than that from the midpoints on either side (Ziv's test; below
-# a power of two the gap is half as wide).  A cell that is too long, has another
-# form (an exponent, a leading "+") or fails the test is read by float(),
-# once it matches the decimal grammar np.loadtxt reads the same way.  Any
-# other text (quotes, blank lines, whitespace, control or non-ASCII
-# bytes, a lone carriage return, nan, inf, "1_0", an empty cell) and the
-# chunk is not taken: its reader reads the whole part with np.loadtxt.
-# ---------------------------------------------------------------------------
-
-# the bytes of text a chunk reads at once, unless one line is longer
-_READ_BYTES = 1 << 18
-_WINDOW = 24
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_U16, _U63 = np.uint64(16), np.uint64(63)
-# one byte in every byte of a word; the low 8, 16 and 32 bits of every
-# 16, 32 and 64-bit lane
-_ZERO_CHARS, _DIGIT_LIMIT, _HIGH_BITS = (np.uint64(0x0101010101010101 * b)
-                                         for b in (0x30, 0x76, 0x80))
-_LANES8, _LANES16, _LANES32 = (np.uint64(m)
-                               for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0xFFFFFFFF))
-_TEN, _TEN2, _TEN4, _TEN8, _TEN16 = (np.uint64(10**k) for k in (1, 2, 4, 8, 16))
-_TOP_DIGITS = np.uint64(1000)  # the first word of D below it: D < 10**19
-_EXACT_INT = np.uint64(2**53)
-_MANTISSA = np.uint64(2**52 - 1)
-
-
-def _window_masks(keep):
-    """Rows of three words, 0xFF in each byte of ``keep`` (rows, _WINDOW)."""
-    return np.ascontiguousarray(keep * np.uint8(255)).view("<u8")
-
-
-_BYTES = np.arange(_WINDOW)
-# by the cell's length after its sign, and by its point's byte in the
-# window (_WINDOW where it has none)
-_CELL_MASK = _window_masks(_BYTES >= _WINDOW - np.arange(_WINDOW + 1)[:, None])
-_BEFORE_POINT = _window_masks(_BYTES < np.r_[np.arange(_WINDOW), 0][:, None])
-_AFTER_POINT = _window_masks(_BYTES > np.r_[np.arange(_WINDOW), -1][:, None])
-
-
-def _inverse_power(f: int) -> tuple[float, float]:
-    """10**-f as a double-double: the correctly rounded double, and the
-    rest rounded; both by integer true division, which rounds correctly."""
-    high = 1 / 10**f
-    num, den = high.as_integer_ratio()
-    return high, (den - num * 10**f) / (den * 10**f)
-
-
-_INVERSE_HIGH, _INVERSE_LOW = np.array([_inverse_power(f) for f in range(_WINDOW)]).T.copy()
-_INVERSE_HALVES = _halves(_INVERSE_HIGH)
-
-
-def _texts(buf, starts, ends) -> list[str]:
-    """The ASCII text of each ``buf[start:end]``, from one gather."""
-    lengths = ends - starts + 1
-    offsets = np.cumsum(lengths) - lengths
-    joined = buf[np.arange(offsets[-1] + lengths[-1]) + np.repeat(starts - offsets, lengths)]
-    joined[offsets + lengths - 1] = ord("\n")
-    return joined.tobytes().decode("ascii").split("\n")[:-1]
-
-
-def _float_cells(buf, stop: int, width: int, delimiter: int):
-    """The ids and the (rows, ``width``) float64 values of the lines in
-    ``buf[_WINDOW:stop]``, each ending in a line feed, split by the byte
-    ``delimiter``; or None where the text holds anything the kernel does
-    not read as np.loadtxt would."""
-    text = buf[_WINDOW:stop]
-    found = np.flatnonzero((text == delimiter) | (text == ord("\n")) | (text == ord(".")))
-    found += _WINDOW
-    is_point = buf[found] == ord(".")
-    points = np.flatnonzero(is_point)
-    seps = np.compress(~is_point, found)
-    per_row = width + 1
-    rows = len(seps) // per_row
-    line_ends = seps[width::per_row]
-    crs = buf[line_ends - 1] == ord("\r")
-    # outside "!" .. "~" are only the line feeds, a carriage return before
-    # each of some, and tab delimiters
-    others = rows + np.count_nonzero(crs) + (rows * width if delimiter == ord("\t") else 0)
-    if (len(seps) != rows * per_row or np.count_nonzero(text == ord("\n")) != rows
-            or np.count_nonzero(buf[line_ends] != ord("\n"))
-            or np.count_nonzero(text == ord("\r")) != np.count_nonzero(crs)
-            or np.count_nonzero(text == ord('"'))
-            or np.count_nonzero(text - np.uint8(0x21) > np.uint8(0x5D)) != others):
-        return None
-    starts = np.empty_like(seps)
-    starts[0] = _WINDOW
-    starts[1:] = seps[:-1] + 1
-    ends = seps
-    ends[width::per_row] -= crs
-    if np.count_nonzero(ends <= starts):
-        return None
-    # each cell's point, or its end where it has none; a point's cell is
-    # the count of separators before it
-    at = ends.copy()
-    at[points - np.arange(len(points))] = found[points]
-    ends = ends.reshape(rows, per_row)
-    ids = _texts(buf, starts[::per_row], ends[:, 0])
-    start = starts.reshape(rows, per_row)[:, 1:].ravel()
-    end = ends[:, 1:].ravel()
-    point = at.reshape(rows, per_row)[:, 1:].ravel() - end + _WINDOW
-    negative = buf[start] == ord("-")
-    length = end - start - negative
-    fast = length <= _WINDOW
-    has_point = point < _WINDOW
-    fast &= length > has_point
-    np.minimum(length, _WINDOW, out=length)
-    np.maximum(point, 0, out=point)
-    # every _WINDOW bytes of buf, one a byte: unaligned, read by one gather
-    windows = np.ndarray((len(buf) - _WINDOW + 1,), f"V{_WINDOW}", buf, strides=(1,))
-    x = windows[end - _WINDOW].view("<u8").reshape(-1, 3)
-    x ^= _ZERO_CHARS
-    x &= np.take(_CELL_MASK, length, axis=0)
-    before = x & np.take(_BEFORE_POINT, point, axis=0)
-    x &= np.take(_AFTER_POINT, point, axis=0)
-    x[:, 0] |= before[:, 0] << _U8
-    x[:, 1] |= (before[:, 1] << _U8) | (before[:, 0] >> _U56)
-    x[:, 2] |= (before[:, 2] << _U8) | (before[:, 1] >> _U56)
-    # a byte above 9 reaches 0x80 with 0x76 added, or has it already
-    bad = (x + _DIGIT_LIMIT) | x
-    bad &= _HIGH_BITS
-    fast &= (bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0
-    # digits to pairs, fours and eights: each lane's first (lower) half
-    # times 10**k plus its second half
-    x = (x * _TEN + (x >> _U8)) & _LANES8
-    x = (x * _TEN2 + (x >> _U16)) & _LANES16
-    x = (x * _TEN4 + (x >> _U32)) & _LANES32
-    fast &= x[:, 0] < _TOP_DIGITS
-    np.minimum(x[:, 0], _TOP_DIGITS, out=x[:, 0])  # so D fits, and converts back, below
-    d = x[:, 0] * _TEN16 + x[:, 1] * _TEN8 + x[:, 2]
-    f = np.where(has_point, _WINDOW - 1 - point, 0)
-    high = d.astype(np.float64)
-    low = (d - high.astype(np.uint64)).view(np.int64).astype(np.float64)
-    inverse = _INVERSE_HIGH[f]
-    # Dekker's product: high * inverse = product + error exactly
-    product = high * inverse
-    a_high, a_low = _halves(high)
-    b_high, b_low = _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f]
-    error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
-    rest = error + (high * _INVERSE_LOW[f] + low * inverse)
-    value = product + rest
-    miss = rest - (value - product)  # the sum's rounding error, exactly
-    half_gap = np.spacing(value) * np.where(
-        (miss < 0) & ((value.view(np.uint64) & _MANTISSA) == 0), 0.25, 0.5)
-    clinger = (d <= _EXACT_INT) & (f <= 22)
-    fast &= clinger | (np.abs(miss) + value * 2.0**-100 < half_gap)
-    value = np.where(clinger, high / _POW10[f], value)
-    bits = value.view(np.uint64)
-    bits ^= negative.astype(np.uint64) << _U63
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        for k, cell in zip(slow.tolist(), _texts(buf, start[slow], end[slow])):
-            if not _DECIMAL.fullmatch(cell):
-                return None
-            value[k] = float(cell)
-    return ids, value.reshape(rows, width)
-
-
-def _float_chunks(path: Path, begin: int, end: int, width: int, delimiter: int):
-    """Read bytes ``begin`` .. ``end`` of ``path``, whole lines of about
-    ``_READ_BYTES`` at a time, with :func:`_float_cells`: yield each
-    chunk's ids and values, or yield None and stop at the first chunk it
-    does not take."""
-    buf = bytearray(_WINDOW + _READ_BYTES + 1)
-    kept, left = 0, end - begin  # the bytes of a line carried over, and still to read
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(begin)
-        while kept or left:
-            stop = _WINDOW + kept
-            got = raw.readinto(memoryview(buf)[stop:min(len(buf) - 1, stop + left)])
-            stop += got
-            left = left - got if got else 0
-            if left:
-                cut = buf.rfind(b"\n", _WINDOW, stop) + 1
-                if not cut:  # a line longer than the buffer
-                    buf.extend(bytes(len(buf)))
-                    kept = stop - _WINDOW
-                    continue
-            else:
-                cut = stop
-                if buf[cut - 1] != ord("\n"):  # the last line ends without one
-                    buf[cut] = ord("\n")
-                    cut += 1
-            cells = _float_cells(np.frombuffer(buf, np.uint8), cut, width, delimiter)
-            yield cells
-            if cells is None:
-                return
-            kept = max(stop - cut, 0)
-            buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
-
-
-def _kernel_delimiter(delimiter: str, encoding: str) -> int | None:
-    """The byte :func:`_float_cells` splits on for ``delimiter``, or None
-    where it cannot: a character of a number, a quote, whitespace other
-    than a tab, a byte outside ASCII, or text in an encoding that does
-    not write ASCII as itself."""
-    if codecs.lookup(encoding).name not in ("utf-8", "ascii") or delimiter in '"+-.0123456789Ee':
-        return None
-    return ord(delimiter) if delimiter == "\t" or "!" <= delimiter <= "~" else None
-
-
-def _as_list(cells):
-    """Python scalars for array cells, so no numpy scalar is ever made."""
-    return cells.tolist() if isinstance(cells, np.ndarray) else cells
-
-
-def _write_json(path: Path, obj):
-    with open(path, "w") as handle:
-        json.dump(_jsonable(obj), handle, indent=1, allow_nan=False)
-        handle.write("\n")
-
-
-def _part_count(cells: int) -> int:
-    """How many parts to split a table of ``cells`` cells into: one per
-    usable CPU, each of at least ``_PART_CELLS`` cells; one where
-    ``os.fork`` or the CPU affinity is not available."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), cells // _PART_CELLS))
-
-
-def _child(work, k: int, write_fd: int, close_fds: list[int]):
-    """The forked child of part ``k``: run ``work(k, pipe)`` and leave
-    through ``os._exit``, so no buffer it inherited is flushed twice."""
-    status = 1
-    try:
-        for fd in close_fds:  # the read ends, so a closed one breaks its pipe
-            os.close(fd)
-        with open(write_fd, "wb") as pipe:
-            work(k, pipe)
-        status = 0
-    except BaseException:
-        # imported only on failure here and in _forked, so start-up never loads it
-        import traceback
-
-        os.write(2, traceback.format_exc().encode(errors="replace"))
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _forked(path: Path, parts: int, work):
-    """Run ``work(k, pipe)`` for the parts k = 1 .. ``parts`` - 1 of a
-    table, each in a forked child writing to its own pipe, and yield the
-    read ends in part order.
-
-    On leaving the block every read end is closed before its child is
-    reaped, so a child blocked on a full pipe ends; after an error the
-    children are killed first.  Where the block completes, a child that
-    exited non-zero raises a ``RuntimeError``."""
-    children: list[tuple[int, object]] = []
-    try:
-        for k in range(1, parts):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(work, k, write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        yield [pipe for _, pipe in children]
-    except BaseException:
-        import signal
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for k, status in enumerate(statuses, 1):
-        if status:
-            raise RuntimeError(f"{path}: the process of part {k + 1} of {parts} exited "
-                               f"with status {os.waitstatus_to_exitcode(status)}")
-
-
-def _csv_rows(line: str, cells, start: int, stop: int):
-    """The CSV text of rows ``start`` .. ``stop`` - 1, a chunk of rows at
-    a time."""
-    width = sum(len(c.columns) if isinstance(c, _FloatColumns) else 1 for c in cells)
-    step = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
-    for low in range(start, stop, step):
-        high = min(low + step, stop)
-        chunk = [_as_list(c[low:high]) for c in cells]
-        yield "".join([line % row for row in zip(*chunk)])
-
-
-def write_table(path: Path, header: list[str], columns: list, fmt: str):
-    """Write equal-length ``columns`` (sequences or 1-D arrays) under
-    ``header``.  CSV goes out a chunk of rows at a time, byte for byte
-    what ``csv.writer`` writes for the cells' ``_fmt`` text; a large
-    table is cut into contiguous row parts, the first formatted here and
-    each other one in a forked child whose bytes follow it in order."""
-    if fmt == "csv":
-        specs, cells = _csv_columns(columns)
-        line = ",".join(specs) + "\r\n"
-        rows = len(cells[0])
-        parts = _part_count(rows * len(columns))
-        bounds = [rows * k // parts for k in range(parts + 1)]
-        with open(path, "w", newline="") as handle:
-            def send(k, pipe):
-                # formatted in full first: a write blocks once the pipe is full
-                pipe.writelines([text.encode(handle.encoding)
-                                 for text in _csv_rows(line, cells, bounds[k], bounds[k + 1])])
-
-            with _forked(path, parts, send) as pipes:
-                handle.write(",".join(_quoted(name) for name in header) + "\r\n")
-                handle.writelines(_csv_rows(line, cells, 0, bounds[1]))
-                handle.flush()
-                for pipe in pipes:
-                    shutil.copyfileobj(pipe, handle.buffer)
-    else:
-        _write_json(path, [
-            dict(zip(header, row)) for row in zip(*(_as_list(column) for column in columns))
-        ])
-
-
-# np.loadtxt counts rows from 0 in a conversion error and from 1 in a
-# cell-count error; both skip blank lines, as the "data row" of a
-# message does
-_CONVERSION_ERROR = re.compile(r"(could not convert .*) at row (\d+), column (\d+)")
-_CELL_COUNT_ERROR = re.compile(
-    r"(?:columns changed from \d+ to \d+|columns but \d+ were found"
-    r"|invalid column index \d+) at row (\d+)")
-# the errors a table's text can raise (a UnicodeDecodeError is a
-# ValueError), mapped by _table_error
-_TEXT_ERRORS = (ValueError, csv.Error)
-
-
-def _table_error(path: Path, err: Exception, cells, rows_before: int = 0) -> InvalidInput:
-    """The :class:`InvalidInput` for ``err``, raised by a part of the
-    table that starts after ``rows_before`` data rows; a row of
-    ``cells`` cells was expected."""
-    if isinstance(err, UnicodeDecodeError):
-        return InvalidInput(f"{path}: not {err.encoding} text ({err.reason})")
-    text = str(err)
-    if match := _CONVERSION_ERROR.search(text):
-        row = rows_before + int(match[2]) + 1
-        where = f"data row {row}, column {match[3]}: {match[1]}"
-    elif match := _CELL_COUNT_ERROR.search(text):
-        where = f"data row {rows_before + int(match[1])}: expected {cells} cells"
-    else:
-        where = text
-    return InvalidInput(f"{path}: {where}")
-
-
-class _ByteRange(io.RawIOBase):
-    """The unbuffered binary file ``raw`` from its position up to byte
-    ``end``, read as a file of its own."""
-
-    def __init__(self, raw, end: int):
-        self._raw, self._left = raw, end - raw.tell()
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        count = self._raw.readinto(memoryview(buffer)[:self._left])
-        self._left -= count
-        return count
-
-
-def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
-    """The byte offsets that cut the body of a table, which starts at
-    byte ``start``, into parts: ``start``, the line starts before which
-    the body holds no ``"`` (a quoted cell may hold a line break), and
-    the end of the file.  The number of parts is set by the value cells
-    of the body, ``values`` per line on the lines of its first 64 KiB;
-    ids are not counted, as a part's ids come back pickled at about the
-    cost of parsing them.  Also returns the body's lines: its line feeds,
-    plus one where it ends without one."""
-    with open(path, "rb") as binary:
-        end = binary.seek(0, os.SEEK_END)
-        binary.seek(start)
-        sample = binary.read(1 << 16)
-        lines = sample.count(b"\n") * (end - start) // max(len(sample), 1)
-        parts = _part_count(lines * values)
-        bounds = [start]
-        for k in range(1, parts):
-            binary.seek(start + (end - start) * k // parts - 1)
-            binary.readline()
-            if bounds[-1] < binary.tell() < end:
-                bounds.append(binary.tell())
-        binary.seek(start)
-        block, feeds, quote, last = bytearray(1 << 20), 0, end, ord("\n")
-        while count := binary.readinto(block):
-            feeds += np.count_nonzero(np.frombuffer(block, np.uint8, count) == ord("\n"))
-            if quote == end and (at := block.find(b'"', 0, count)) >= 0:
-                quote = binary.tell() - count + at
-            last = block[count - 1]
-    return [bound for bound in bounds if bound <= quote] + [end], feeds + (last != ord("\n"))
-
-
-def _with_rows(values, rows: int):
-    """``values``, or a copy of it with room for ``rows`` rows where it has
-    fewer."""
-    if rows <= len(values):
-        return values
-    grown = np.empty((rows, *values.shape[1:]), values.dtype)
-    grown[:len(values)] = values
-    return grown
-
-
-def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
-                usecols: tuple[int, ...] | None = None, converters: dict | None = None):
-    """Read a delimited table: the header record with ``csv.reader``,
-    then the body, into one array with a row for each of its lines.  A
-    large body is cut at line starts into parts; the first is parsed here
-    and each other one in a forked child, which sends back its row count,
-    its ids and its raw values.  A float table's part is read by
-    :func:`_float_cells`, a chunk of lines at a time, unless it holds
-    text that kernel does not take; every other part by ``np.loadtxt``.
-
-    Returns the header, the ids (each data row's stripped first cell)
-    and the values: the cells after the id as ``value_type`` (every
-    header column, or only ``usecols[1:]``), each through its entry of
-    ``converters`` where it has one, one row per data row.  Every failure
-    is an :class:`InvalidInput` naming the file, and a body error names
-    its data row, counted from 1 over the non-blank records."""
-    try:
-        with open(path, newline="") as handle:
-            # readline, unlike iteration, leaves tell() at the body's first byte
-            header = next(csv.reader(iter(handle.readline, ""), delimiter=delimiter), None)
-            start, encoding = handle.tell(), handle.encoding
-    except _TEXT_ERRORS as err:
-        raise _table_error(path, err, None) from None
-    if header is None:
-        raise InvalidInput(f"{path}: empty table")
-    if len(header) < 2:
-        raise InvalidInput(f"{path}: {header_error}")
-    cells = len(header) if usecols is None else f"at least {len(usecols)}"
-    shape = (len(header) - 1,) if usecols is None else ()
-    bounds, lines = _line_starts(path, start, len(header) - 1 if usecols is None
-                                 else len(usecols) - 1)
-    parts = len(bounds) - 1
-    kernel = (_kernel_delimiter(delimiter, encoding)
-              if value_type is float and usecols is None else None)
-
-    def parse(k, put):
-        """Part k's ids; its values go to ``put(block, row)`` a block of
-        rows at a time, ``row`` counting the part's rows before the block.
-        A part the kernel does not take goes again from row 0."""
-        if kernel is not None:
-            ids = []
-            for chunk in _float_chunks(path, bounds[k], bounds[k + 1], len(header) - 1, kernel):
-                if chunk is None:
-                    break
-                put(chunk[1], len(ids))
-                ids += chunk[0]
-            else:
-                return ids
-        with open(path, "rb") as binary, warnings.catch_warnings():
-            # an empty body is reported below, as "no data rows"
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            binary.seek(bounds[k])
-            if k + 1 < parts:
-                # only the parts before the last are bounded: over a bounded
-                # file a text file checks "closed" in Python on every line
-                binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
-            text = io.TextIOWrapper(binary, encoding=encoding, newline="")
-            table = np.loadtxt(
-                text, dtype=[("id", object), ("v", value_type, shape)],
-                delimiter=delimiter, quotechar='"', comments=None,
-                usecols=usecols, ndmin=1,
-                converters={0: str.strip, **(converters or {})},
-            )
-        put(table["v"], 0)
-        return table["id"].tolist()
-
-    def send(k, pipe):
-        blocks = []
-
-        def keep(block, row):
-            if not row:
-                blocks.clear()
-            blocks.append(np.ascontiguousarray(block))
-
-        try:
-            ids = parse(k, keep)
-        except _TEXT_ERRORS as err:
-            pickle.dump((0, None, err), pipe)
-            return
-        pickle.dump((len(ids), ids, None), pipe)
-        for block in blocks:
-            pipe.write(block)
-
-    def place(block, row):
-        nonlocal values
-        values = _with_rows(values, row + len(block))
-        values[row:row + len(block)] = block
-
-    with _forked(path, parts, send) as pipes:
-        # a row a line (only lines ending in a lone carriage return make
-        # more), in a mapping of its own: the caller copies the values and
-        # drops them, and their memory goes back to the system at once
-        # instead of leaving a hole in the heap for later arrays to split.
-        # Imported here, so start-up never loads it
-        import mmap
-
-        dtype, size = np.dtype(value_type), lines * math.prod(shape)
-        values = np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype,
-                               size).reshape(lines, *shape)
-        try:
-            ids = parse(0, place)
-        except _TEXT_ERRORS as err:
-            raise _table_error(path, err, cells) from None
-        cut_short = "{}: the process of part {} of {} ended before sending it"
-        for k, pipe in enumerate(pipes, 1):
-            try:
-                rows, part_ids, err = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(cut_short.format(path, k + 1, parts)) from None
-            if err is not None:
-                raise _table_error(path, err, cells, len(ids))
-            values = _with_rows(values, len(ids) + rows)
-            block = values[len(ids):len(ids) + rows]
-            if pipe.readinto(block) != block.nbytes:
-                raise RuntimeError(cut_short.format(path, k + 1, parts))
-            ids += part_ids
-    if not ids:
-        raise InvalidInput(f"{path}: no data rows")
-    return header, tuple(ids), values if len(ids) == len(values) else values[:len(ids)]
-
-
-def read_matrix_table(path: Path, delimiter: str = ","):
-    """Read a sample-by-method table: header of method ids, first column
-    of sample ids, numeric cells."""
-    header, sample_ids, values = _read_table(path, delimiter, float,
-                                             "need a sample-id column plus method columns")
-    method_ids = tuple(h.strip() for h in header[1:])
-    return method_ids, sample_ids, values.T  # -> methods x samples
-
-
-def read_labels_table(path: Path, delimiter: str = ","):
-    """Read a ``sample_id,label`` table; cells after the label are ignored."""
-    # int() rejects "0.5" and "1.0", which older numpy releases truncate
-    # into an int field with only a DeprecationWarning
-    _, sample_ids, labels = _read_table(path, delimiter, int,
-                                        "expected 'sample_id,label' table",
-                                        usecols=(0, 1), converters={1: int})
-    return sample_ids, LabelVector(labels)
 
 
 def _align_labels(sample_ids, label_ids, labels: LabelVector) -> LabelVector:

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summa import cli
-from summa.cli import _CHUNK_ROWS, main, read_labels_table, read_matrix_table, write_table
+from summa import cli, tables
+from summa.cli import main, read_labels_table, read_matrix_table, write_table
+from summa.tables import _CHUNK_ROWS
 from summa.exceptions import InvalidInput, NotConverged
 from summa.inference import Z_CUTOFF
 from summa.pipeline import run_pipeline
@@ -58,7 +59,7 @@ def split_into(monkeypatch):
         return pid
 
     def split(parts):
-        monkeypatch.setattr(cli, "_PART_CELLS", 1)
+        monkeypatch.setattr(tables, "_PART_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
         monkeypatch.setattr(os, "fork", counted_fork)
         return forked
@@ -159,14 +160,14 @@ class TestWriteTable:
     def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
         # a part whose process fails must not leave a shorter table unnoticed
         split_into(3)
-        parent, rows = os.getpid(), cli._csv_rows
+        parent, rows = os.getpid(), tables._csv_rows
 
         def failing_rows(line, cells, start, stop):
             if os.getpid() != parent and start > 0:
                 raise MemoryError("no room for the part")
             return rows(line, cells, start, stop)
 
-        monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+        monkeypatch.setattr(tables, "_csv_rows", failing_rows)
         header, columns = awkward_table(50)
         with pytest.raises(RuntimeError, match=r"part 2 of 3 exited with status 1"):
             write_table(tmp_path / "t.csv", header, columns, "csv")
@@ -228,7 +229,7 @@ WRITE_SCRATCH = 4_000_000
 def float_text(values):
     """The CSV text write_table gives each of the float64 ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    return cli._FloatColumns([values])[0:len(values)]
+    return tables._FloatColumns([values])[0:len(values)]
 
 
 def assert_float_text(values):
@@ -467,14 +468,14 @@ class TestReadTables:
     def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
         path = write_scores(tmp_path / "t.csv", np.ones((3, 60)))
         split_into(2)
-        parent, float_cells = os.getpid(), cli._float_cells
+        parent, float_cells = os.getpid(), tables._float_cells
 
         def failing_float_cells(*args):
             if os.getpid() != parent:
                 raise MemoryError("no room for the part")
             return float_cells(*args)
 
-        monkeypatch.setattr(cli, "_float_cells", failing_float_cells)
+        monkeypatch.setattr(tables, "_float_cells", failing_float_cells)
         with pytest.raises(RuntimeError, match="part 2 of 2 ended before sending it"):
             read_matrix_table(path)
 
@@ -536,7 +537,7 @@ def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
     """``read_matrix_table``'s outcome with the float kernel and with
     np.loadtxt alone, each its (method ids, sample ids, value bytes) or
     its InvalidInput message; and whether the kernel declined a chunk."""
-    declined, float_cells = [], cli._float_cells
+    declined, float_cells = [], tables._float_cells
 
     def spied(*args):
         cells = float_cells(*args)
@@ -551,10 +552,10 @@ def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
         return method_ids, sample_ids, np.ascontiguousarray(values).tobytes()
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_float_cells", spied)
+        patch.setattr(tables, "_float_cells", spied)
         kernel = outcome()
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_kernel_delimiter", lambda delimiter, encoding: None)
+        patch.setattr(tables, "_kernel_delimiter", lambda delimiter, encoding: None)
         plain = outcome()
     return kernel, plain, any(declined)
 
@@ -608,7 +609,7 @@ class TestReadFloatCells:
     def test_chunks_and_long_lines_round_trip(self, tmp_path, monkeypatch, split_into, chunk):
         # lines carried over from one chunk to the next, and lines longer
         # than a chunk's buffer
-        monkeypatch.setattr(cli, "_READ_BYTES", chunk)
+        monkeypatch.setattr(tables, "_READ_BYTES", chunk)
         values = np.random.default_rng(3).standard_normal((6, 90))
         path = write_scores(tmp_path / "t.csv", values)
         for parts in (1, 3):
@@ -670,7 +671,7 @@ class TestReadFloatCells:
         path = tmp_path / "t.csv"
         rows = [["id", "a", "b"], ["s0", "1", "2"], ["s1", "3", "4"]]
         path.write_text("".join(delimiter.join(row) + "\n" for row in rows))
-        assert cli._kernel_delimiter(delimiter, "utf-8") is None
+        assert tables._kernel_delimiter(delimiter, "utf-8") is None
         kernel, plain, _ = read_with_and_without_kernel(monkeypatch, path, delimiter)
         assert kernel == plain
         assert isinstance(kernel, tuple)
@@ -720,7 +721,7 @@ class TestSimulate:
     def test_large_table_splits_across_cpus(self, tmp_path):
         # 5000 rows of 31 cells: large enough that the writer and the
         # reader really fork, with no setting changed
-        assert cli._part_count(5000 * 31) >= 2
+        assert tables._part_count(5000 * 31) >= 2
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         out = simulate(tmp_path, **{"--methods": 30, "--samples": 5000})
         assert run("infer", out / "scores.csv", "--output-dir", tmp_path / "inf") == 0
