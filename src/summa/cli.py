@@ -12,33 +12,15 @@ that fails still writes the manifest, with an ``error`` entry (plus
 and exits with code 1; where the output directory cannot be made, only
 the stderr line and the exit code remain.
 
-File formats (all stable):
+File formats (all stable), read and written by :mod:`summa.tables`:
 
 * score/rank tables: header row ``sample_id,<method>,...``; one row per
   sample.  CSV by default, ``--format json`` writes a list of records.
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
-  round-trip exactly: each cell as ``format(x, ".17g")`` writes it.  A
-  float64 array cell with 1e-4 <= |x| < 1e16 gets that text from
-  numpy integer arithmetic, a chunk of cells at a time; every other
-  cell (zeros, non-finite values, other magnitudes, floats outside
-  float64 arrays) from ``format`` itself.
+  round-trip exactly.
 * every JSON file is strict JSON (a non-finite float is ``null``),
   indented by one space and ends in a newline.
-* tables are read with ``csv`` for the header record and
-  ``np.loadtxt`` for the body, which takes ``"`` quoting as
-  ``csv.writer`` writes it; a body error names its data row.  A float
-  table's part whose text is plain (ASCII without quotes, whitespace,
-  blank lines or lone carriage returns, the header's number of cells on
-  every line, each value cell a decimal number, a delimiter that is no
-  character of a number) is read instead by a numpy kernel, a chunk of
-  whole lines at a time, into the same ids and the same correctly
-  rounded float64 values; a part with any other text goes to
-  ``np.loadtxt`` whole.
-* a large CSV table is written and read in contiguous row parts, one
-  per usable CPU: this process handles the first and forked children
-  the rest, with the same bytes and values as one part.  A read splits
-  only at line starts before the body's first ``"``.
 """
 
 from __future__ import annotations

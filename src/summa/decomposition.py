@@ -290,8 +290,7 @@ def recover_rank1_matrix(
 
     hollow = q.copy()
     np.fill_diagonal(hollow, 0.0)
-    magnitudes = np.abs(hollow)
-    if magnitudes.max() <= _SIGNAL_EPS * max(1.0, peak):
+    if np.abs(hollow).max() <= _SIGNAL_EPS * max(1.0, peak):
         raise NoSignal("all off-diagonal covariances are at machine scale")
 
     lam, u, iterations, converged, history = _fit_factor(
@@ -303,7 +302,7 @@ def recover_rank1_matrix(
         # fit may sit below the top, as the all-ones start does when the
         # row sums are equal, so fit again from the largest pair
         # (e_i +- e_j)/sqrt 2 and keep the lower residual
-        i, j = divmod(int(magnitudes.argmax()), m)
+        i, j = divmod(int(np.abs(hollow).argmax()), m)
         pair = np.zeros(m)
         pair[i], pair[j] = math.sqrt(0.5), math.copysign(math.sqrt(0.5), hollow[i, j])
         refit = _fit_factor(hollow, pair, tol, max_iter)

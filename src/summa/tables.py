@@ -1,7 +1,28 @@
-"""Table I/O: delimited score and label tables, read and written.
+"""Table I/O: delimited score and label tables, written and read.
 
-Split from :mod:`summa.cli`, which imports the readers and the writer
-from here.
+:mod:`summa.cli` reads its inputs with :func:`read_matrix_table` and
+:func:`read_labels_table` and writes every table with
+:func:`write_table`.
+
+* floats are written with 17 significant digits, each cell as
+  ``format(x, ".17g")`` writes it.  A float64 array cell with
+  1e-4 <= |x| < 1e16 gets that text from numpy integer arithmetic, a
+  chunk of cells at a time; every other cell (zeros, non-finite values,
+  other magnitudes, floats outside float64 arrays) from ``format``
+  itself.
+* a table's header record is read with ``csv.reader``.  Its body is
+  read a chunk of whole lines at a time by a numpy kernel, while the
+  text is plain (ASCII without quotes, whitespace, blank lines or lone
+  carriage returns, the table's number of cells on every line, a
+  delimiter that is no character of a number); from the first chunk
+  that is not, ``csv.reader`` reads the rest of the part, which takes
+  ``"`` quoting as ``csv.writer`` writes it.  Both read each value cell
+  by one cell rule (:func:`_cell_value`) and give the same ids and the
+  same values, bit for bit; a body error names its data row.
+* a large CSV table is written and read in contiguous row parts, one
+  per usable CPU: this process handles the first and forked children
+  the rest, with the same bytes and values as one part.  A read splits
+  only at line starts before the body's first ``"``.
 """
 
 from __future__ import annotations
@@ -10,13 +31,13 @@ import codecs
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import pickle
 import re
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +54,14 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 # table, about _CHUNK_CELLS cells, so its text and scratch stay small
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 1 << 13
-# the least cells in one part of a split table.  On one core, parsing
-# 2**16 float cells takes about 7 ms (np.loadtxt: 24 ms) and formatting
-# them about 8 ms, against 2.4 ms to fork, pipe to and reap a child of a
-# 150 MB process.  In such a process a 30-column table of 2**16 cells
-# read in 8.1 ms as two parts and 9.7 ms as one, and 2**15 cells in 5.6
-# and 4.3 ms (medians of 15); below about 30 000 cells two parts were no
-# faster than one, measured when the formatting took 48 ms
+# the least cells in one part of a split table.  On one core, the kernel
+# parses 2**16 float cells in about 7 ms (numpy's C text reader took 24
+# ms) and formatting them takes about 8 ms, against 2.4 ms to fork, pipe
+# to and reap a child of a 150 MB process.  In such a process a
+# 30-column table of 2**16 cells read in 8.1 ms as two parts and 9.7 ms
+# as one, and 2**15 cells in 5.6 and 4.3 ms (medians of 15); below about
+# 30 000 cells two parts were no faster than one, measured when the
+# formatting took 48 ms
 _PART_CELLS = 1 << 16
 
 
@@ -257,7 +279,7 @@ class _FloatColumns:
 
 
 # ---------------------------------------------------------------------------
-# float64 cells from the text of a table body
+# number cells from the text of a table body
 #
 # A chunk of whole lines sits in a byte buffer after _WINDOW bytes of
 # room.  One flatnonzero finds its separators (the delimiter and line
@@ -265,25 +287,26 @@ class _FloatColumns:
 # _WINDOW-byte window of three little-endian words.  The bytes before the
 # cell, and its sign, are masked off; the point is taken out by moving
 # the digits before it up one byte; the digits fold SWAR-style, eight to
-# a word, into an integer D < 10**19 with f digits after the point.
-# D * 10**-f is then rounded correctly (Clinger 1990, Lemire 2021) by the
-# fast path where D <= 2**53 and f <= 22: float(D) and 10**f are exact,
-# so one division rounds correctly.  Elsewhere D, as two doubles, times
-# 10**-f, as a double-double, is within 2**-100 of itself relative to
-# it, and its rounded sum is the correctly rounded value wherever it lies
-# farther than that from the midpoints on either side (Ziv's test; below
-# a power of two the gap is half as wide).  A cell that is too long, has another
-# form (an exponent, a leading "+") or fails the test is read by float(),
-# once it matches the decimal grammar np.loadtxt reads the same way.  Any
-# other text (quotes, blank lines, whitespace, control or non-ASCII
-# bytes, a lone carriage return, nan, inf, "1_0", an empty cell) and the
-# chunk is not taken: its reader reads the whole part with np.loadtxt.
+# a word, into an integer D < 10**19 with f digits after the point.  An
+# integer cell is D itself, where it has no point and at most 18 digits.
+# A float cell's D * 10**-f is rounded correctly (Clinger 1990, Lemire
+# 2021) by the fast path where D <= 2**53 and f <= 22: float(D) and
+# 10**f are exact, so one division rounds correctly.  Elsewhere D, as two
+# doubles, times 10**-f, as a double-double, is within 2**-100 of itself
+# relative to it, and its rounded sum is the correctly rounded value
+# wherever it lies farther than that from the midpoints on either side
+# (Ziv's test; below a power of two the gap is half as wide).  Any other
+# value cell (too long, an exponent, a leading "+", nan, empty) is read
+# by the cell rule of _cell_value.  Where the rule rejects a cell, or the
+# chunk holds any text the kernel does not split (quotes, blank lines,
+# whitespace, control or non-ASCII bytes, a lone carriage return, a line
+# of other cells), the chunk is not taken: csv.reader reads the rest of
+# the part, from the chunk's first line on.
 # ---------------------------------------------------------------------------
 
 # the bytes of text a chunk reads at once, unless one line is longer
 _READ_BYTES = 1 << 18
 _WINDOW = 24
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _U16, _U63 = np.uint64(16), np.uint64(63)
 # one byte in every byte of a word; the low 8, 16 and 32 bits of every
 # 16, 32 and 64-bit lane
@@ -331,11 +354,24 @@ def _texts(buf, starts, ends) -> list[str]:
     return joined.tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _float_cells(buf, stop: int, width: int, delimiter: int):
-    """The ids and the (rows, ``width``) float64 values of the lines in
-    ``buf[_WINDOW:stop]``, each ending in a line feed, split by the byte
-    ``delimiter``; or None where the text holds anything the kernel does
-    not read as np.loadtxt would."""
+def _cell_value(cell: str, integer: bool):
+    """The cell rule: a body cell's text, stripped, ASCII and without
+    "_", as float() reads it, or int() within int64 where ``integer``;
+    any other text raises a ValueError."""
+    text = cell.strip()
+    if text.isascii() and "_" not in text:
+        value = int(text) if integer else float(text)
+        if not integer or -2**63 <= value < 2**63:
+            return value
+    raise ValueError(cell)
+
+
+def _kernel_cells(buf, stop: int, width: int, delimiter: int, integer: bool):
+    """The ids and the (rows, ``width``) float64 values, or int64 ones
+    where ``integer``, of the lines in ``buf[_WINDOW:stop]``, each ending
+    in a line feed, split by the byte ``delimiter``; or None where the
+    text holds anything the kernel does not split, or a cell the cell
+    rule rejects."""
     text = buf[_WINDOW:stop]
     found = np.flatnonzero((text == delimiter) | (text == ord("\n")) | (text == ord(".")))
     found += _WINDOW
@@ -360,8 +396,6 @@ def _float_cells(buf, stop: int, width: int, delimiter: int):
     starts[1:] = seps[:-1] + 1
     ends = seps
     ends[width::per_row] -= crs
-    if np.count_nonzero(ends <= starts):
-        return None
     # each cell's point, or its end where it has none; a point's cell is
     # the count of separators before it
     at = ends.copy()
@@ -400,39 +434,44 @@ def _float_cells(buf, stop: int, width: int, delimiter: int):
     fast &= x[:, 0] < _TOP_DIGITS
     np.minimum(x[:, 0], _TOP_DIGITS, out=x[:, 0])  # so D fits, and converts back, below
     d = x[:, 0] * _TEN16 + x[:, 1] * _TEN8 + x[:, 2]
-    f = np.where(has_point, _WINDOW - 1 - point, 0)
-    high = d.astype(np.float64)
-    low = (d - high.astype(np.uint64)).view(np.int64).astype(np.float64)
-    inverse = _INVERSE_HIGH[f]
-    # Dekker's product: high * inverse = product + error exactly
-    product = high * inverse
-    a_high, a_low = _halves(high)
-    b_high, b_low = _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f]
-    error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
-    rest = error + (high * _INVERSE_LOW[f] + low * inverse)
-    value = product + rest
-    miss = rest - (value - product)  # the sum's rounding error, exactly
-    half_gap = np.spacing(value) * np.where(
-        (miss < 0) & ((value.view(np.uint64) & _MANTISSA) == 0), 0.25, 0.5)
-    clinger = (d <= _EXACT_INT) & (f <= 22)
-    fast &= clinger | (np.abs(miss) + value * 2.0**-100 < half_gap)
-    value = np.where(clinger, high / _POW10[f], value)
-    bits = value.view(np.uint64)
-    bits ^= negative.astype(np.uint64) << _U63
+    if integer:
+        fast &= ~has_point & (length <= 18)
+        value = np.where(negative, -d.view(np.int64), d.view(np.int64))
+    else:
+        f = np.where(has_point, _WINDOW - 1 - point, 0)
+        high = d.astype(np.float64)
+        low = (d - high.astype(np.uint64)).view(np.int64).astype(np.float64)
+        inverse = _INVERSE_HIGH[f]
+        # Dekker's product: high * inverse = product + error exactly
+        product = high * inverse
+        a_high, a_low = _halves(high)
+        b_high, b_low = _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f]
+        error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
+        rest = error + (high * _INVERSE_LOW[f] + low * inverse)
+        value = product + rest
+        miss = rest - (value - product)  # the sum's rounding error, exactly
+        half_gap = np.spacing(value) * np.where(
+            (miss < 0) & ((value.view(np.uint64) & _MANTISSA) == 0), 0.25, 0.5)
+        clinger = (d <= _EXACT_INT) & (f <= 22)
+        fast &= clinger | (np.abs(miss) + value * 2.0**-100 < half_gap)
+        value = np.where(clinger, high / _POW10[f], value)
+        bits = value.view(np.uint64)
+        bits ^= negative.astype(np.uint64) << _U63
     slow = np.flatnonzero(~fast)
     if len(slow):
         for k, cell in zip(slow.tolist(), _texts(buf, start[slow], end[slow])):
-            if not _DECIMAL.fullmatch(cell):
+            try:
+                value[k] = _cell_value(cell, integer)
+            except ValueError:
                 return None
-            value[k] = float(cell)
     return ids, value.reshape(rows, width)
 
 
-def _float_chunks(path: Path, begin: int, end: int, width: int, delimiter: int):
+def _kernel_chunks(path: Path, begin: int, end: int, width: int, delimiter: int, integer: bool):
     """Read bytes ``begin`` .. ``end`` of ``path``, whole lines of about
-    ``_READ_BYTES`` at a time, with :func:`_float_cells`: yield each
-    chunk's ids and values, or yield None and stop at the first chunk it
-    does not take."""
+    ``_READ_BYTES`` at a time, with :func:`_kernel_cells`: yield each
+    chunk's first byte and its ids and values, or None for them; the
+    caller stops at the first None."""
     buf = bytearray(_WINDOW + _READ_BYTES + 1)
     kept, left = 0, end - begin  # the bytes of a line carried over, and still to read
     with open(path, "rb", buffering=0) as raw:
@@ -453,16 +492,15 @@ def _float_chunks(path: Path, begin: int, end: int, width: int, delimiter: int):
                 if buf[cut - 1] != ord("\n"):  # the last line ends without one
                     buf[cut] = ord("\n")
                     cut += 1
-            cells = _float_cells(np.frombuffer(buf, np.uint8), cut, width, delimiter)
-            yield cells
-            if cells is None:
-                return
+            cells = _kernel_cells(np.frombuffer(buf, np.uint8), cut, width, delimiter, integer)
+            yield begin, cells
+            begin += cut - _WINDOW
             kept = max(stop - cut, 0)
             buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
 
 
 def _kernel_delimiter(delimiter: str, encoding: str) -> int | None:
-    """The byte :func:`_float_cells` splits on for ``delimiter``, or None
+    """The byte :func:`_kernel_cells` splits on for ``delimiter``, or None
     where it cannot: a character of a number, a quote, whitespace other
     than a tab, a byte outside ASCII, or text in an encoding that does
     not write ASCII as itself."""
@@ -591,33 +629,59 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str):
             dict(zip(header, row)) for row in zip(*(_as_list(column) for column in columns))
         ])
 
-# np.loadtxt counts rows from 0 in a conversion error and from 1 in a
-# cell-count error; both skip blank lines, as the "data row" of a
-# message does
-_CONVERSION_ERROR = re.compile(r"(could not convert .*) at row (\d+), column (\d+)")
-_CELL_COUNT_ERROR = re.compile(
-    r"(?:columns changed from \d+ to \d+|columns but \d+ were found"
-    r"|invalid column index \d+) at row (\d+)")
+
 # the errors a table's text can raise (a UnicodeDecodeError is a
 # ValueError), mapped by _table_error
 _TEXT_ERRORS = (ValueError, csv.Error)
 
 
-def _table_error(path: Path, err: Exception, cells, rows_before: int = 0) -> InvalidInput:
+class _BadRow(ValueError):
+    """A body error at data row ``args[0]`` of its part; ``args[1]``
+    follows the row in the message."""
+
+
+def _table_error(path: Path, err: Exception, rows_before: int = 0) -> InvalidInput:
     """The :class:`InvalidInput` for ``err``, raised by a part of the
-    table that starts after ``rows_before`` data rows; a row of
-    ``cells`` cells was expected."""
+    table that starts after ``rows_before`` data rows."""
     if isinstance(err, UnicodeDecodeError):
         return InvalidInput(f"{path}: not {err.encoding} text ({err.reason})")
-    text = str(err)
-    if match := _CONVERSION_ERROR.search(text):
-        row = rows_before + int(match[2]) + 1
-        where = f"data row {row}, column {match[3]}: {match[1]}"
-    elif match := _CELL_COUNT_ERROR.search(text):
-        where = f"data row {rows_before + int(match[1])}: expected {cells} cells"
-    else:
-        where = text
-    return InvalidInput(f"{path}: {where}")
+    if isinstance(err, _BadRow):
+        return InvalidInput(f"{path}: data row {rows_before + err.args[0]}{err.args[1]}")
+    return InvalidInput(f"{path}: {err}")
+
+
+def _csv_cells(text, delimiter: str, width: int, labels: bool, row: int):
+    """Yield the ids and the (rows, ``width``) values of the non-blank
+    records ``csv.reader`` reads from ``text``, _CHUNK_ROWS records at a
+    time, after ``row`` data rows of their part.  A record has the
+    header's cells, or in a label table at least two, of which the
+    second is the label; each value cell is read by the cell rule.  Any
+    other record raises a :class:`_BadRow`."""
+    records = filter(None, csv.reader(text, delimiter=delimiter))
+    dtype = np.int64 if labels else np.float64
+    while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+        cells = [cell for record in chunk for cell in record[1:width + 1]]
+        joined = "".join(cells)
+        try:
+            # at once where each record has its cells, each ASCII without "_"
+            if (len(cells) < len(chunk) * width or not joined.isascii() or "_" in joined
+                    or not labels and max(map(len, chunk)) > width + 1):
+                raise ValueError
+            values = np.array(list(map(int if labels else float, cells)), dtype)
+        except (ValueError, OverflowError):
+            values = []
+            for k, record in enumerate(chunk, row + 1):
+                if len(record) <= width or len(record) > width + 1 and not labels:
+                    raise _BadRow(k, f": expected {'at least 2' if labels else width + 1} cells")
+                for column, cell in enumerate(record[1:width + 1], 2):
+                    try:
+                        values.append(_cell_value(cell, labels))
+                    except ValueError:
+                        raise _BadRow(k, f", column {column}: could not convert string "
+                                         f"{repr(cell)[:100]} to {dtype.__name__}") from None
+            values = np.array(values, dtype)
+        yield [record[0].strip() for record in chunk], values.reshape(-1, width)
+        row += len(chunk)
 
 
 class _ByteRange(io.RawIOBase):
@@ -668,97 +732,75 @@ def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
 
 
 def _with_rows(values, rows: int):
-    """``values``, or a copy of it with room for ``rows`` rows where it has
-    fewer."""
-    if rows <= len(values):
-        return values
-    grown = np.empty((rows, *values.shape[1:]), values.dtype)
-    grown[:len(values)] = values
-    return grown
+    """``values``, or where it has fewer than ``rows`` rows a copy of it
+    with room for them (filled with its rows again, to be written over)."""
+    return values if rows <= len(values) else np.resize(values, (rows, values.shape[1]))
 
 
-def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
-                usecols: tuple[int, ...] | None = None, converters: dict | None = None):
+def _read_table(path: Path, delimiter: str, labels: bool = False):
     """Read a delimited table: the header record with ``csv.reader``,
     then the body, into one array with a row for each of its lines.  A
     large body is cut at line starts into parts; the first is parsed here
     and each other one in a forked child, which sends back its row count,
-    its ids and its raw values.  A float table's part is read by
-    :func:`_float_cells`, a chunk of lines at a time, unless it holds
-    text that kernel does not take; every other part by ``np.loadtxt``.
+    its ids and its raw values.  A part is read by :func:`_kernel_cells`,
+    a chunk of lines at a time, and from the first chunk that kernel does
+    not take on by :func:`_csv_cells`.
 
     Returns the header, the ids (each data row's stripped first cell)
-    and the values: the cells after the id as ``value_type`` (every
-    header column, or only ``usecols[1:]``), each through its entry of
-    ``converters`` where it has one, one row per data row.  Every failure
-    is an :class:`InvalidInput` naming the file, and a body error names
-    its data row, counted from 1 over the non-blank records."""
+    and the values, one row per data row: the float64 cells after the
+    id, or in a label table the int64 label in the second cell.  Every
+    failure is an :class:`InvalidInput` naming the file, and a body error
+    names its data row, counted from 1 over the non-blank records."""
     try:
         with open(path, newline="") as handle:
             # readline, unlike iteration, leaves tell() at the body's first byte
             header = next(csv.reader(iter(handle.readline, ""), delimiter=delimiter), None)
             start, encoding = handle.tell(), handle.encoding
     except _TEXT_ERRORS as err:
-        raise _table_error(path, err, None) from None
+        raise _table_error(path, err) from None
     if header is None:
         raise InvalidInput(f"{path}: empty table")
     if len(header) < 2:
-        raise InvalidInput(f"{path}: {header_error}")
-    cells = len(header) if usecols is None else f"at least {len(usecols)}"
-    shape = (len(header) - 1,) if usecols is None else ()
-    bounds, lines = _line_starts(path, start, len(header) - 1 if usecols is None
-                                 else len(usecols) - 1)
+        raise InvalidInput(f"{path}: " + ("expected 'sample_id,label' table" if labels
+                                          else "need a sample-id column plus method columns"))
+    width = 1 if labels else len(header) - 1
+    bounds, lines = _line_starts(path, start, width)
     parts = len(bounds) - 1
-    kernel = (_kernel_delimiter(delimiter, encoding)
-              if value_type is float and usecols is None else None)
+    kernel = _kernel_delimiter(delimiter, encoding)
 
     def parse(k, put):
         """Part k's ids; its values go to ``put(block, row)`` a block of
-        rows at a time, ``row`` counting the part's rows before the block.
-        A part the kernel does not take goes again from row 0."""
+        rows at a time, ``row`` counting the part's rows before the block."""
+        ids, at = [], bounds[k]
         if kernel is not None:
-            ids = []
-            for chunk in _float_chunks(path, bounds[k], bounds[k + 1], len(header) - 1, kernel):
-                if chunk is None:
+            for at, cells in _kernel_chunks(path, at, bounds[k + 1], width, kernel, labels):
+                if cells is None:
                     break
-                put(chunk[1], len(ids))
-                ids += chunk[0]
+                put(cells[1], len(ids))
+                ids += cells[0]
             else:
                 return ids
-        with open(path, "rb") as binary, warnings.catch_warnings():
-            # an empty body is reported below, as "no data rows"
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            binary.seek(bounds[k])
+        with open(path, "rb") as binary:
+            binary.seek(at)
             if k + 1 < parts:
                 # only the parts before the last are bounded: over a bounded
                 # file a text file checks "closed" in Python on every line
                 binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
             text = io.TextIOWrapper(binary, encoding=encoding, newline="")
-            table = np.loadtxt(
-                text, dtype=[("id", object), ("v", value_type, shape)],
-                delimiter=delimiter, quotechar='"', comments=None,
-                usecols=usecols, ndmin=1,
-                converters={0: str.strip, **(converters or {})},
-            )
-        put(table["v"], 0)
-        return table["id"].tolist()
+            for chunk_ids, block in _csv_cells(text, delimiter, width, labels, len(ids)):
+                put(block, len(ids))
+                ids += chunk_ids
+        return ids
 
     def send(k, pipe):
         blocks = []
-
-        def keep(block, row):
-            if not row:
-                blocks.clear()
-            blocks.append(np.ascontiguousarray(block))
-
         try:
-            ids = parse(k, keep)
+            ids = parse(k, lambda block, row: blocks.append(np.ascontiguousarray(block)))
         except _TEXT_ERRORS as err:
             pickle.dump((0, None, err), pipe)
             return
         pickle.dump((len(ids), ids, None), pipe)
-        for block in blocks:
-            pipe.write(block)
+        pipe.writelines(blocks)
 
     def place(block, row):
         nonlocal values
@@ -773,13 +815,13 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
         # Imported here, so start-up never loads it
         import mmap
 
-        dtype, size = np.dtype(value_type), lines * math.prod(shape)
-        values = np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype,
-                               size).reshape(lines, *shape)
+        dtype = np.dtype(np.int64 if labels else np.float64)
+        values = np.frombuffer(mmap.mmap(-1, max(lines * width * dtype.itemsize, 1)), dtype,
+                               lines * width).reshape(lines, width)
         try:
             ids = parse(0, place)
         except _TEXT_ERRORS as err:
-            raise _table_error(path, err, cells) from None
+            raise _table_error(path, err) from None
         cut_short = "{}: the process of part {} of {} ended before sending it"
         for k, pipe in enumerate(pipes, 1):
             try:
@@ -787,7 +829,7 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(cut_short.format(path, k + 1, parts)) from None
             if err is not None:
-                raise _table_error(path, err, cells, len(ids))
+                raise _table_error(path, err, len(ids))
             values = _with_rows(values, len(ids) + rows)
             block = values[len(ids):len(ids) + rows]
             if pipe.readinto(block) != block.nbytes:
@@ -801,17 +843,14 @@ def _read_table(path: Path, delimiter: str, value_type: type, header_error: str,
 def read_matrix_table(path: Path, delimiter: str = ","):
     """Read a sample-by-method table: header of method ids, first column
     of sample ids, numeric cells."""
-    header, sample_ids, values = _read_table(path, delimiter, float,
-                                             "need a sample-id column plus method columns")
-    method_ids = tuple(h.strip() for h in header[1:])
-    return method_ids, sample_ids, values.T  # -> methods x samples
+    header, sample_ids, values = _read_table(path, delimiter)
+    return tuple(h.strip() for h in header[1:]), sample_ids, values.T  # -> methods x samples
 
 
 def read_labels_table(path: Path, delimiter: str = ","):
     """Read a ``sample_id,label`` table; cells after the label are ignored."""
-    # int() rejects "0.5" and "1.0", which older numpy releases truncate
-    # into an int field with only a DeprecationWarning
-    _, sample_ids, labels = _read_table(path, delimiter, int,
-                                        "expected 'sample_id,label' table",
-                                        usecols=(0, 1), converters={1: int})
-    return sample_ids, LabelVector(labels)
+    _, sample_ids, labels = _read_table(path, delimiter, labels=True)
+    try:
+        return sample_ids, LabelVector(labels[:, 0])
+    except InvalidInput as err:
+        raise InvalidInput(f"{path}: {err}") from None

@@ -358,6 +358,8 @@ class TestReadTables:
         ("s2,5", "expected 3 cells"),
         ("s2,5,6,7", "expected 3 cells"),
         ("s2,5,x", "could not convert"),
+        # the cell's repr, cut to 100 characters
+        ("s2,5," + "x" * 150, "could not convert string '" + "x" * 99 + " to float64"),
     ])
     def test_bad_row_after_blank_line_names_data_row(self, tmp_path, row, reason):
         # data rows count the non-blank records after the header, from 1
@@ -377,14 +379,25 @@ class TestReadTables:
             read_labels_table(path)
         assert f"{path}: data row 2" in str(err.value)
 
-    @pytest.mark.parametrize("label", ["0.5", "1.0", "1.7", "1e0"])
-    def test_non_integer_label_rejected(self, tmp_path, label):
-        # a label must be an integer, as int() reads it
+    @pytest.mark.parametrize("label", ["0.5", "1.0", "1.7", "1e0", "1_0", "\u0661",
+                                       "99999999999999999999", "-9223372036854775809"])
+    def test_non_integer_label_rejected(self, tmp_path, split_into, label):
+        # a label must be ASCII text without "_" that int() reads, within int64
         path = tmp_path / "labels.csv"
         path.write_text(f"sample_id,label\ns0,1\n\ns1,{label}\ns2,0\n")
-        with pytest.raises(InvalidInput, match="could not convert") as err:
+        for parts in (1, 2):
+            split_into(parts)
+            with pytest.raises(InvalidInput) as err:
+                read_labels_table(path)
+            assert str(err.value) == (f"{path}: data row 2, column 2: "
+                                      f"could not convert string {label!r} to int64")
+
+    def test_label_values_error_names_file(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\ns0,1\ns1,2\n")
+        with pytest.raises(InvalidInput) as err:
             read_labels_table(path)
-        assert f"{path}: data row 2, column 2" in str(err.value)
+        assert str(err.value) == f"{path}: labels must be 0/1, got values [1 2]"
 
     @pytest.mark.parametrize("reader", [read_matrix_table, read_labels_table])
     def test_undecodable_data_row(self, tmp_path, split_into, reader):
@@ -410,12 +423,15 @@ class TestReadTables:
         path.write_text("sample_id,a\n" + "y" * 200_000 + ",1\n")
         assert read_matrix_table(path)[1] == ("y" * 200_000,)
 
-    def test_third_label_column_ignored(self, tmp_path):
+    def test_third_label_column_ignored(self, tmp_path, split_into):
         path = tmp_path / "labels.csv"
         path.write_text("sample_id,label,note\ns0,1,first\n\n s1 ,0\ns2,1,x,y\n")
-        sample_ids, labels = read_labels_table(path)
-        assert sample_ids == ("s0", "s1", "s2")
-        assert labels.labels.tolist() == [1, 0, 1]
+        for parts in (1, 2):
+            forked = split_into(parts)
+            sample_ids, labels = read_labels_table(path)
+            assert sample_ids == ("s0", "s1", "s2")
+            assert labels.labels.tolist() == [1, 0, 1]
+        assert len(forked) == 1
 
     @pytest.mark.parametrize("reader, rows, bad", [
         (read_matrix_table, [f"s{k},{k},-{k}" for k in range(40)], "s,5"),
@@ -468,14 +484,14 @@ class TestReadTables:
     def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
         path = write_scores(tmp_path / "t.csv", np.ones((3, 60)))
         split_into(2)
-        parent, float_cells = os.getpid(), tables._float_cells
+        parent, kernel_cells = os.getpid(), tables._kernel_cells
 
-        def failing_float_cells(*args):
+        def failing_kernel_cells(*args):
             if os.getpid() != parent:
                 raise MemoryError("no room for the part")
-            return float_cells(*args)
+            return kernel_cells(*args)
 
-        monkeypatch.setattr(tables, "_float_cells", failing_float_cells)
+        monkeypatch.setattr(tables, "_kernel_cells", failing_kernel_cells)
         with pytest.raises(RuntimeError, match="part 2 of 2 ended before sending it"):
             read_matrix_table(path)
 
@@ -534,13 +550,13 @@ def loadtxt_values(path, delimiter=","):
 
 
 def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
-    """``read_matrix_table``'s outcome with the float kernel and with
-    np.loadtxt alone, each its (method ids, sample ids, value bytes) or
+    """``read_matrix_table``'s outcome with the kernel and with
+    csv.reader alone, each its (method ids, sample ids, value bytes) or
     its InvalidInput message; and whether the kernel declined a chunk."""
-    declined, float_cells = [], tables._float_cells
+    declined, kernel_cells = [], tables._kernel_cells
 
     def spied(*args):
-        cells = float_cells(*args)
+        cells = kernel_cells(*args)
         declined.append(cells is None)
         return cells
 
@@ -552,12 +568,16 @@ def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
         return method_ids, sample_ids, np.ascontiguousarray(values).tobytes()
 
     with monkeypatch.context() as patch:
-        patch.setattr(tables, "_float_cells", spied)
+        patch.setattr(tables, "_kernel_cells", spied)
         kernel = outcome()
     with monkeypatch.context() as patch:
         patch.setattr(tables, "_kernel_delimiter", lambda delimiter, encoding: None)
         plain = outcome()
     return kernel, plain, any(declined)
+
+
+# text the kernel reads, with float(), among the cases it declines
+KERNEL_NAN, KERNEL_INF = "s0,nan,2\ns1,3,4\n", "s0,1.5,-inf\ns1,3,4\n"
 
 
 class TestReadFloatCells:
@@ -633,12 +653,17 @@ class TestReadFloatCells:
         pytest.param('"s0",1.5,2\ns1,3,4\n', ("s0", "s1"), id="quoted id"),
         pytest.param("s0,1.5,2\n\ns1,3,4\n", ("s0", "s1"), id="blank line"),
         pytest.param("s0, 1.5,2\ns1,3,4\n", ("s0", "s1"), id="space"),
-        pytest.param("s0,nan,2\ns1,3,4\n", ("s0", "s1"), id="nan"),
-        pytest.param("s0,1.5,-inf\ns1,3,4\n", ("s0", "s1"), id="inf"),
+        pytest.param(KERNEL_NAN, ("s0", "s1"), id="nan"),
+        pytest.param(KERNEL_INF, ("s0", "s1"), id="inf"),
+        pytest.param("s0,1.5\xa0,2\ns1,3,4\n", ("s0", "s1"), id="trailing NBSP"),
+        pytest.param("s0,1.5\x0c,2\ns1,3,4\n", ("s0", "s1"), id="trailing form feed"),
         pytest.param("s0,1.5,2\rs1,3,4\n", ("s0", "s1"), id="lone carriage return"),
         pytest.param("sé,1.5,2\ns1,3,4\n", ("sé", "s1"), id="non-ASCII id"),
         pytest.param("s0,1_0,2\ns1,3,4\n", "data row 21, column 2: could not convert",
                      id="underscore"),
+        pytest.param("s0,\u0661,2\ns1,3,4\n",
+                     "data row 21, column 2: could not convert string '\u0661' to float64",
+                     id="Arabic-Indic digit"),
         pytest.param("s0,,2\ns1,3,4\n", "data row 21, column 2: could not convert",
                      id="empty cell"),
         pytest.param("s0,1.5,2,7\ns1,3,4\n", "data row 21: expected 3 cells", id="extra cell"),
@@ -652,19 +677,24 @@ class TestReadFloatCells:
     @pytest.mark.parametrize("parts", [1, 2])
     def test_declined_text_reads_as_loadtxt(self, tmp_path, monkeypatch, split_into, body,
                                             expected, parts):
-        # the ids that end the table, or its error
+        # the ids that end the table, or its error; with 16-byte chunks the
+        # kernel takes the lines before the text, and csv.reader goes on
+        # from the chunk it declines
         path = tmp_path / "t.csv"
         path.write_bytes(("sample_id,a,b\n" + "s,1,2\n" * 20 + body).encode())
         split_into(parts)
-        kernel, plain, declined = read_with_and_without_kernel(monkeypatch, path)
-        # split, the text is in the second part, whose child declines it
-        assert declined == (parts == 1)
-        assert kernel == plain
-        if isinstance(expected, tuple):
-            assert kernel[1] == ("s",) * 20 + expected
-            assert kernel[2] == loadtxt_values(path).tobytes()
-        else:
-            assert kernel.startswith(f"{path}: {expected}")
+        for chunk in (tables._READ_BYTES, 16):
+            monkeypatch.setattr(tables, "_READ_BYTES", chunk)
+            kernel, plain, declined = read_with_and_without_kernel(monkeypatch, path)
+            # split, the text is in the second part, whose child declines it;
+            # the kernel reads nan and inf by the cell rule
+            assert declined == (parts == 1 and body not in (KERNEL_NAN, KERNEL_INF))
+            assert kernel == plain
+            if isinstance(expected, tuple):
+                assert kernel[1] == ("s",) * 20 + expected
+                assert kernel[2] == loadtxt_values(path).tobytes()
+            else:
+                assert kernel.startswith(f"{path}: {expected}")
 
     @pytest.mark.parametrize("delimiter", [".", "-", "e", "5", " "])
     def test_delimiter_in_a_number_reads_as_loadtxt(self, tmp_path, monkeypatch, delimiter):
@@ -675,6 +705,41 @@ class TestReadFloatCells:
         kernel, plain, _ = read_with_and_without_kernel(monkeypatch, path, delimiter)
         assert kernel == plain
         assert isinstance(kernel, tuple)
+
+    def test_integer_cells_match_int(self, tmp_path, monkeypatch, split_into):
+        # a label table's cells: 1 to 19 digits, signs and leading zeros,
+        # and the two ends of int64, which the kernel reads in full or
+        # hands to the cell rule
+        rng = np.random.default_rng(13)
+        digits = rng.integers(1, 20, size=3000)
+        cells = [("-" if k % 3 == 0 else "+" if k % 7 == 0 else "") + "0" * (k % 5 == 0)
+                 + str(rng.integers(10 ** (d - 1), 10**d - 1, dtype=np.uint64, endpoint=True))
+                 for k, d in enumerate(digits.tolist())]
+        cells = [cell for cell in cells if -2**63 <= int(cell) < 2**63]
+        cells += ["0", "-0", "007", str(2**63 - 1), str(-2**63), "9" * 18, "-" + "9" * 18]
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\n" + "".join(
+            f"s{k},{cell}\n" for k, cell in enumerate(cells)))
+        expected = np.array([int(cell) for cell in cells])
+        declined, kernel_cells = [], tables._kernel_cells
+
+        def spied(*args):
+            taken = kernel_cells(*args)
+            declined.append(taken is None)
+            return taken
+
+        monkeypatch.setattr(tables, "_kernel_cells", spied)
+        for parts in (1, 3):
+            split_into(parts)
+            _, ids, values = tables._read_table(path, ",", labels=True)
+            assert ids == tuple(f"s{k}" for k in range(len(cells)))
+            assert values[:, 0].tobytes() == expected.tobytes()
+        assert declined and not any(declined)
+        for bad in [str(2**63), "1.0", "0.5", "1e0", "1_0"]:
+            path.write_text(f"sample_id,label\ns0,1\ns1,{bad}\n")
+            with pytest.raises(InvalidInput, match=f"data row 2, column 2: could not convert "
+                                                   f"string '{bad}' to int64"):
+                read_labels_table(path)
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@
 instances, plus sign resolution and recoverability flagging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,24 @@ class TestRecoverRank1Matrix:
         # variance cap's NoSignal; every other fit converges before it
         for seed in range(40):
             assert fit_outcome(design_covariance(*design, seed))[0] != "NotConverged", seed
+
+    def test_peak_memory_below_three_matrices(self):
+        # beside its input a fit needs the hollow copy and, while it
+        # measures a residual, one outer product: about 2 M x M float64
+        # arrays; a third one held for the whole fit would pass 3
+        m = 400
+        rng = np.random.default_rng(0)
+        v = rng.uniform(0.5, 1.5, m)
+        noise = rng.standard_normal((m, m)) * 1e-3
+        q = 2.0 * np.outer(v, v) / (v @ v) + np.diag(rng.uniform(0.5, 1.0, m)) + noise + noise.T
+        tracemalloc.start()
+        try:
+            rec = recover_rank1_matrix(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.converged
+        assert peak < 2.5 * q.nbytes
 
     def test_equal_row_sums_not_stuck_on_all_ones(self):
         # the all-ones start is an eigenvector of H (value 1), so it is a

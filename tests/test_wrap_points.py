@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import summa
-from summa import cli
+from summa import cli, tables
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -70,3 +70,6 @@ def test_count_functions_return(tracing, tmp_path):
     uncounted = counted - {span.name for span in tracer.spans if span.counts}
     assert not uncounted, f"no counts recorded for {sorted(uncounted)}"
     assert summa.pipeline.recover_rank1_tensor is summa.decomposition.recover_rank1_tensor
+    # the cli.* layers wrap the names summa.cli calls: the table functions themselves
+    for name in ("read_matrix_table", "read_labels_table", "write_table"):
+        assert getattr(cli, name) is getattr(tables, name), name
