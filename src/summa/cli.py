@@ -7,13 +7,15 @@ manifest) alone.  One writer, :class:`ManifestWriter`, writes every
 output file and lists it in the manifest, so the list is exactly what
 was written.  Data outputs from ``simulate`` and ``infer`` are
 byte-identical across reruns with the same seed and inputs.  A command
-that fails still writes the manifest, with an ``error`` entry (plus
-``error.json`` when an iteration ran out), prints one line to stderr
-and exits with code 1; where the output directory cannot be made, only
-the stderr line and the exit code remain.
+that fails, by a summa error or an OS error on one of its files, still
+writes the manifest, with an ``error`` entry (plus ``error.json`` when
+an iteration ran out), prints one line to stderr and exits with code
+1; where the output directory cannot be made, only the stderr line and
+the exit code remain.
 
 File formats (all stable), read and written by :mod:`summa.tables`:
 
+* every table and JSON file is UTF-8 text, whatever the locale.
 * score/rank tables: header row ``sample_id,<method>,...``; one row per
   sample.  CSV by default, ``--format json`` writes a list of records.
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
@@ -113,11 +115,8 @@ class ManifestWriter:
 
     def add_input(self, path: Path):
         """Digest an input before the command reads it, so an unreadable
-        input fails here as an :class:`InvalidInput`."""
-        try:
-            self.inputs[str(path)] = _sha256(path)
-        except OSError as err:
-            raise InvalidInput(f"{path}: {err.strerror or err}") from None
+        input fails here."""
+        self.inputs[str(path)] = _sha256(path)
 
     def table(self, stem: str, header: list[str], columns: list) -> str:
         """Write ``{stem}.{format}`` with :func:`write_table`; returns its name."""
@@ -286,7 +285,8 @@ def _sweep_replicate(task) -> dict:
 
 def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
     """NaN-skipping median, mean and standard error of one sweep cell's
-    replicates; NaN, without a RuntimeWarning, where too few are finite."""
+    replicates, the error over the finite ones; NaN, without a
+    RuntimeWarning, where too few are finite."""
     finite = np.count_nonzero(~np.isnan(x))
     nan = float("nan")
     median = float(np.nanmedian(x)) if finite else nan
@@ -294,7 +294,7 @@ def _cell_stats(x: np.ndarray) -> tuple[float, float, float]:
     if x.size <= 1:
         se = 0.0
     else:
-        se = float(np.nanstd(x, ddof=1) / np.sqrt(x.size)) if finite > 1 else nan
+        se = float(np.nanstd(x, ddof=1) / np.sqrt(finite)) if finite > 1 else nan
     return median, mean, se
 
 
@@ -453,8 +453,9 @@ def _error_diagnostics(err: NotConverged) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every :class:`SummaError` it raises becomes a
-    manifest ``error``, one stderr line and exit code 1."""
+    """Run one command; every :class:`SummaError` it raises, and every
+    ``OSError`` on its files, becomes a manifest ``error``, one stderr
+    line and exit code 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Path(args.output_dir)
@@ -472,11 +473,14 @@ def main(argv: list[str] | None = None) -> int:
         if delimiter in '"\r\n':
             raise InvalidInput(f"--delimiter cannot be a quote or a line break, got {delimiter!r}")
         summary = args.func(args, manifest)
-    except SummaError as err:
+    except (SummaError, OSError) as err:
         if isinstance(err, NotConverged):
             manifest.json("error.json", _error_diagnostics(err))
-        manifest.write(error=str(err))
-        print(f"{args.command}: {err}", file=sys.stderr)
+        message = str(err)
+        if isinstance(err, OSError) and err.filename is not None:
+            message = f"{err.filename}: {err.strerror or err}"
+        manifest.write(error=message)
+        print(f"{args.command}: {message}", file=sys.stderr)
         return 1
     manifest.write()
     print(summary)

@@ -2,7 +2,8 @@
 
 :mod:`summa.cli` reads its inputs with :func:`read_matrix_table` and
 :func:`read_labels_table` and writes every table with
-:func:`write_table`.
+:func:`write_table`.  Every file is read and written as UTF-8, whatever
+the locale.
 
 * floats are written with 17 significant digits, each cell as
   ``format(x, ".17g")`` writes it.  A float64 array cell with
@@ -21,13 +22,15 @@
   same values, bit for bit; a body error names its data row.
 * a large CSV table is written and read in contiguous row parts, one
   per usable CPU: this process handles the first and forked children
-  the rest, with the same bytes and values as one part.  A read splits
-  only at line starts before the body's first ``"``.
+  the rest, with the same bytes and values as one part.  A read counts
+  the body's lines once, which sets both the number of parts and the
+  rows of the array, and splits only at line starts before the body's
+  first ``"``; each part is one stream of chunks of ids and values,
+  which this process places and a child sends.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import io
@@ -499,12 +502,11 @@ def _kernel_chunks(path: Path, begin: int, end: int, width: int, delimiter: int,
             buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
 
 
-def _kernel_delimiter(delimiter: str, encoding: str) -> int | None:
+def _kernel_delimiter(delimiter: str) -> int | None:
     """The byte :func:`_kernel_cells` splits on for ``delimiter``, or None
     where it cannot: a character of a number, a quote, whitespace other
-    than a tab, a byte outside ASCII, or text in an encoding that does
-    not write ASCII as itself."""
-    if codecs.lookup(encoding).name not in ("utf-8", "ascii") or delimiter in '"+-.0123456789Ee':
+    than a tab, or a byte outside ASCII."""
+    if delimiter in '"+-.0123456789Ee':
         return None
     return ord(delimiter) if delimiter == "\t" or "!" <= delimiter <= "~" else None
 
@@ -515,7 +517,7 @@ def _as_list(cells):
 
 
 def _write_json(path: Path, obj):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(_jsonable(obj), handle, indent=1, allow_nan=False)
         handle.write("\n")
 
@@ -612,10 +614,10 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str):
         rows = len(cells[0])
         parts = _part_count(rows * len(columns))
         bounds = [rows * k // parts for k in range(parts + 1)]
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             def send(k, pipe):
                 # formatted in full first: a write blocks once the pipe is full
-                pipe.writelines([text.encode(handle.encoding)
+                pipe.writelines([text.encode()
                                  for text in _csv_rows(line, cells, bounds[k], bounds[k + 1])])
 
             with _forked(path, parts, send) as pipes:
@@ -704,23 +706,12 @@ def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
     """The byte offsets that cut the body of a table, which starts at
     byte ``start``, into parts: ``start``, the line starts before which
     the body holds no ``"`` (a quoted cell may hold a line break), and
-    the end of the file.  The number of parts is set by the value cells
-    of the body, ``values`` per line on the lines of its first 64 KiB;
-    ids are not counted, as a part's ids come back pickled at about the
-    cost of parsing them.  Also returns the body's lines: its line feeds,
-    plus one where it ends without one."""
+    the end of the file; and the body's lines: its line feeds, plus one
+    where it ends without one.  The number of parts is set by the value
+    cells of the body, ``values`` a line; ids are not counted, as a
+    part's ids come back pickled at about the cost of parsing them."""
     with open(path, "rb") as binary:
         end = binary.seek(0, os.SEEK_END)
-        binary.seek(start)
-        sample = binary.read(1 << 16)
-        lines = sample.count(b"\n") * (end - start) // max(len(sample), 1)
-        parts = _part_count(lines * values)
-        bounds = [start]
-        for k in range(1, parts):
-            binary.seek(start + (end - start) * k // parts - 1)
-            binary.readline()
-            if bounds[-1] < binary.tell() < end:
-                bounds.append(binary.tell())
         binary.seek(start)
         block, feeds, quote, last = bytearray(1 << 20), 0, end, ord("\n")
         while count := binary.readinto(block):
@@ -728,7 +719,15 @@ def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
             if quote == end and (at := block.find(b'"', 0, count)) >= 0:
                 quote = binary.tell() - count + at
             last = block[count - 1]
-    return [bound for bound in bounds if bound <= quote] + [end], feeds + (last != ord("\n"))
+        lines = feeds + (last != ord("\n"))
+        parts = _part_count(lines * values)
+        bounds = [start]
+        for k in range(1, parts):
+            binary.seek(start + (end - start) * k // parts - 1)
+            binary.readline()
+            if bounds[-1] < binary.tell() < end:
+                bounds.append(binary.tell())
+    return [bound for bound in bounds if bound <= quote] + [end], lines
 
 
 def _with_rows(values, rows: int):
@@ -741,10 +740,10 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     """Read a delimited table: the header record with ``csv.reader``,
     then the body, into one array with a row for each of its lines.  A
     large body is cut at line starts into parts; the first is parsed here
-    and each other one in a forked child, which sends back its row count,
-    its ids and its raw values.  A part is read by :func:`_kernel_cells`,
-    a chunk of lines at a time, and from the first chunk that kernel does
-    not take on by :func:`_csv_cells`.
+    and each other one in a forked child, which sends back its chunks.
+    A part is read a chunk of lines at a time by :func:`_kernel_cells`,
+    and from the first chunk that kernel does not take on by
+    :func:`_csv_cells`.
 
     Returns the header, the ids (each data row's stripped first cell)
     and the values, one row per data row: the float64 cells after the
@@ -752,10 +751,10 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     failure is an :class:`InvalidInput` naming the file, and a body error
     names its data row, counted from 1 over the non-blank records."""
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             # readline, unlike iteration, leaves tell() at the body's first byte
             header = next(csv.reader(iter(handle.readline, ""), delimiter=delimiter), None)
-            start, encoding = handle.tell(), handle.encoding
+            start = handle.tell()
     except _TEXT_ERRORS as err:
         raise _table_error(path, err) from None
     if header is None:
@@ -766,46 +765,47 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     width = 1 if labels else len(header) - 1
     bounds, lines = _line_starts(path, start, width)
     parts = len(bounds) - 1
-    kernel = _kernel_delimiter(delimiter, encoding)
+    kernel = _kernel_delimiter(delimiter)
 
-    def parse(k, put):
-        """Part k's ids; its values go to ``put(block, row)`` a block of
-        rows at a time, ``row`` counting the part's rows before the block."""
-        ids, at = [], bounds[k]
+    def chunks(k):
+        """Part k's ids and values, a chunk of rows at a time."""
+        at, rows = bounds[k], 0
         if kernel is not None:
             for at, cells in _kernel_chunks(path, at, bounds[k + 1], width, kernel, labels):
                 if cells is None:
                     break
-                put(cells[1], len(ids))
-                ids += cells[0]
+                yield cells
+                rows += len(cells[0])
             else:
-                return ids
+                return
         with open(path, "rb") as binary:
             binary.seek(at)
             if k + 1 < parts:
                 # only the parts before the last are bounded: over a bounded
                 # file a text file checks "closed" in Python on every line
                 binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
-            text = io.TextIOWrapper(binary, encoding=encoding, newline="")
-            for chunk_ids, block in _csv_cells(text, delimiter, width, labels, len(ids)):
-                put(block, len(ids))
-                ids += chunk_ids
-        return ids
+            text = io.TextIOWrapper(binary, encoding="utf-8", newline="")
+            yield from _csv_cells(text, delimiter, width, labels, rows)
 
     def send(k, pipe):
-        blocks = []
+        # parsed in full first: a write blocks once the pipe is full
         try:
-            ids = parse(k, lambda block, row: blocks.append(np.ascontiguousarray(block)))
+            sent = [*chunks(k), None]
         except _TEXT_ERRORS as err:
-            pickle.dump((0, None, err), pipe)
-            return
-        pickle.dump((len(ids), ids, None), pipe)
-        pipe.writelines(blocks)
+            sent = [err]
+        for item in sent:
+            pickle.dump(item, pipe)
 
-    def place(block, row):
-        nonlocal values
-        values = _with_rows(values, row + len(block))
-        values[row:row + len(block)] = block
+    def received(k, pipe):
+        """The chunks the child of part k sends; raises the error it ends with."""
+        try:
+            while isinstance(item := pickle.load(pipe), tuple):
+                yield item
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"{path}: the process of part {k + 1} of {parts} "
+                               "ended before sending it") from None
+        if item is not None:
+            raise item
 
     with _forked(path, parts, send) as pipes:
         # a row a line (only lines ending in a lone carriage return make
@@ -818,23 +818,16 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
         dtype = np.dtype(np.int64 if labels else np.float64)
         values = np.frombuffer(mmap.mmap(-1, max(lines * width * dtype.itemsize, 1)), dtype,
                                lines * width).reshape(lines, width)
-        try:
-            ids = parse(0, place)
-        except _TEXT_ERRORS as err:
-            raise _table_error(path, err) from None
-        cut_short = "{}: the process of part {} of {} ended before sending it"
-        for k, pipe in enumerate(pipes, 1):
+        ids = []
+        for part in [chunks(0), *(received(k, pipe) for k, pipe in enumerate(pipes, 1))]:
+            before = len(ids)
             try:
-                rows, part_ids, err = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(cut_short.format(path, k + 1, parts)) from None
-            if err is not None:
-                raise _table_error(path, err, len(ids))
-            values = _with_rows(values, len(ids) + rows)
-            block = values[len(ids):len(ids) + rows]
-            if pipe.readinto(block) != block.nbytes:
-                raise RuntimeError(cut_short.format(path, k + 1, parts))
-            ids += part_ids
+                for part_ids, block in part:
+                    values = _with_rows(values, len(ids) + len(block))
+                    values[len(ids):len(ids) + len(block)] = block
+                    ids += part_ids
+            except _TEXT_ERRORS as err:
+                raise _table_error(path, err, before) from None
     if not ids:
         raise InvalidInput(f"{path}: no data rows")
     return header, tuple(ids), values if len(ids) == len(values) else values[:len(ids)]

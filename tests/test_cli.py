@@ -384,7 +384,7 @@ class TestReadTables:
     def test_non_integer_label_rejected(self, tmp_path, split_into, label):
         # a label must be ASCII text without "_" that int() reads, within int64
         path = tmp_path / "labels.csv"
-        path.write_text(f"sample_id,label\ns0,1\n\ns1,{label}\ns2,0\n")
+        path.write_text(f"sample_id,label\ns0,1\n\ns1,{label}\ns2,0\n", encoding="utf-8")
         for parts in (1, 2):
             split_into(parts)
             with pytest.raises(InvalidInput) as err:
@@ -544,7 +544,7 @@ FLOAT_CELLS = st.one_of(
 
 def loadtxt_values(path, delimiter=","):
     """The value cells of a table as np.loadtxt reads them, methods x samples."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         return np.loadtxt(handle, delimiter=delimiter, skiprows=1, ndmin=2, comments=None,
                           converters={0: lambda cell: 0.0}).T[1:]
 
@@ -571,7 +571,7 @@ def read_with_and_without_kernel(monkeypatch, path, delimiter=","):
         patch.setattr(tables, "_kernel_cells", spied)
         kernel = outcome()
     with monkeypatch.context() as patch:
-        patch.setattr(tables, "_kernel_delimiter", lambda delimiter, encoding: None)
+        patch.setattr(tables, "_kernel_delimiter", lambda delimiter: None)
         plain = outcome()
     return kernel, plain, any(declined)
 
@@ -701,7 +701,7 @@ class TestReadFloatCells:
         path = tmp_path / "t.csv"
         rows = [["id", "a", "b"], ["s0", "1", "2"], ["s1", "3", "4"]]
         path.write_text("".join(delimiter.join(row) + "\n" for row in rows))
-        assert tables._kernel_delimiter(delimiter, "utf-8") is None
+        assert tables._kernel_delimiter(delimiter) is None
         kernel, plain, _ = read_with_and_without_kernel(monkeypatch, path, delimiter)
         assert kernel == plain
         assert isinstance(kernel, tuple)
@@ -1256,6 +1256,14 @@ class TestFailures:
         assert "Traceback" not in err
         assert afile.read_text() == "taken\n"
 
+    def test_output_file_is_a_directory(self, tmp_path, capsys):
+        # an OSError on a command's file is its manifest error too
+        out = tmp_path / "out"
+        (out / "scores.csv").mkdir(parents=True)
+        assert run("simulate", "--methods", 5, "--samples", 50, "--seed", 1,
+                   "--output-dir", out) == 1
+        self.assert_reported(out, capsys, "simulate", str(out / "scores.csv"))
+
     @pytest.mark.parametrize("bad", ["infer input", "evaluate labels"])
     def test_input_not_utf8(self, tmp_path, capsys, bad):
         binary = tmp_path / "binary.csv"
@@ -1295,6 +1303,26 @@ for argv in (
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
+def test_infer_outputs_do_not_depend_on_the_locale(tmp_path):
+    # a UTF-8 table with non-ASCII ids, read and written under an ASCII locale
+    table = tmp_path / "scores.csv"
+    table.write_bytes((simulate(tmp_path) / "scores.csv").read_bytes()
+                      .replace(b"\ns", "\n\u00e9".encode()))
+    assert run("infer", table, "--output-dir", tmp_path / "here") == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = subprocess.run([sys.executable, "-m", "summa.cli", "infer", str(table),
+                           "--output-dir", str(tmp_path / "ascii")],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert "\n\u00e9000,".encode() in (tmp_path / "here" / "ensemble_scores.csv").read_bytes()
+    for name in ("report.json", "method_estimates.csv", "ensemble_scores.csv",
+                 "ensemble_labels.csv"):
+        assert (tmp_path / "ascii" / name).read_bytes() == \
+            (tmp_path / "here" / name).read_bytes(), name
+
+
 def parser_flags(parser) -> set[str]:
     """Every ``--flag`` of ``parser`` and of its subcommands."""
     flags = set()
@@ -1308,7 +1336,7 @@ def parser_flags(parser) -> set[str]:
 
 def test_readme_names_every_flag():
     # the Install section names pip's flags, not summa's
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     before, _, rest = readme.partition("\n## Install\n")
     readme = before + rest[rest.index("\n## "):]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
@@ -1440,6 +1468,26 @@ class TestSweep:
                        "--output-dir", sw) == 0
         summary = (sw / "sweep_summary.csv").read_text().splitlines()
         assert summary[1] == "methods,3,1,nan,nan,nan,0,nan,0"
+
+    def test_standard_error_over_finite_replicates(self, tmp_path):
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", "methods", "--values", "5,6", "--samples", 60,
+                   "--rho", 0.5, "--replicates", 12, "--seed", 3, "--output-dir", sw) == 0
+        with open(sw / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        with open(sw / "sweep_summary.csv", newline="", encoding="utf-8") as handle:
+            summary = list(csv.DictReader(handle))
+        finite_counts = []
+        for cell in summary:
+            for ensemble in ("summa", "woc"):
+                x = np.array([float(row[f"{ensemble}_auroc"]) for row in rows
+                              if row["value"] == cell["value"]])
+                finite = x[~np.isnan(x)]
+                finite_counts.append(len(finite))
+                expected = finite.std(ddof=1) / np.sqrt(len(finite))
+                assert float(cell[f"{ensemble}_se"]) == pytest.approx(expected, rel=1e-12)
+        # mixed cells: some replicates declined, more than one did not
+        assert finite_counts == [8, 8, 6, 6]
 
     @pytest.mark.parametrize("axis, value", [
         ("methods", "5.5"), ("samples", "many"), ("prevalence", "half"),

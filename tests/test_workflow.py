@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 command and the benchmark smoke check
-on the dependency floors that pyproject.toml promises."""
+on the dependency floors that pyproject.toml promises, and the tier-1
+command under an ASCII locale too."""
 
 import re
 from pathlib import Path
@@ -13,11 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def workflow():
-    return yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    workflow_file = ROOT / ".github" / "workflows" / "tests.yml"
+    return yaml.safe_load(workflow_file.read_text(encoding="utf-8"))
 
 
 def tier1_command():
-    match = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    match = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap)
     assert match, "ROADMAP.md names no tier-1 command"
     return match[1]
 
@@ -31,8 +34,16 @@ def test_every_job_runs_tier1_and_smoke(workflow):
         assert "python3 perfbench/smoke.py" in commands, name
 
 
+def test_some_job_runs_tier1_under_an_ascii_locale(workflow):
+    # summa reads and writes UTF-8 whatever the locale
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]
+             if step.get("run") == tier1_command()]
+    assert any(step.get("env", {}).items() >= ascii_locale.items() for step in steps)
+
+
 def test_matrix_keeps_promised_floors(workflow):
-    pyproject = (ROOT / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     numpy_floor = re.search(r'"numpy>=([\d.]+)"', pyproject)[1]
     python_floor = re.search(r'requires-python = ">=([\d.]+)"', pyproject)[1]
     for name, job in workflow["jobs"].items():
@@ -42,7 +53,8 @@ def test_matrix_keeps_promised_floors(workflow):
 
 def test_every_job_installs_the_test_extra(workflow):
     # a test dependency CI lacks turns its tests into skips there
-    extra = re.search(r"^test = \[([^\]]*)\]", (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[([^\]]*)\]", pyproject, re.M)[1]
     names = [re.match(r'\s*"([A-Za-z0-9_.-]+)', item)[1] for item in extra.split(",")]
     assert "pyyaml" in names
     for name, job in workflow["jobs"].items():
