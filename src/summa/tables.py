@@ -26,7 +26,7 @@ the locale.
   the body's lines once, which sets both the number of parts and the
   rows of the array, and splits only at line starts before the body's
   first ``"``; each part is one stream of chunks of ids and values,
-  which this process places and a child sends.
+  which this process places, or a child parses and sends.
 """
 
 from __future__ import annotations
@@ -740,10 +740,10 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     """Read a delimited table: the header record with ``csv.reader``,
     then the body, into one array with a row for each of its lines.  A
     large body is cut at line starts into parts; the first is parsed here
-    and each other one in a forked child, which sends back its chunks.
-    A part is read a chunk of lines at a time by :func:`_kernel_cells`,
-    and from the first chunk that kernel does not take on by
-    :func:`_csv_cells`.
+    and each other one in a forked child, which sends back its ids and
+    then its raw values.  A part is read a chunk of lines at a time by
+    :func:`_kernel_cells`, and from the first chunk that kernel does not
+    take on by :func:`_csv_cells`.
 
     Returns the header, the ids (each data row's stripped first cell)
     and the values, one row per data row: the float64 cells after the
@@ -766,6 +766,7 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     bounds, lines = _line_starts(path, start, width)
     parts = len(bounds) - 1
     kernel = _kernel_delimiter(delimiter)
+    dtype = np.dtype(np.int64 if labels else np.float64)
 
     def chunks(k):
         """Part k's ids and values, a chunk of rows at a time."""
@@ -788,24 +789,17 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
             yield from _csv_cells(text, delimiter, width, labels, rows)
 
     def send(k, pipe):
-        # parsed in full first: a write blocks once the pipe is full
+        # parsed in full first: a write blocks once the pipe is full.  The
+        # values go raw, after all the ids, and are read straight into
+        # their rows: arrays unpickled a chunk at a time here left the heap
+        # holding tens of MB more after some reads than after others
         try:
-            sent = [*chunks(k), None]
+            sent = [*chunks(k)]
         except _TEXT_ERRORS as err:
-            sent = [err]
-        for item in sent:
-            pickle.dump(item, pipe)
-
-    def received(k, pipe):
-        """The chunks the child of part k sends; raises the error it ends with."""
-        try:
-            while isinstance(item := pickle.load(pipe), tuple):
-                yield item
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"{path}: the process of part {k + 1} of {parts} "
-                               "ended before sending it") from None
-        if item is not None:
-            raise item
+            pickle.dump((None, err), pipe)
+            return
+        pickle.dump(([i for part_ids, _ in sent for i in part_ids], None), pipe)
+        pipe.writelines([np.ascontiguousarray(block, dtype) for _, block in sent])
 
     with _forked(path, parts, send) as pipes:
         # a row a line (only lines ending in a lone carriage return make
@@ -815,19 +809,30 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
         # Imported here, so start-up never loads it
         import mmap
 
-        dtype = np.dtype(np.int64 if labels else np.float64)
         values = np.frombuffer(mmap.mmap(-1, max(lines * width * dtype.itemsize, 1)), dtype,
                                lines * width).reshape(lines, width)
         ids = []
-        for part in [chunks(0), *(received(k, pipe) for k, pipe in enumerate(pipes, 1))]:
-            before = len(ids)
+        try:
+            for part_ids, block in chunks(0):
+                values = _with_rows(values, len(ids) + len(block))
+                values[len(ids):len(ids) + len(block)] = block
+                ids += part_ids
+        except _TEXT_ERRORS as err:
+            raise _table_error(path, err) from None
+        for k, pipe in enumerate(pipes, 1):
+            cut_short = RuntimeError(f"{path}: the process of part {k + 1} of {parts} "
+                                     "ended before sending it")
             try:
-                for part_ids, block in part:
-                    values = _with_rows(values, len(ids) + len(block))
-                    values[len(ids):len(ids) + len(block)] = block
-                    ids += part_ids
-            except _TEXT_ERRORS as err:
-                raise _table_error(path, err, before) from None
+                part_ids, err = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise cut_short from None
+            if err is not None:
+                raise _table_error(path, err, len(ids))
+            values = _with_rows(values, len(ids) + len(part_ids))
+            block = values[len(ids):len(ids) + len(part_ids)]
+            if pipe.readinto(block) != block.nbytes:
+                raise cut_short
+            ids += part_ids
     if not ids:
         raise InvalidInput(f"{path}: no data rows")
     return header, tuple(ids), values if len(ids) == len(values) else values[:len(ids)]
