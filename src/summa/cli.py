@@ -10,8 +10,9 @@ byte-identical across reruns with the same seed and inputs.  A command
 that fails, by a summa error or an OS error on one of its files, still
 writes the manifest, with an ``error`` entry (plus ``error.json`` when
 an iteration ran out), prints one line to stderr and exits with code
-1; where the output directory cannot be made, only the stderr line and
-the exit code remain.
+1; where the output directory or the manifest cannot be made, only the
+stderr line and the exit code remain.  The manifest holds each argument
+and path as its UTF-8 text, whatever the locale.
 
 File formats (all stable), read and written by :mod:`summa.tables`:
 
@@ -95,6 +96,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _utf8_text(value):
+    """``value`` with every string, through dicts and lists, made the
+    UTF-8 text it stands for: under a non-UTF-8 locale Python decodes
+    argv and file names with ``surrogateescape``, into lone surrogates
+    that strict JSON cannot hold."""
+    if isinstance(value, str):
+        return value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    if isinstance(value, dict):
+        return {_utf8_text(key): _utf8_text(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_utf8_text(item) for item in value]
+    return value
+
+
 class ManifestWriter:
     """Writes a command's output files into ``output_dir``, lists each
     one, and finally writes ``manifest.json`` over the list."""
@@ -142,7 +157,7 @@ class ManifestWriter:
         }
         if error is not None:
             manifest["error"] = error
-        _write_json(self.output_dir / "manifest.json", manifest)
+        _write_json(self.output_dir / "manifest.json", _utf8_text(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +467,17 @@ def _error_diagnostics(err: NotConverged) -> dict:
     return diagnostics
 
 
+def _error_message(err: Exception) -> str:
+    if isinstance(err, OSError) and err.filename is not None:
+        return f"{err.filename}: {err.strerror or err}"
+    return str(err)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every :class:`SummaError` it raises, and every
     ``OSError`` on its files, becomes a manifest ``error``, one stderr
-    line and exit code 1."""
+    line and exit code 1.  Where ``manifest.json`` itself cannot be
+    written, only the stderr line and the exit code remain."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Path(args.output_dir)
@@ -466,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.command}: {out}: {err.strerror or err}", file=sys.stderr)
         return 1
     manifest = ManifestWriter(args.command, args, out)
+    error = None
     try:
         delimiter = getattr(args, "delimiter", ",")
         if len(delimiter) != 1:
@@ -474,15 +497,17 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidInput(f"--delimiter cannot be a quote or a line break, got {delimiter!r}")
         summary = args.func(args, manifest)
     except (SummaError, OSError) as err:
-        if isinstance(err, NotConverged):
-            manifest.json("error.json", _error_diagnostics(err))
-        message = str(err)
-        if isinstance(err, OSError) and err.filename is not None:
-            message = f"{err.filename}: {err.strerror or err}"
-        manifest.write(error=message)
-        print(f"{args.command}: {message}", file=sys.stderr)
+        error = err
+    try:
+        if isinstance(error, NotConverged):
+            manifest.json("error.json", _error_diagnostics(error))
+        manifest.write(error=None if error is None else _error_message(error))
+    except OSError as err:
+        # where the command failed too, its own error is the one reported
+        error = error or err
+    if error is not None:
+        print(f"{args.command}: {_error_message(error)}", file=sys.stderr)
         return 1
-    manifest.write()
     print(summary)
     return 0
 

@@ -15,18 +15,20 @@ the locale.
   read a chunk of whole lines at a time by a numpy kernel, while the
   text is plain (ASCII without quotes, whitespace, blank lines or lone
   carriage returns, the table's number of cells on every line, a
-  delimiter that is no character of a number); from the first chunk
-  that is not, ``csv.reader`` reads the rest of the part, which takes
-  ``"`` quoting as ``csv.writer`` writes it.  Both read each value cell
-  by one cell rule (:func:`_cell_value`) and give the same ids and the
-  same values, bit for bit; a body error names its data row.
+  delimiter that is no character of a number); from the first chunk it
+  declines to the end of the file, ``csv.reader`` reads the rest in this
+  process, which takes ``"`` quoting as ``csv.writer`` writes it.  Both
+  read each value cell by one cell rule (:func:`_cell_value`) and give
+  the same ids and the same values, bit for bit; a body error names its
+  data row.
 * a large CSV table is written and read in contiguous row parts, one
   per usable CPU: this process handles the first and forked children
-  the rest, with the same bytes and values as one part.  A read counts
-  the body's lines once, which sets both the number of parts and the
-  rows of the array, and splits only at line starts before the body's
-  first ``"``; each part is one stream of chunks of ids and values,
-  which this process places, or a child parses and sends.
+  the rest, with the same bytes and values as one part.  A read cuts
+  the body at line starts near equal byte offsets, with no pass over
+  it first; the file's size bounds its rows, which sets the number of
+  parts and the rows of the array.  Each part runs the kernel alone and
+  stops at the first chunk it declines; a child sends back its ids and
+  values, which this process places in order.
 """
 
 from __future__ import annotations
@@ -303,8 +305,8 @@ class _FloatColumns:
 # by the cell rule of _cell_value.  Where the rule rejects a cell, or the
 # chunk holds any text the kernel does not split (quotes, blank lines,
 # whitespace, control or non-ASCII bytes, a lone carriage return, a line
-# of other cells), the chunk is not taken: csv.reader reads the rest of
-# the part, from the chunk's first line on.
+# of other cells), the kernel declines the chunk: csv.reader reads the
+# rest of the table, from the chunk's first line on.
 # ---------------------------------------------------------------------------
 
 # the bytes of text a chunk reads at once, unless one line is longer
@@ -533,13 +535,16 @@ def _part_count(cells: int) -> int:
 
 def _child(work, k: int, write_fd: int, close_fds: list[int]):
     """The forked child of part ``k``: run ``work(k, pipe)`` and leave
-    through ``os._exit``, so no buffer it inherited is flushed twice."""
+    through ``os._exit``, so no buffer it inherited is flushed twice.  A
+    pipe the parent closed unread is a clean exit: it needs no more."""
     status = 1
     try:
         for fd in close_fds:  # the read ends, so a closed one breaks its pipe
             os.close(fd)
         with open(write_fd, "wb") as pipe:
             work(k, pipe)
+        status = 0
+    except BrokenPipeError:
         status = 0
     except BaseException:
         # imported only on failure here and in _forked, so start-up never loads it
@@ -559,7 +564,8 @@ def _forked(path: Path, parts: int, work):
     On leaving the block every read end is closed before its child is
     reaped, so a child blocked on a full pipe ends; after an error the
     children are killed first.  Where the block completes, a child that
-    exited non-zero raises a ``RuntimeError``."""
+    exited non-zero raises a ``RuntimeError``; one whose pipe was closed
+    before it was read in full exits 0."""
     children: list[tuple[int, object]] = []
     try:
         for k in range(1, parts):
@@ -638,24 +644,23 @@ _TEXT_ERRORS = (ValueError, csv.Error)
 
 
 class _BadRow(ValueError):
-    """A body error at data row ``args[0]`` of its part; ``args[1]``
-    follows the row in the message."""
+    """A body error at data row ``args[0]``; ``args[1]`` follows the row
+    in the message."""
 
 
-def _table_error(path: Path, err: Exception, rows_before: int = 0) -> InvalidInput:
-    """The :class:`InvalidInput` for ``err``, raised by a part of the
-    table that starts after ``rows_before`` data rows."""
+def _table_error(path: Path, err: Exception) -> InvalidInput:
+    """The :class:`InvalidInput` for ``err``, raised by a table's text."""
     if isinstance(err, UnicodeDecodeError):
         return InvalidInput(f"{path}: not {err.encoding} text ({err.reason})")
     if isinstance(err, _BadRow):
-        return InvalidInput(f"{path}: data row {rows_before + err.args[0]}{err.args[1]}")
+        return InvalidInput(f"{path}: data row {err.args[0]}{err.args[1]}")
     return InvalidInput(f"{path}: {err}")
 
 
 def _csv_cells(text, delimiter: str, width: int, labels: bool, row: int):
     """Yield the ids and the (rows, ``width``) values of the non-blank
     records ``csv.reader`` reads from ``text``, _CHUNK_ROWS records at a
-    time, after ``row`` data rows of their part.  A record has the
+    time, after ``row`` data rows.  A record has the
     header's cells, or in a label table at least two, of which the
     second is the label; each value cell is read by the cell rule.  Any
     other record raises a :class:`_BadRow`."""
@@ -669,7 +674,7 @@ def _csv_cells(text, delimiter: str, width: int, labels: bool, row: int):
             if (len(cells) < len(chunk) * width or not joined.isascii() or "_" in joined
                     or not labels and max(map(len, chunk)) > width + 1):
                 raise ValueError
-            values = np.array(list(map(int if labels else float, cells)), dtype)
+            values = np.fromiter(map(int if labels else float, cells), dtype, len(cells))
         except (ValueError, OverflowError):
             values = []
             for k, record in enumerate(chunk, row + 1):
@@ -686,64 +691,17 @@ def _csv_cells(text, delimiter: str, width: int, labels: bool, row: int):
         row += len(chunk)
 
 
-class _ByteRange(io.RawIOBase):
-    """The unbuffered binary file ``raw`` from its position up to byte
-    ``end``, read as a file of its own."""
-
-    def __init__(self, raw, end: int):
-        self._raw, self._left = raw, end - raw.tell()
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        count = self._raw.readinto(memoryview(buffer)[:self._left])
-        self._left -= count
-        return count
-
-
-def _line_starts(path: Path, start: int, values: int) -> tuple[list[int], int]:
-    """The byte offsets that cut the body of a table, which starts at
-    byte ``start``, into parts: ``start``, the line starts before which
-    the body holds no ``"`` (a quoted cell may hold a line break), and
-    the end of the file; and the body's lines: its line feeds, plus one
-    where it ends without one.  The number of parts is set by the value
-    cells of the body, ``values`` a line; ids are not counted, as a
-    part's ids come back pickled at about the cost of parsing them."""
-    with open(path, "rb") as binary:
-        end = binary.seek(0, os.SEEK_END)
-        binary.seek(start)
-        block, feeds, quote, last = bytearray(1 << 20), 0, end, ord("\n")
-        while count := binary.readinto(block):
-            feeds += np.count_nonzero(np.frombuffer(block, np.uint8, count) == ord("\n"))
-            if quote == end and (at := block.find(b'"', 0, count)) >= 0:
-                quote = binary.tell() - count + at
-            last = block[count - 1]
-        lines = feeds + (last != ord("\n"))
-        parts = _part_count(lines * values)
-        bounds = [start]
-        for k in range(1, parts):
-            binary.seek(start + (end - start) * k // parts - 1)
-            binary.readline()
-            if bounds[-1] < binary.tell() < end:
-                bounds.append(binary.tell())
-    return [bound for bound in bounds if bound <= quote] + [end], lines
-
-
-def _with_rows(values, rows: int):
-    """``values``, or where it has fewer than ``rows`` rows a copy of it
-    with room for them (filled with its rows again, to be written over)."""
-    return values if rows <= len(values) else np.resize(values, (rows, values.shape[1]))
-
-
 def _read_table(path: Path, delimiter: str, labels: bool = False):
     """Read a delimited table: the header record with ``csv.reader``,
-    then the body, into one array with a row for each of its lines.  A
-    large body is cut at line starts into parts; the first is parsed here
-    and each other one in a forked child, which sends back its ids and
-    then its raw values.  A part is read a chunk of lines at a time by
-    :func:`_kernel_cells`, and from the first chunk that kernel does not
-    take on by :func:`_csv_cells`.
+    then the body.  A large body is cut at line starts into parts; the
+    first is read here and each other one in a forked child.  A part is
+    read a chunk of lines at a time by :func:`_kernel_cells` alone, up to
+    the first chunk that kernel declines; a child sends back its ids,
+    that chunk's first byte (or None), then its raw values.  The parts
+    are placed in order up to the table's first declined chunk, and from
+    its first byte to the end of the file :func:`_csv_cells` reads the
+    rest here.  That byte starts a record: every byte before it passed
+    the kernel, which declines any ``"``.
 
     Returns the header, the ids (each data row's stripped first cell)
     and the values, one row per data row: the float64 cells after the
@@ -763,79 +721,90 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
         raise InvalidInput(f"{path}: " + ("expected 'sample_id,label' table" if labels
                                           else "need a sample-id column plus method columns"))
     width = 1 if labels else len(header) - 1
-    bounds, lines = _line_starts(path, start, width)
-    parts = len(bounds) - 1
     kernel = _kernel_delimiter(delimiter)
     dtype = np.dtype(np.int64 if labels else np.float64)
+    with open(path, "rb") as binary:
+        end = binary.seek(0, os.SEEK_END)
+        # the most data rows the body can hold: a record has width
+        # delimiters, a byte or more in each value cell (the cell rule
+        # rejects empty ones) and a line end, which the last may lack
+        most = (end - start + 1) // (2 * width + 1)
+        parts = 1 if kernel is None else _part_count(most * width)
+        bounds = [start]
+        for k in range(1, parts):
+            binary.seek(start + (end - start) * k // parts - 1)
+            binary.readline()
+            if bounds[-1] < binary.tell() < end:
+                bounds.append(binary.tell())
+    bounds.append(end)
 
-    def chunks(k):
-        """Part k's ids and values, a chunk of rows at a time."""
-        at, rows = bounds[k], 0
-        if kernel is not None:
-            for at, cells in _kernel_chunks(path, at, bounds[k + 1], width, kernel, labels):
-                if cells is None:
-                    break
-                yield cells
-                rows += len(cells[0])
-            else:
-                return
-        with open(path, "rb") as binary:
-            binary.seek(at)
-            if k + 1 < parts:
-                # only the parts before the last are bounded: over a bounded
-                # file a text file checks "closed" in Python on every line
-                binary = io.BufferedReader(_ByteRange(binary.raw, bounds[k + 1]))
-            text = io.TextIOWrapper(binary, encoding="utf-8", newline="")
-            yield from _csv_cells(text, delimiter, width, labels, rows)
+    def kernel_chunks(k):
+        """Part k's chunks up to the first one the kernel declines: each
+        one's first byte, and its ids and values or, at that last one, None."""
+        if kernel is None:
+            return [(start, None)]
+        return _kernel_chunks(path, bounds[k], bounds[k + 1], width, kernel, labels)
 
     def send(k, pipe):
         # parsed in full first: a write blocks once the pipe is full.  The
-        # values go raw, after all the ids, and are read straight into
-        # their rows: arrays unpickled a chunk at a time here left the heap
+        # values go raw, after the ids, and are read straight into their
+        # rows: arrays unpickled a chunk at a time here left the heap
         # holding tens of MB more after some reads than after others
-        try:
-            sent = [*chunks(k)]
-        except _TEXT_ERRORS as err:
-            pickle.dump((None, err), pipe)
-            return
-        pickle.dump(([i for part_ids, _ in sent for i in part_ids], None), pipe)
-        pipe.writelines([np.ascontiguousarray(block, dtype) for _, block in sent])
+        part_ids, blocks, declined = [], [], None
+        for at, cells in kernel_chunks(k):
+            if cells is None:
+                declined = at
+                break
+            part_ids += cells[0]
+            blocks.append(cells[1])
+        pickle.dump((part_ids, declined), pipe)
+        pipe.writelines(blocks)
 
-    with _forked(path, parts, send) as pipes:
-        # a row a line (only lines ending in a lone carriage return make
-        # more), in a mapping of its own: the caller copies the values and
-        # drops them, and their memory goes back to the system at once
-        # instead of leaving a hole in the heap for later arrays to split.
-        # Imported here, so start-up never loads it
+    with _forked(path, len(bounds) - 1, send) as pipes:
+        # in a mapping of its own, whose pages past the last row are never
+        # touched: the caller copies the values and drops them, and their
+        # memory goes back to the system at once instead of leaving a hole
+        # in the heap for later arrays to split.  Imported here, so
+        # start-up never loads it
         import mmap
 
-        values = np.frombuffer(mmap.mmap(-1, max(lines * width * dtype.itemsize, 1)), dtype,
-                               lines * width).reshape(lines, width)
-        ids = []
-        try:
-            for part_ids, block in chunks(0):
-                values = _with_rows(values, len(ids) + len(block))
-                values[len(ids):len(ids) + len(block)] = block
-                ids += part_ids
-        except _TEXT_ERRORS as err:
-            raise _table_error(path, err) from None
+        values = np.frombuffer(mmap.mmap(-1, max(most * width * dtype.itemsize, 1)), dtype,
+                               most * width).reshape(most, width)
+        ids, declined = [], None
+        for at, cells in kernel_chunks(0):
+            if cells is None:
+                declined = at
+                break
+            values[len(ids):len(ids) + len(cells[0])] = cells[1]
+            ids += cells[0]
         for k, pipe in enumerate(pipes, 1):
-            cut_short = RuntimeError(f"{path}: the process of part {k + 1} of {parts} "
+            if declined is not None:
+                break
+            cut_short = RuntimeError(f"{path}: the process of part {k + 1} of {len(pipes) + 1} "
                                      "ended before sending it")
             try:
-                part_ids, err = pickle.load(pipe)
+                part_ids, declined = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 raise cut_short from None
-            if err is not None:
-                raise _table_error(path, err, len(ids))
-            values = _with_rows(values, len(ids) + len(part_ids))
             block = values[len(ids):len(ids) + len(part_ids)]
             if pipe.readinto(block) != block.nbytes:
                 raise cut_short
             ids += part_ids
+        if declined is not None:
+            for pipe in pipes:  # a child still parsing ends at its first write
+                pipe.close()
+            try:
+                with open(path, "rb") as binary:
+                    binary.seek(declined)
+                    text = io.TextIOWrapper(binary, encoding="utf-8", newline="")
+                    for part_ids, block in _csv_cells(text, delimiter, width, labels, len(ids)):
+                        values[len(ids):len(ids) + len(part_ids)] = block
+                        ids += part_ids
+            except _TEXT_ERRORS as err:
+                raise _table_error(path, err) from None
     if not ids:
         raise InvalidInput(f"{path}: no data rows")
-    return header, tuple(ids), values if len(ids) == len(values) else values[:len(ids)]
+    return header, tuple(ids), values[:len(ids)]
 
 
 def read_matrix_table(path: Path, delimiter: str = ","):

@@ -67,6 +67,21 @@ def split_into(monkeypatch):
     return split
 
 
+def split_outcomes(split_into, read):
+    """``read()``'s outcome split into 1, 2 and 3 parts: the ids and the
+    value bytes it returns, or its InvalidInput message."""
+    outcomes = []
+    for parts in (1, 2, 3):
+        split_into(parts)
+        try:
+            *_, ids, values = read()
+        except InvalidInput as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((ids, np.ascontiguousarray(values).tobytes()))
+    return outcomes
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -459,7 +474,8 @@ class TestReadTables:
 
     @pytest.mark.parametrize("at", [3, 60])
     def test_no_split_after_a_quote(self, tmp_path, split_into, at):
-        # a quoted cell may hold a line break, so no part starts after a '"'
+        # a quoted cell may hold a line break: csv.reader reads on from the
+        # chunk that holds the table's first '"', whichever part it is in
         rows = [f"s{k},{k}.5,{-k}" for k in range(80)]
         rows[at] = f'"quoted\r\n{at}",1,2'
         path = tmp_path / "t.csv"
@@ -469,8 +485,55 @@ class TestReadTables:
         split = read_matrix_table(path)
         assert split[:2] == whole[:2] and split[1][at] == f"quoted\r\n{at}"
         assert split[2].tobytes() == whole[2].tobytes()
-        # before the midpoint the quote leaves one part; after it, two
-        assert len(forked) == (at > 40)
+        # the quote no longer stops the split
+        assert len(forked) == 1
+
+    @pytest.mark.parametrize("labels, body, rows", [
+        pytest.param(True, ",1\n" * 3000 + ",0", 3001, id="last line unended"),
+        pytest.param(True, ",1\r" * 3000, 3000, id="carriage returns"),
+        pytest.param(False, ",1,2\n" * 3000 + ",3,4", 3001, id="two cells"),
+    ])
+    def test_minimal_records_fill_the_row_bound(self, tmp_path, split_into, labels, body,
+                                                rows):
+        # the shortest records a body can hold: as many rows as its bytes allow
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"sample_id,a" + b",b" * (not labels) + b"\n" + body.encode())
+        width = 1 if labels else 2
+        assert (len(body) + 1) // (2 * width + 1) == rows
+        outcomes = split_outcomes(split_into, lambda: tables._read_table(path, ",", labels))
+        ids, values = outcomes[0]
+        assert ids == ("",) * rows
+        assert len(values) == rows * width * 8
+        assert outcomes[1:] == outcomes[:1] * 2
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_quoted_line_breaks_across_a_part_cut(self, tmp_path, monkeypatch, split_into,
+                                                  chunk):
+        # a cell that spans both cuts: each later part starts inside it and
+        # reads its lines as plain ones, which the parent never places
+        if chunk:
+            monkeypatch.setattr(tables, "_READ_BYTES", chunk)
+        quoted = "q\n" + "x,1,2\n" * 80 + "q"
+        rows = [f"s{k},{k}.5,-{k}" for k in range(20)]
+        rows[10] = f'"{quoted}",5,6'
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b\n" + "\n".join(rows) + "\n")
+        outcomes = split_outcomes(split_into, lambda: read_matrix_table(path))
+        assert outcomes[0][0][10] == quoted and len(outcomes[0][0]) == 20
+        assert outcomes[1:] == outcomes[:1] * 2
+
+    def test_parts_after_a_declined_first_part_left_unread(self, tmp_path, split_into):
+        # each child's ids fill its pipe, so it is still writing when this
+        # process closes the pipe unread; it exits cleanly and is reaped
+        rows = [f"s{k},{k}.5,-{k}" for k in range(30_000)]
+        rows[0] = '"s0",0.5,0'
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,a,b\n" + "\n".join(rows) + "\n")
+        forked = split_into(1)
+        outcomes = split_outcomes(split_into, lambda: read_matrix_table(path))
+        assert len(forked) == 0 + 1 + 2
+        assert outcomes[0][0] == tuple(f"s{k}" for k in range(30_000))
+        assert outcomes[1:] == outcomes[:1] * 2
 
     def test_labels_table_split(self, tmp_path, split_into):
         out = simulate(tmp_path)
@@ -1264,6 +1327,23 @@ class TestFailures:
                    "--output-dir", out) == 1
         self.assert_reported(out, capsys, "simulate", str(out / "scores.csv"))
 
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_manifest_is_a_directory(self, tmp_path, capsys, failed):
+        # the manifest's own OSError is the stderr line, unless the
+        # command failed first
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        if failed:
+            (out / "labels.csv").mkdir()
+        assert run("simulate", "--methods", 5, "--samples", 50, "--seed", 1,
+                   "--output-dir", out) == 1
+        err = capsys.readouterr().err
+        reported = out / ("labels.csv" if failed else "manifest.json")
+        assert err.startswith(f"simulate: {reported}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (out / "scores.csv").is_file()
+        assert (out / "true_aurocs.csv").is_file() != failed
+
     @pytest.mark.parametrize("bad", ["infer input", "evaluate labels"])
     def test_input_not_utf8(self, tmp_path, capsys, bad):
         binary = tmp_path / "binary.csv"
@@ -1321,6 +1401,30 @@ def test_infer_outputs_do_not_depend_on_the_locale(tmp_path):
                  "ensemble_labels.csv"):
         assert (tmp_path / "ascii" / name).read_bytes() == \
             (tmp_path / "here" / name).read_bytes(), name
+
+
+def test_manifest_is_utf8_under_an_ascii_locale(tmp_path):
+    # Python decodes a non-ASCII argument into lone surrogates under an
+    # ASCII locale; the manifest holds its UTF-8 text
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    here = "\u00e9".encode()
+    codes = [subprocess.run([sys.executable, "-m", "summa.cli", *argv], cwd=tmp_path,
+                            env=env, capture_output=True).returncode
+             for argv in (["simulate", "--methods", "8", "--samples", "200", "--seed", "5",
+                           "--output-dir", here],
+                          ["infer", here + b"/scores.csv", "--output-dir", here + b"/inf"],
+                          ["infer", here + b"/missing.csv", "--output-dir", here + b"/bad"])]
+    assert codes == [0, 0, 1]
+    out = tmp_path / os.fsdecode(here)
+    manifests = [json.loads((out / sub / "manifest.json").read_bytes().decode("utf-8"))
+                 for sub in ("", "inf", "bad")]
+    assert manifests[0]["config"]["output_dir"] == "\u00e9"
+    assert list(manifests[1]["input_digests"]) == ["\u00e9/scores.csv"]
+    assert manifests[2]["error"].startswith("\u00e9/missing.csv: ")
+    # no lone surrogate is left anywhere: strict UTF-8 encodes every string
+    json.dumps(manifests, ensure_ascii=False).encode("utf-8")
 
 
 def parser_flags(parser) -> set[str]:

@@ -34,6 +34,12 @@ def test_every_job_runs_tier1_and_smoke(workflow):
         assert "python3 perfbench/smoke.py" in commands, name
 
 
+def test_every_job_has_a_timeout(workflow):
+    # a forked child that hangs fails the job in minutes, not GitHub's six hours
+    for name, job in workflow["jobs"].items():
+        assert 0 < job.get("timeout-minutes", 0) <= 30, name
+
+
 def test_some_job_runs_tier1_under_an_ascii_locale(workflow):
     # summa reads and writes UTF-8 whatever the locale
     ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
