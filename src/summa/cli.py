@@ -12,7 +12,8 @@ writes the manifest, with an ``error`` entry (plus ``error.json`` when
 an iteration ran out), prints one line to stderr and exits with code
 1; where the output directory or the manifest cannot be made, only the
 stderr line and the exit code remain.  The manifest holds each argument
-and path as its UTF-8 text, whatever the locale.
+and path as its UTF-8 text, and the stderr line as the bytes typed,
+whatever the locale.
 
 File formats (all stable), read and written by :mod:`summa.tables`:
 
@@ -53,7 +54,13 @@ from .ranking import (
     rank_transform,
 )
 from .simulation import SimulationConfig, simulate_ensemble
-from .tables import _write_json, read_labels_table, read_matrix_table, write_table
+from .tables import (
+    _usable_cpus,
+    _write_json,
+    read_labels_table,
+    read_matrix_table,
+    write_table,
+)
 
 DEFAULT_OUTPUT_DIR_ENV = "SUMMA_OUTPUT_DIR"
 
@@ -341,7 +348,7 @@ def cmd_sweep(args, manifest: ManifestWriter) -> str:
         for rep in range(args.replicates)
     ]
     # a fork-started pool launches every worker on its first task
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), _usable_cpus())
     if workers > 1:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -473,6 +480,14 @@ def _error_message(err: Exception) -> str:
     return str(err)
 
 
+def _print_error(line: str):
+    """Write ``line`` to stderr in UTF-8, with the bytes the user typed:
+    under a non-UTF-8 locale an argument's non-ASCII bytes are lone
+    surrogates, which the text stream would write as escapes."""
+    sys.stderr.buffer.write(line.encode("utf-8", "surrogateescape") + b"\n")
+    sys.stderr.buffer.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every :class:`SummaError` it raises, and every
     ``OSError`` on its files, becomes a manifest ``error``, one stderr
@@ -485,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         # no manifest can go where the directory could not be made
-        print(f"{args.command}: {out}: {err.strerror or err}", file=sys.stderr)
+        _print_error(f"{args.command}: {out}: {err.strerror or err}")
         return 1
     manifest = ManifestWriter(args.command, args, out)
     error = None
@@ -506,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         # where the command failed too, its own error is the one reported
         error = error or err
     if error is not None:
-        print(f"{args.command}: {_error_message(error)}", file=sys.stderr)
+        _print_error(f"{args.command}: {_error_message(error)}")
         return 1
     print(summary)
     return 0

@@ -21,14 +21,18 @@ the locale.
   read each value cell by one cell rule (:func:`_cell_value`) and give
   the same ids and the same values, bit for bit; a body error names its
   data row.
+* a value cell's float has one route in the kernel: a double-double
+  product certified by Ziv's test, or else the cell rule.
 * a large CSV table is written and read in contiguous row parts, one
   per usable CPU: this process handles the first and forked children
-  the rest, with the same bytes and values as one part.  A read cuts
-  the body at line starts near equal byte offsets, with no pass over
-  it first; the file's size bounds its rows, which sets the number of
-  parts and the rows of the array.  Each part runs the kernel alone and
-  stops at the first chunk it declines; a child sends back its ids and
-  values, which this process places in order.
+  the rest, with the same bytes and values as one part.  Both sides
+  split by one rule: a part holds at least ``_PART_CELLS`` cells, ids
+  included, where a read counts its rows as the body's bytes over the
+  length of its first data line.  A read cuts the body at line starts
+  near equal byte offsets, with no pass over it first; the file's size
+  bounds its rows, which sets the rows of the array.  Each part runs
+  the kernel alone and stops at the first chunk it declines; a child
+  sends back its ids and values, which this process places in order.
 """
 
 from __future__ import annotations
@@ -59,15 +63,13 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 # table, about _CHUNK_CELLS cells, so its text and scratch stay small
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 1 << 13
-# the least cells in one part of a split table.  On one core, the kernel
-# parses 2**16 float cells in about 7 ms (numpy's C text reader took 24
-# ms) and formatting them takes about 8 ms, against 2.4 ms to fork, pipe
-# to and reap a child of a 150 MB process.  In such a process a
-# 30-column table of 2**16 cells read in 8.1 ms as two parts and 9.7 ms
-# as one, and 2**15 cells in 5.6 and 4.3 ms (medians of 15); below about
-# 30 000 cells two parts were no faster than one, measured when the
-# formatting took 48 ms
-_PART_CELLS = 1 << 16
+# the least cells, ids included, in one part of a split table.  On a
+# 2-core VM, in a process holding a 30 x 10**5 ensemble, 30-column float
+# tables wrote and read in these medians (ms, 1 part -> 2 parts, 9 to 11
+# alternating calls): 3 * 10**5 cells 59 -> 71 and 50 -> 66, 4.5 * 10**5
+# cells 90 -> 100 and 74 -> 87, 6 * 10**5 cells 144 -> 93 and 113 -> 78.
+# Two parts pay from about 2 * 2**18 cells
+_PART_CELLS = 1 << 18
 
 
 def _fmt(value) -> str:
@@ -185,13 +187,19 @@ _WHOLE_MASK, _FRACTION_MASK, _SLOT_CHARS = _slot_tables()
 _U8, _U32, _U48, _U56 = (np.uint64(k) for k in (8, 32, 48, 56))
 
 
+def _product(a, b, b_high, b_low):
+    """Dekker's product: ``a * b`` rounded and its rounding error, whose
+    sum is ``a * b`` exactly; ``b_high, b_low`` are ``_halves(b)``."""
+    product = a * b
+    a_high, a_low = _halves(a)
+    error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
+    return product, error
+
+
 def _scaled(a, e):
     """``a * 10**(16 - e)`` as the exact sum ``high + low``."""
     k = 16 - e
-    a_high, a_low = _halves(a)
-    p_high, p_low = _POW10_HIGH[k], _POW10_LOW[k]
-    high = a * _POW10[k]
-    return high, (((a_high * p_high - high) + a_high * p_low) + a_low * p_high) + a_low * p_low
+    return _product(a, _POW10[k], _POW10_HIGH[k], _POW10_LOW[k])
 
 
 def _float_slots(x):
@@ -294,19 +302,18 @@ class _FloatColumns:
 # the digits before it up one byte; the digits fold SWAR-style, eight to
 # a word, into an integer D < 10**19 with f digits after the point.  An
 # integer cell is D itself, where it has no point and at most 18 digits.
-# A float cell's D * 10**-f is rounded correctly (Clinger 1990, Lemire
-# 2021) by the fast path where D <= 2**53 and f <= 22: float(D) and
-# 10**f are exact, so one division rounds correctly.  Elsewhere D, as two
-# doubles, times 10**-f, as a double-double, is within 2**-100 of itself
-# relative to it, and its rounded sum is the correctly rounded value
-# wherever it lies farther than that from the midpoints on either side
-# (Ziv's test; below a power of two the gap is half as wide).  Any other
-# value cell (too long, an exponent, a leading "+", nan, empty) is read
-# by the cell rule of _cell_value.  Where the rule rejects a cell, or the
-# chunk holds any text the kernel does not split (quotes, blank lines,
-# whitespace, control or non-ASCII bytes, a lone carriage return, a line
-# of other cells), the kernel declines the chunk: csv.reader reads the
-# rest of the table, from the chunk's first line on.
+# A float cell's D * 10**-f has one route: D, as two doubles, times
+# 10**-f, as a double-double (Dekker's product), is within 2**-100 of
+# itself relative to it, and its rounded sum is the correctly rounded
+# value wherever it lies farther than that from the midpoints on either
+# side (Ziv's test, 1991; below a power of two the gap is half as wide).
+# A cell that fails the test, and any other value cell (too long, an
+# exponent, a leading "+", nan, empty), is read by the cell rule of
+# _cell_value.  Where the rule rejects a cell, or the chunk holds any
+# text the kernel does not split (quotes, blank lines, whitespace,
+# control or non-ASCII bytes, a lone carriage return, a line of other
+# cells), the kernel declines the chunk: csv.reader reads the rest of the
+# table, from the chunk's first line on.
 # ---------------------------------------------------------------------------
 
 # the bytes of text a chunk reads at once, unless one line is longer
@@ -321,7 +328,6 @@ _LANES8, _LANES16, _LANES32 = (np.uint64(m)
                                for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0xFFFFFFFF))
 _TEN, _TEN2, _TEN4, _TEN8, _TEN16 = (np.uint64(10**k) for k in (1, 2, 4, 8, 16))
 _TOP_DIGITS = np.uint64(1000)  # the first word of D below it: D < 10**19
-_EXACT_INT = np.uint64(2**53)
 _MANTISSA = np.uint64(2**52 - 1)
 
 
@@ -447,19 +453,13 @@ def _kernel_cells(buf, stop: int, width: int, delimiter: int, integer: bool):
         high = d.astype(np.float64)
         low = (d - high.astype(np.uint64)).view(np.int64).astype(np.float64)
         inverse = _INVERSE_HIGH[f]
-        # Dekker's product: high * inverse = product + error exactly
-        product = high * inverse
-        a_high, a_low = _halves(high)
-        b_high, b_low = _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f]
-        error = (((a_high * b_high - product) + a_high * b_low) + a_low * b_high) + a_low * b_low
+        product, error = _product(high, inverse, _INVERSE_HALVES[0][f], _INVERSE_HALVES[1][f])
         rest = error + (high * _INVERSE_LOW[f] + low * inverse)
         value = product + rest
         miss = rest - (value - product)  # the sum's rounding error, exactly
         half_gap = np.spacing(value) * np.where(
             (miss < 0) & ((value.view(np.uint64) & _MANTISSA) == 0), 0.25, 0.5)
-        clinger = (d <= _EXACT_INT) & (f <= 22)
-        fast &= clinger | (np.abs(miss) + value * 2.0**-100 < half_gap)
-        value = np.where(clinger, high / _POW10[f], value)
+        fast &= np.abs(miss) + value * 2.0**-100 < half_gap
         bits = value.view(np.uint64)
         bits ^= negative.astype(np.uint64) << _U63
     slow = np.flatnonzero(~fast)
@@ -470,38 +470,6 @@ def _kernel_cells(buf, stop: int, width: int, delimiter: int, integer: bool):
             except ValueError:
                 return None
     return ids, value.reshape(rows, width)
-
-
-def _kernel_chunks(path: Path, begin: int, end: int, width: int, delimiter: int, integer: bool):
-    """Read bytes ``begin`` .. ``end`` of ``path``, whole lines of about
-    ``_READ_BYTES`` at a time, with :func:`_kernel_cells`: yield each
-    chunk's first byte and its ids and values, or None for them; the
-    caller stops at the first None."""
-    buf = bytearray(_WINDOW + _READ_BYTES + 1)
-    kept, left = 0, end - begin  # the bytes of a line carried over, and still to read
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(begin)
-        while kept or left:
-            stop = _WINDOW + kept
-            got = raw.readinto(memoryview(buf)[stop:min(len(buf) - 1, stop + left)])
-            stop += got
-            left = left - got if got else 0
-            if left:
-                cut = buf.rfind(b"\n", _WINDOW, stop) + 1
-                if not cut:  # a line longer than the buffer
-                    buf.extend(bytes(len(buf)))
-                    kept = stop - _WINDOW
-                    continue
-            else:
-                cut = stop
-                if buf[cut - 1] != ord("\n"):  # the last line ends without one
-                    buf[cut] = ord("\n")
-                    cut += 1
-            cells = _kernel_cells(np.frombuffer(buf, np.uint8), cut, width, delimiter, integer)
-            yield begin, cells
-            begin += cut - _WINDOW
-            kept = max(stop - cut, 0)
-            buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
 
 
 def _kernel_delimiter(delimiter: str) -> int | None:
@@ -524,13 +492,21 @@ def _write_json(path: Path, obj):
         handle.write("\n")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _part_count(cells: int) -> int:
     """How many parts to split a table of ``cells`` cells into: one per
     usable CPU, each of at least ``_PART_CELLS`` cells; one where
     ``os.fork`` or the CPU affinity is not available."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), cells // _PART_CELLS))
+    return max(1, min(_usable_cpus(), cells // _PART_CELLS))
 
 
 def _child(work, k: int, write_fd: int, close_fds: list[int]):
@@ -700,8 +676,9 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
     that chunk's first byte (or None), then its raw values.  The parts
     are placed in order up to the table's first declined chunk, and from
     its first byte to the end of the file :func:`_csv_cells` reads the
-    rest here.  That byte starts a record: every byte before it passed
-    the kernel, which declines any ``"``.
+    rest here; one ``place`` puts the kernel's and the fallback's rows.
+    That byte starts a record: every byte before it passed the kernel,
+    which declines any ``"``.
 
     Returns the header, the ids (each data row's stripped first cell)
     and the values, one row per data row: the float64 cells after the
@@ -729,7 +706,11 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
         # delimiters, a byte or more in each value cell (the cell rule
         # rejects empty ones) and a line end, which the last may lack
         most = (end - start + 1) // (2 * width + 1)
-        parts = 1 if kernel is None else _part_count(most * width)
+        # the split counts cells as write_table does, ids included, over
+        # the rows of the first data line's length
+        binary.seek(start)
+        rows = (end - start) // max(len(binary.readline()), 1)
+        parts = 1 if kernel is None else _part_count(rows * (width + 1))
         bounds = [start]
         for k in range(1, parts):
             binary.seek(start + (end - start) * k // parts - 1)
@@ -738,27 +719,50 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
                 bounds.append(binary.tell())
     bounds.append(end)
 
-    def kernel_chunks(k):
-        """Part k's chunks up to the first one the kernel declines: each
-        one's first byte, and its ids and values or, at that last one, None."""
-        if kernel is None:
-            return [(start, None)]
-        return _kernel_chunks(path, bounds[k], bounds[k + 1], width, kernel, labels)
+    def parse(k, place):
+        """Read part k with :func:`_kernel_cells`, whole lines of about
+        ``_READ_BYTES`` at a time, passing each chunk's ids and values to
+        ``place``, up to the first chunk the kernel declines: return that
+        chunk's first byte, or None where it declines none."""
+        begin, left = bounds[k], bounds[k + 1] - bounds[k]
+        buf = bytearray(_WINDOW + _READ_BYTES + 1)
+        kept = 0  # the bytes of a line carried over
+        with open(path, "rb", buffering=0) as raw:
+            raw.seek(begin)
+            while kept or left:
+                stop = _WINDOW + kept
+                got = raw.readinto(memoryview(buf)[stop:min(len(buf) - 1, stop + left)])
+                stop += got
+                left = left - got if got else 0
+                if left:
+                    cut = buf.rfind(b"\n", _WINDOW, stop) + 1
+                    if not cut:  # a line longer than the buffer
+                        buf.extend(bytes(len(buf)))
+                        kept = stop - _WINDOW
+                        continue
+                else:
+                    cut = stop
+                    if buf[cut - 1] != ord("\n"):  # the last line ends without one
+                        buf[cut] = ord("\n")
+                        cut += 1
+                cells = _kernel_cells(np.frombuffer(buf, np.uint8), cut, width, kernel, labels)
+                if cells is None:
+                    return begin
+                place(*cells)
+                begin += cut - _WINDOW
+                kept = max(stop - cut, 0)
+                buf[_WINDOW:_WINDOW + kept] = buf[cut:stop]
+        return None
 
     def send(k, pipe):
         # parsed in full first: a write blocks once the pipe is full.  The
         # values go raw, after the ids, and are read straight into their
         # rows: arrays unpickled a chunk at a time here left the heap
         # holding tens of MB more after some reads than after others
-        part_ids, blocks, declined = [], [], None
-        for at, cells in kernel_chunks(k):
-            if cells is None:
-                declined = at
-                break
-            part_ids += cells[0]
-            blocks.append(cells[1])
-        pickle.dump((part_ids, declined), pipe)
-        pipe.writelines(blocks)
+        chunks = []
+        declined = parse(k, lambda *cells: chunks.append(cells))
+        pickle.dump(([sid for chunk_ids, _ in chunks for sid in chunk_ids], declined), pipe)
+        pipe.writelines(block for _, block in chunks)
 
     with _forked(path, len(bounds) - 1, send) as pipes:
         # in a mapping of its own, whose pages past the last row are never
@@ -770,13 +774,13 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
 
         values = np.frombuffer(mmap.mmap(-1, max(most * width * dtype.itemsize, 1)), dtype,
                                most * width).reshape(most, width)
-        ids, declined = [], None
-        for at, cells in kernel_chunks(0):
-            if cells is None:
-                declined = at
-                break
-            values[len(ids):len(ids) + len(cells[0])] = cells[1]
-            ids += cells[0]
+        ids = []
+
+        def place(chunk_ids, block):
+            values[len(ids):len(ids) + len(chunk_ids)] = block
+            ids.extend(chunk_ids)
+
+        declined = start if kernel is None else parse(0, place)
         for k, pipe in enumerate(pipes, 1):
             if declined is not None:
                 break
@@ -797,9 +801,8 @@ def _read_table(path: Path, delimiter: str, labels: bool = False):
                 with open(path, "rb") as binary:
                     binary.seek(declined)
                     text = io.TextIOWrapper(binary, encoding="utf-8", newline="")
-                    for part_ids, block in _csv_cells(text, delimiter, width, labels, len(ids)):
-                        values[len(ids):len(ids) + len(part_ids)] = block
-                        ids += part_ids
+                    for cells in _csv_cells(text, delimiter, width, labels, len(ids)):
+                        place(*cells)
             except _TEXT_ERRORS as err:
                 raise _table_error(path, err) from None
     if not ids:

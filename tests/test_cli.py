@@ -33,22 +33,13 @@ from summa.simulation import SimulationConfig, simulate_ensemble
 from test_pipeline import COLLAPSED_LEAVE_OUT, ONE_METHOD_FACTOR
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    # every child a command forks must be reaped before it returns
-    yield
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"a child process was left unreaped (pid {pid or 'still running'})")
-
-
 @pytest.fixture
 def split_into(monkeypatch):
     """``split_into(parts)`` makes every table of at least ``parts``
     cells split into ``parts`` parts, as on a machine with ``parts``
-    usable CPUs; it returns the list of children forked, which grows."""
+    usable CPUs; it returns the list of children forked, which grows.
+    ``split_into(parts, part_cells)`` sets ``tables._PART_CELLS`` to
+    ``part_cells`` in place of 1."""
     forked = []
     fork = os.fork
 
@@ -58,8 +49,8 @@ def split_into(monkeypatch):
             forked.append(pid)
         return pid
 
-    def split(parts):
-        monkeypatch.setattr(tables, "_PART_CELLS", 1)
+    def split(parts, part_cells=1):
+        monkeypatch.setattr(tables, "_PART_CELLS", part_cells)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
         monkeypatch.setattr(os, "fork", counted_fork)
         return forked
@@ -544,6 +535,42 @@ class TestReadTables:
         assert split[0] == whole[0]
         assert split[1].labels.tobytes() == whole[1].labels.tobytes()
 
+    @pytest.mark.parametrize("rows, children", [(199, 0), (200, 1)])
+    def test_write_and_read_split_alike(self, tmp_path, split_into, rows, children):
+        # one rule on both sides: rows x 3 cells, ids included, against two
+        # parts of at least 300 cells; the lines are of equal length, so
+        # the read counts its rows exactly
+        forked = split_into(2, part_cells=300)
+        path = tmp_path / "t.csv"
+        write_table(path, ["sample_id", "a", "b"],
+                    [[f"s{k:03d}" for k in range(rows)], np.full(rows, 0.5), np.arange(rows) % 7],
+                    "csv")
+        assert len(forked) == children
+        sample_ids = read_matrix_table(path)[1]
+        assert len(forked) == 2 * children
+        assert sample_ids == tuple(f"s{k:03d}" for k in range(rows))
+
+    def test_tall_labels_table_read_in_one_part(self, tmp_path, split_into):
+        # cli_tall's labels: 10**5 rows of 2 cells, ids included, fewer
+        # than two parts of the real _PART_CELLS, so the read forks no child
+        out = simulate(tmp_path, **{"--methods": 5, "--samples": 100_000})
+        forked = split_into(2, part_cells=tables._PART_CELLS)
+        assert len(read_labels_table(out / "labels.csv")[0]) == 100_000
+        assert forked == []
+
+    @pytest.mark.parametrize("reader, text, reason", [
+        (read_matrix_table, "", "empty table"),
+        (read_labels_table, "", "empty table"),
+        (read_matrix_table, "sample_id\ns0\n", "need a sample-id column plus method columns"),
+        (read_labels_table, "sample_id\ns0\n", "expected 'sample_id,label' table"),
+    ])
+    def test_not_a_table_rejected(self, tmp_path, reader, text, reason):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {reason}"
+
     def test_failed_part_raises(self, tmp_path, monkeypatch, split_into):
         path = write_scores(tmp_path / "t.csv", np.ones((3, 60)))
         split_into(2)
@@ -847,16 +874,16 @@ class TestSimulate:
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="a table splits only across two or more usable CPUs")
     def test_large_table_splits_across_cpus(self, tmp_path):
-        # 5000 rows of 31 cells: large enough that the writer and the
+        # 17 000 rows of 31 cells: large enough that the writer and the
         # reader really fork, with no setting changed
-        assert tables._part_count(5000 * 31) >= 2
+        assert tables._part_count(17_000 * 31) >= 2
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        out = simulate(tmp_path, **{"--methods": 30, "--samples": 5000})
+        out = simulate(tmp_path, **{"--methods": 30, "--samples": 17_000})
         assert run("infer", out / "scores.csv", "--output-dir", tmp_path / "inf") == 0
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
 
-        data = simulate_ensemble(SimulationConfig(n_methods=30, n_samples=5000, seed=11))
+        data = simulate_ensemble(SimulationConfig(n_methods=30, n_samples=17_000, seed=11))
         method_ids, sample_ids, values = read_matrix_table(out / "scores.csv")
         assert (method_ids, sample_ids) == (data.scores.method_ids, data.scores.sample_ids)
         assert values.tobytes() == data.scores.values.tobytes()
@@ -1344,6 +1371,26 @@ class TestFailures:
         assert (out / "scores.csv").is_file()
         assert (out / "true_aurocs.csv").is_file() != failed
 
+    @pytest.mark.parametrize("bad, text, reason", [
+        ("infer input", "", "empty table"),
+        ("evaluate labels", "", "empty table"),
+        ("infer input", "sample_id\ns0\n", "need a sample-id column plus method columns"),
+        ("evaluate labels", "sample_id\ns0\n", "expected 'sample_id,label' table"),
+    ])
+    def test_input_not_a_table(self, tmp_path, capsys, bad, text, reason):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        out = tmp_path / "out"
+        if bad == "infer input":
+            command, argv = "infer", ["infer", table]
+        else:
+            sim = simulate(tmp_path)
+            capsys.readouterr()
+            command = "evaluate"
+            argv = ["evaluate", "--scores", sim / "scores.csv", "--labels", table]
+        assert run(*argv, "--output-dir", out) == 1
+        self.assert_reported(out, capsys, command, f"{table}: {reason}")
+
     @pytest.mark.parametrize("bad", ["infer input", "evaluate labels"])
     def test_input_not_utf8(self, tmp_path, capsys, bad):
         binary = tmp_path / "binary.csv"
@@ -1425,6 +1472,23 @@ def test_manifest_is_utf8_under_an_ascii_locale(tmp_path):
     assert manifests[2]["error"].startswith("\u00e9/missing.csv: ")
     # no lone surrogate is left anywhere: strict UTF-8 encodes every string
     json.dumps(manifests, ensure_ascii=False).encode("utf-8")
+
+
+def test_stderr_line_is_the_typed_bytes_under_an_ascii_locale(tmp_path):
+    # the stderr line writes a non-ASCII argument's bytes, not escapes of
+    # its lone surrogates: for a missing input, and for an output
+    # directory that cannot be made
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    here = "\u00e9".encode()
+    (tmp_path / os.fsdecode(here)).write_text("a file\n")
+    errs = [subprocess.run([sys.executable, "-m", "summa.cli", *argv], cwd=tmp_path,
+                           env=env, capture_output=True).stderr
+            for argv in (["infer", b"missing" + here + b".csv", "--output-dir", b"out"],
+                         ["simulate", "--seed", "1", "--output-dir", here + b"/out"])]
+    assert errs[0].startswith(b"infer: missing\xc3\xa9.csv: ") and errs[0].count(b"\n") == 1
+    assert errs[1].startswith(b"simulate: \xc3\xa9/out: ") and errs[1].count(b"\n") == 1
 
 
 def parser_flags(parser) -> set[str]:
@@ -1517,7 +1581,7 @@ class TestSweep:
     def test_jobs_is_an_upper_bound(self, tmp_path, monkeypatch, jobs, cpus, workers):
         monkeypatch.setattr(RecordingPool, "workers", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         common = ["sweep", "--axis", "methods", "--values", "5,8,12",
                   "--replicates", 1, "--seed", 9, "--samples", 200]
         assert run(*common, "--jobs", jobs, "--output-dir", tmp_path / "par") == 0

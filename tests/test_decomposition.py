@@ -374,6 +374,19 @@ class TestRecoverRank1Matrix:
         with pytest.raises(InvalidInput, match="symmetric"):
             recover_rank1_matrix(q)
 
+    @pytest.mark.parametrize("shape, bad, message", [
+        ((4, 5), None, "square matrix, got shape \\(4, 5\\)"),
+        ((4,), None, "square matrix, got shape \\(4,\\)"),
+        ((4, 4), np.nan, "finite"),
+        ((4, 4), -np.inf, "finite"),
+    ])
+    def test_malformed_matrix_rejected(self, shape, bad, message):
+        q = np.ones(shape)
+        if bad is not None:
+            q[1, 2] = q[2, 1] = bad
+        with pytest.raises(InvalidInput, match=message):
+            recover_rank1_matrix(q)
+
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (127, 128), (128, 127), (299, 0),
                                       (0, 299), (200, 250), (250, 200)])
     def test_asymmetry_found_in_every_tile(self, pair):

@@ -150,6 +150,11 @@ class TestEvaluateEnsemble:
             with pytest.raises(InvalidInput, match="equal length"):
                 evaluate_ensemble(scores, labels)
 
+    def test_id_count_mismatch_rejected(self):
+        scores = EnsembleScores(np.array([1.0, 2.0, 0.5]), "summa", ("a", "b"))
+        with pytest.raises(InvalidInput, match="id lists"):
+            evaluate_ensemble(scores, [1, 0, 1])
+
     def test_one_sample_rejected(self):
         with pytest.raises(InvalidInput, match="2 samples"):
             evaluate_ensemble(EnsembleScores(np.array([1.0]), "summa"), [1])

@@ -155,6 +155,10 @@ class TestPerformanceEstimates:
         with pytest.raises(InvalidInput):
             performance_estimates(np.full(4, 0.5), 1.0, 10, ("a", "b"), rho=0.5)
 
+    def test_rejects_one_sample(self):
+        with pytest.raises(InvalidInput, match="at least 2 samples"):
+            performance_estimates(np.full(4, 0.5), 1.0, 1, ids(4), rho=0.5)
+
     def test_tensor_fit_ignores_lambda_e_argument(self):
         # the tensor's jackknifed lambda_e is the scale, so the argument is
         # neither read nor checked

@@ -136,6 +136,11 @@ class TestCovariance:
 
 
 class TestThirdMoment:
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 3, 4)])
+    def test_malformed_ranks_rejected(self, shape):
+        with pytest.raises(InvalidInput, match="M x N matrix with N >= 2"):
+            third_moment_offdiag(np.ones(shape))
+
     def test_identical_strict_rows_vanish(self):
         # third central moment of a symmetric distribution is zero
         n = 9

@@ -29,6 +29,7 @@ from summa.ranking import (
     ScoreMatrix,
     auroc_rectangle,
     _default_ids,
+    _strict_auroc,
     rank_transform,
 )
 from summa.simulation import SimulationConfig, simulate_ensemble
@@ -249,6 +250,30 @@ class TestLabelVector:
         with pytest.raises(InvalidInput) as err:
             LabelVector(np.asarray(labels))
         assert str(err.value) == f"labels must be 0/1, got values {values}"
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: ScoreMatrix(np.zeros((2, 2, 2)), ("a", "b"), ("x", "y")),
+                 "2-D matrix", id="ScoreMatrix 3-D"),
+    pytest.param(lambda: ScoreMatrix([[0.5]], ("a",), ("x",)),
+                 "2 samples, got 1x1", id="ScoreMatrix one sample"),
+    pytest.param(lambda: ScoreMatrix([[0.5, 0.1]], ("a", "b"), ("x", "y")),
+                 "id lists", id="ScoreMatrix ids"),
+    pytest.param(lambda: RankMatrix([[1.0]], "strict", ("a",), ("x",)),
+                 "2 samples, got 1x1", id="RankMatrix one sample"),
+    pytest.param(lambda: RankMatrix([[1.0, 2.0]], "dense", ("a",), ("x", "y")),
+                 "unknown tie policy 'dense'", id="RankMatrix policy"),
+    pytest.param(lambda: RankMatrix([[1.0, 2.0]], "strict", ("a",), ("x",)),
+                 "id lists", id="RankMatrix ids"),
+    pytest.param(lambda: LabelVector(np.zeros((2, 2))), "1-D", id="LabelVector 2-D"),
+    pytest.param(lambda: auroc_rectangle([1, 2, 3], [1, 0]), "equal length",
+                 id="auroc_rectangle lengths"),
+    pytest.param(lambda: _strict_auroc(np.zeros((2, 2)), [1, 0]), "1-D",
+                 id="_strict_auroc 2-D"),
+])
+def test_malformed_input_rejected(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make()
 
 
 # each frozen type, the array it keeps, and a valid source for it

@@ -78,6 +78,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             SimulationConfig(n_samples=10, rho=0.01)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_methods", 0, "at least one method"),
+        ("n_samples", 1, "at least two samples"),
+        ("seed", -1, "unsigned 64-bit"),
+        ("seed", 2**64, "unsigned 64-bit"),
+    ])
+    def test_sizes_and_seed_rejected(self, field, value, message):
+        with pytest.raises(InvalidInput, match=message):
+            SimulationConfig(**{field: value})
+
 
 class TestSimulateEnsemble:
     def test_deterministic(self):
