@@ -12,8 +12,8 @@ writes the manifest, with an ``error`` entry (plus ``error.json`` when
 an iteration ran out), prints one line to stderr and exits with code
 1; where the output directory or the manifest cannot be made, only the
 stderr line and the exit code remain.  The manifest holds each argument
-and path as its UTF-8 text, and the stderr line as the bytes typed,
-whatever the locale.
+and path as its UTF-8 text, as every JSON file holds every string, and
+the stderr line as the bytes typed, whatever the locale.
 
 File formats (all stable), read and written by :mod:`summa.tables`:
 
@@ -23,8 +23,9 @@ File formats (all stable), read and written by :mod:`summa.tables`:
 * label tables: header ``sample_id,label`` with labels in {0, 1}.
 * floats are serialized with 17 significant digits, so values
   round-trip exactly.
-* every JSON file is strict JSON (a non-finite float is ``null``),
-  indented by one space and ends in a newline.
+* every JSON file is strict JSON (a non-finite float is ``null``, and a
+  string is the UTF-8 text it stands for), indented by one space and
+  ends in a newline.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .ranking import (
 )
 from .simulation import SimulationConfig, simulate_ensemble
 from .tables import (
+    _jsonable,
     _usable_cpus,
     _write_json,
     read_labels_table,
@@ -79,18 +81,20 @@ def _align_labels(sample_ids, label_ids, labels: LabelVector) -> LabelVector:
     if label_ids == sample_ids:
         return labels
     index = {sid: k for k, sid in enumerate(label_ids)}
+    scored = set(sample_ids)
     # a repeated id would pair with whichever label row came last
-    for table, ids, distinct in (("scores", sample_ids, set(sample_ids)),
-                                 ("labels", label_ids, index)):
+    for table, ids, distinct in (("scores", sample_ids, scored), ("labels", label_ids, index)):
         if len(distinct) < len(ids):
             sid = next(sid for sid, count in Counter(ids).items() if count > 1)
             raise InvalidInput(f"sample id {sid!r} appears more than once in {table}")
-    missing = [sid for sid in sample_ids if sid not in index]
-    if missing or len(label_ids) != len(sample_ids):
-        raise InvalidInput(
-            f"sample ids of scores and labels do not match "
-            f"({len(missing)} ids missing from labels)"
-        )
+    # the ids are distinct on each side, so they pair up unless one side has an id the other lacks
+    unmatched = []
+    for table, ids, other in (("scores", sample_ids, index), ("labels", label_ids, scored)):
+        sid = next((sid for sid in ids if sid not in other), None)
+        if sid is not None:
+            unmatched.append(f"{sid!r} is only in {table}")
+    if unmatched:
+        raise InvalidInput("sample ids of scores and labels do not match: " + "; ".join(unmatched))
     order = [index[sid] for sid in sample_ids]
     return LabelVector(labels.labels[order])
 
@@ -103,20 +107,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _utf8_text(value):
-    """``value`` with every string, through dicts and lists, made the
-    UTF-8 text it stands for: under a non-UTF-8 locale Python decodes
-    argv and file names with ``surrogateescape``, into lone surrogates
-    that strict JSON cannot hold."""
-    if isinstance(value, str):
-        return value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-    if isinstance(value, dict):
-        return {_utf8_text(key): _utf8_text(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_utf8_text(item) for item in value]
-    return value
-
-
 class ManifestWriter:
     """Writes a command's output files into ``output_dir``, lists each
     one, and finally writes ``manifest.json`` over the list."""
@@ -127,11 +117,7 @@ class ManifestWriter:
         self.format = args.format
         self.started = time.perf_counter()
         self.started_utc = datetime.now(timezone.utc).isoformat()
-        self.config = {
-            key: (str(value) if isinstance(value, Path) else value)
-            for key, value in sorted(vars(args).items())
-            if key != "func"
-        }
+        self.config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
@@ -148,7 +134,7 @@ class ManifestWriter:
         return name
 
     def json(self, name: str, payload):
-        _write_json(self.output_dir / name, payload)
+        _write_json(self.output_dir / name, _jsonable(payload))
         self.outputs.append(name)
 
     def write(self, error: str | None = None):
@@ -164,7 +150,7 @@ class ManifestWriter:
         }
         if error is not None:
             manifest["error"] = error
-        _write_json(self.output_dir / "manifest.json", _utf8_text(manifest))
+        _write_json(self.output_dir / "manifest.json", _jsonable(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +320,8 @@ def cmd_sweep(args, manifest: ManifestWriter) -> str:
     # the library would reject these in every replicate, as declines
     check_iteration_controls(args.tol, args.max_iter)
     numbers = [_axis_value(args.axis, value) for value in values]
-    if len(set(values)) != len(values):
+    # by number, not text: 5 and 05 would be one cell run twice
+    if len(set(numbers)) != len(numbers):
         raise InvalidInput("--values: each value may appear only once")
     # building every task's config checks it, so an invalid cell fails
     # the sweep before any replicate runs

@@ -128,8 +128,9 @@ def _check_symmetric(matrix) -> tuple[np.ndarray, float]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    # a NaN or an infinity makes the largest magnitude non-finite
-    peak = float(np.maximum(a.max(), -a.min()))
+    # a NaN or an infinity makes the largest magnitude non-finite; an
+    # empty matrix has 0, and too few methods for the caller
+    peak = float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))
     if not math.isfinite(peak):
         raise InvalidInput("matrix entries must be finite")
     # each row tile against the transposed column tile at and right of
@@ -404,11 +405,9 @@ def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRec
     """Fit the scale of the third-moment tensor along ``v_hint``.
 
     ``centred`` is the :class:`summa.moments.CentredRanks` of the
-    centred rows C, from :func:`summa.moments.third_moment_offdiag` or
-    ``CentredRanks.from_centred``.  The tensor is
-    (1/N) sum_k c_k (x) c_k (x) c_k, of which only the distinct-index
-    entries are used (a noiseless a (x) a (x) a is
-    ``CentredRanks.from_centred(a[:, None])``).
+    centred rows C, from :func:`summa.moments.third_moment_offdiag`.
+    The tensor is (1/N) sum_k c_k (x) c_k (x) c_k, of which only the
+    distinct-index entries are used.
     Under conditional independence its rank-one factor has the
     direction of the covariance factor, so only scales are fitted, by
     least squares along u = ``v_hint``, which must be a unit vector to

@@ -32,7 +32,9 @@ power sums over C, in O(MN).  Only the tensor's distinct-index entries
 follow the factorization above; an entry with a repeated index pairs a
 method with itself, and the fit leaves those entries out.
 :func:`third_moment_offdiag` keeps its name, from when it returned those
-moments, because the benchmark's tracing wraps it by that name.
+moments, because the benchmark's tracing wraps it by that name.  It is
+the one maker of a :class:`CentredRanks`, and checks a raw rank array
+before it centres it.
 """
 
 from __future__ import annotations
@@ -67,16 +69,8 @@ class CentredRanks:
     block_squares: np.ndarray
 
     @classmethod
-    def from_centred(cls, c: np.ndarray) -> "CentredRanks":
-        """Group a copy of a finite, centred M x N float matrix, N >= 1."""
-        c = np.asarray(c, dtype=float)
-        if c.ndim != 2 or c.shape[1] < 1:
-            raise InvalidInput(f"centred rank matrix of shape {c.shape} is not M x N with N >= 1")
-        return cls._grouped(c, np.zeros(c.shape[0]))
-
-    @classmethod
     def _grouped(cls, r: np.ndarray, mean: np.ndarray) -> "CentredRanks":
-        """Write the rows of ``r`` less ``mean`` into their blocks."""
+        """Write the rows of the finite ``r`` less ``mean`` into their blocks."""
         m, n = r.shape
         count = min(JACKKNIFE_BLOCKS, n)
         whole, rest = divmod(n, count)
@@ -87,9 +81,6 @@ class CentredRanks:
         if rest:
             np.subtract(r[:, whole * count:], mean[:, None], out=samples[:, whole, :rest])
         block_sums = blocks.sum(axis=2)
-        # every entry is in one block, so a non-finite entry makes its block's sum non-finite
-        if not np.isfinite(block_sums).all():
-            raise InvalidInput("centred rank entries must be finite")
         gram = np.zeros((m, m))
         for part in blocks:
             gram += part @ part.T
@@ -100,11 +91,15 @@ class CentredRanks:
 
 
 def _as_rank_array(ranks) -> np.ndarray:
+    """The rank rows as a float array; a raw array is checked, before any
+    arithmetic, to be M x N with M >= 1 and N >= 2 and finite."""
     if isinstance(ranks, RankMatrix):
         return np.asarray(ranks.ranks, dtype=float)
     arr = np.atleast_2d(np.asarray(ranks, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise InvalidInput("ranks must form an M x N matrix with N >= 2")
+    if arr.ndim != 2 or arr.shape[1] < 2 or arr.shape[0] < 1:
+        raise InvalidInput("ranks must form an M x N matrix with N >= 2 and M >= 1")
+    if not np.isfinite(arr).all():
+        raise InvalidInput("rank entries must be finite")
     return arr
 
 
@@ -120,7 +115,10 @@ def third_moment_offdiag(ranks) -> CentredRanks:
     The centred rows C are the sample form of the third moments: that of
     methods i, j, l is mean(c_i c_j c_l), and
     :func:`summa.decomposition.recover_rank1_tensor` takes the tensor of
-    those moments straight from the blocks.
+    those moments straight from the blocks.  ``ranks`` is a
+    :class:`summa.ranking.RankMatrix` or an array, which must be M x N
+    with M >= 1 and N >= 2 and finite; it is checked before it is
+    centred, and copied, never kept or written.
     """
     r = _as_rank_array(ranks)
     return CentredRanks._grouped(r, r.mean(axis=1))

@@ -17,10 +17,11 @@ the locale.
   carriage returns, the table's number of cells on every line, a
   delimiter that is no character of a number); from the first chunk it
   declines to the end of the file, ``csv.reader`` reads the rest in this
-  process, which takes ``"`` quoting as ``csv.writer`` writes it.  Both
-  read each value cell by one cell rule (:func:`_cell_value`) and give
-  the same ids and the same values, bit for bit; a body error names its
-  data row.
+  process, which takes ``"`` quoting as ``csv.writer`` writes it, and
+  every record of it goes through the one cell rule (:func:`_cell_value`)
+  a cell at a time.  The kernel falls back to that rule for any cell it
+  does not certify, so both give the same ids and the same values, bit
+  for bit; a body error names its data row.
 * a value cell's float has one route in the kernel: a double-double
   product certified by Ziv's test, or else the cell rule.
 * a large CSV table is written and read in contiguous row parts, one
@@ -86,11 +87,16 @@ def _quoted(text: str) -> str:
 
 
 def _jsonable(value):
-    """``value`` with numpy scalars made Python ones and every non-finite
-    float made ``None``, through dicts, lists and tuples, so that
-    ``json`` writes strict JSON."""
+    """``value`` with numpy scalars made Python ones, every non-finite
+    float made ``None`` and every string, dict keys too, made the UTF-8
+    text it stands for, through dicts, lists and tuples, so that
+    ``json`` writes strict JSON.  Under a non-UTF-8 locale Python decodes
+    argv and file names with ``surrogateescape``, into lone surrogates
+    that strict JSON cannot hold."""
+    if isinstance(value, str):
+        return value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
     if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
+        return {_jsonable(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
     if isinstance(value, (np.floating, np.integer)):
@@ -487,8 +493,9 @@ def _as_list(cells):
 
 
 def _write_json(path: Path, obj):
+    """Write ``obj``, as :func:`_jsonable` gives it, as strict JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(obj), handle, indent=1, allow_nan=False)
+        json.dump(obj, handle, indent=1, allow_nan=False)
         handle.write("\n")
 
 
@@ -609,9 +616,10 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str):
                 for pipe in pipes:
                     shutil.copyfileobj(pipe, handle.buffer)
     else:
-        _write_json(path, [
-            dict(zip(header, row)) for row in zip(*(_as_list(column) for column in columns))
-        ])
+        # walked a column at a time, so each key is made text once, not once a row
+        header = _jsonable(header)
+        _write_json(path, [dict(zip(header, row)) for row in
+                           zip(*(_jsonable(_as_list(column)) for column in columns))])
 
 
 # the errors a table's text can raise (a UnicodeDecodeError is a
@@ -643,27 +651,17 @@ def _csv_cells(text, delimiter: str, width: int, labels: bool, row: int):
     records = filter(None, csv.reader(text, delimiter=delimiter))
     dtype = np.int64 if labels else np.float64
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
-        cells = [cell for record in chunk for cell in record[1:width + 1]]
-        joined = "".join(cells)
-        try:
-            # at once where each record has its cells, each ASCII without "_"
-            if (len(cells) < len(chunk) * width or not joined.isascii() or "_" in joined
-                    or not labels and max(map(len, chunk)) > width + 1):
-                raise ValueError
-            values = np.fromiter(map(int if labels else float, cells), dtype, len(cells))
-        except (ValueError, OverflowError):
-            values = []
-            for k, record in enumerate(chunk, row + 1):
-                if len(record) <= width or len(record) > width + 1 and not labels:
-                    raise _BadRow(k, f": expected {'at least 2' if labels else width + 1} cells")
-                for column, cell in enumerate(record[1:width + 1], 2):
-                    try:
-                        values.append(_cell_value(cell, labels))
-                    except ValueError:
-                        raise _BadRow(k, f", column {column}: could not convert string "
-                                         f"{repr(cell)[:100]} to {dtype.__name__}") from None
-            values = np.array(values, dtype)
-        yield [record[0].strip() for record in chunk], values.reshape(-1, width)
+        values = []
+        for k, record in enumerate(chunk, row + 1):
+            if len(record) <= width or len(record) > width + 1 and not labels:
+                raise _BadRow(k, f": expected {'at least 2' if labels else width + 1} cells")
+            for column, cell in enumerate(record[1:width + 1], 2):
+                try:
+                    values.append(_cell_value(cell, labels))
+                except ValueError:
+                    raise _BadRow(k, f", column {column}: could not convert string "
+                                     f"{repr(cell)[:100]} to {dtype.__name__}") from None
+        yield [record[0].strip() for record in chunk], np.array(values, dtype).reshape(-1, width)
         row += len(chunk)
 
 

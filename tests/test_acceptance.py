@@ -265,7 +265,7 @@ def test_noiseless_recovery():
             a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
             hint = resolve_sign(a / np.linalg.norm(a))
             # one sample a: the tensor (1/N) sum_k c_k c_k c_k is a (x) a (x) a
-            rec = recover_rank1_tensor(CentredRanks.from_centred(a[:, None]), hint)
+            rec = recover_rank1_tensor(CentredRanks._grouped(a[:, None], np.zeros(m)), hint)
             a_rec = np.cbrt(rec.lambda_t) * rec.u
             worst_tensor = max(worst_tensor, float(np.abs(a_rec - a).max()))
             tensor_trials += 1

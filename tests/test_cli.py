@@ -191,6 +191,15 @@ class TestWriteTable:
         reference_json(tmp_path / "ref.json", header, columns)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
+    def test_json_strings_are_utf8_text(self, tmp_path):
+        # a lone surrogate, as a non-UTF-8 locale decodes a byte of an
+        # argument, becomes the text its bytes spell, in keys and cells
+        e_acute = "\u00e9".encode().decode("ascii", "surrogateescape")
+        write_table(tmp_path / "t.json", ["sample_id", e_acute], [[e_acute], np.array([0.5])],
+                    "json")
+        assert json.loads((tmp_path / "t.json").read_bytes()) == [
+            {"sample_id": "\u00e9", "\u00e9": 0.5}]
+
     @pytest.mark.parametrize("n", [1, 1001, 2 * _CHUNK_ROWS + 3])
     def test_float_runs_match_csv_writer(self, tmp_path, split_into, n):
         # float64 columns before, between and after text and integer
@@ -1160,6 +1169,26 @@ class TestEvaluate:
         assert run("evaluate", "--scores", scores, "--labels", labels,
                    "--output-dir", tmp_path / "ev") != 0
 
+    @pytest.mark.parametrize("score_ids, label_ids, unmatched", [
+        (["s1", "s2", "s3"], ["s3", "s1", "s2", "s4"], "'s4' is only in labels"),
+        (["s1", "s2", "s3"], ["s2", "s1"], "'s3' is only in scores"),
+        (["s0", "s1"], ["sX", "s0"], "'s1' is only in scores; 'sX' is only in labels"),
+    ])
+    def test_unmatched_ids_named(self, tmp_path, score_ids, label_ids, unmatched):
+        # the first id of each table that the other lacks, in that table's order
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("sample_id,m\n" + "".join(
+            f"{sid},{k}\n" for k, sid in enumerate(score_ids)))
+        labels.write_text("sample_id,label\n" + "".join(
+            f"{sid},{k % 2}\n" for k, sid in enumerate(label_ids)))
+        ev = tmp_path / "ev"
+        assert run("evaluate", "--scores", scores, "--labels", labels,
+                   "--output-dir", ev) == 1
+        manifest = json.loads((ev / "manifest.json").read_text())
+        assert manifest["error"] == f"sample ids of scores and labels do not match: {unmatched}"
+        assert not (ev / "metrics.csv").exists()
+
     @pytest.mark.parametrize("score_ids, label_rows, repeated", [
         (["a", "b", "b"], ["b,0", "a,1", "a,1"], "'b' appears more than once in scores"),
         (["a", "b", "c"], ["b,0", "a,1", "a,1"], "'a' appears more than once in labels"),
@@ -1707,6 +1736,18 @@ class TestSweep:
                    "--replicates", 1, "--seed", 3, "--output-dir", sw) == 1
         manifest = json.loads((sw / "manifest.json").read_text())
         assert "once" in manifest["error"]
+        assert not (sw / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis, values", [
+        ("methods", "5,05"), ("prevalence", "0.3,0.30"), ("samples", "400,+400"),
+    ])
+    def test_one_number_written_twice_rejected(self, tmp_path, axis, values):
+        # one number in two spellings is one cell, so it is a repeat
+        sw = tmp_path / "sw"
+        assert run("sweep", "--axis", axis, "--values", values, "--methods", 5,
+                   "--replicates", 1, "--seed", 3, "--output-dir", sw) == 1
+        manifest = json.loads((sw / "manifest.json").read_text())
+        assert manifest["error"] == "--values: each value may appear only once"
         assert not (sw / "sweep.csv").exists()
 
     def test_invalid_cell_fails_before_any_replicate(self, tmp_path, monkeypatch):

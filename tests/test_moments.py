@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from summa.exceptions import InvalidInput
-from summa.moments import CentredRanks, covariance_matrix, third_moment_offdiag
+from summa.moments import covariance_matrix, third_moment_offdiag
 from summa.ranking import RankMatrix, ScoreMatrix, rank_transform
 
 from oracles import ConditionalRankModel, exact_central_moment, predicted_central_moment
@@ -117,26 +117,29 @@ class TestCovariance:
         for arr in (centred.blocks, centred.gram, centred.block_sums, centred.block_squares):
             assert not arr.flags.writeable
 
-    def test_from_centred_copies_and_checks(self):
-        # the input is copied, not kept or written; ranks and centred
-        # input give the same grouping
+    def test_raw_ranks_copied_and_checked(self):
+        # a raw array is copied, not kept or written, and centred as by hand
         ranks = np.random.default_rng(2).random((5, 23))
-        c = centre(ranks)
-        before = c.copy()
-        centred = CentredRanks.from_centred(c)
-        assert np.array_equal(c, before)
-        assert not np.shares_memory(centred.blocks, c)
-        assert np.array_equal(centred.blocks, third_moment_offdiag(ranks).blocks)
-        nan_entry, inf_entry = c.copy(), c.copy()
-        nan_entry[0, 3] = np.nan
-        inf_entry[4, 0] = np.inf
-        for bad in (c[:, :0], c[:, 0], c[..., None], nan_entry, inf_entry):
-            with pytest.raises(InvalidInput):
-                CentredRanks.from_centred(bad)
+        before = ranks.copy()
+        centred = third_moment_offdiag(ranks)
+        assert np.array_equal(ranks, before)
+        assert not np.shares_memory(centred.blocks, ranks)
+        assert np.array_equal(ungroup(centred), centre(ranks))
+        for bad in (ranks[:, :1], ranks[..., None]):
+            with pytest.raises(InvalidInput, match="M x N matrix"):
+                third_moment_offdiag(bad)
+
+    @pytest.mark.parametrize("entries", [[np.nan], [np.inf], [np.inf, -np.inf]])
+    def test_non_finite_ranks_rejected_before_centring(self, entries):
+        # centring an infinity would warn of an invalid subtraction first
+        ranks = np.random.default_rng(3).random((5, 23))
+        ranks[4, :len(entries)] = entries
+        with pytest.raises(InvalidInput, match="finite"):
+            third_moment_offdiag(ranks)
 
 
 class TestThirdMoment:
-    @pytest.mark.parametrize("shape", [(3, 1), (2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 3, 4), (0, 5)])
     def test_malformed_ranks_rejected(self, shape):
         with pytest.raises(InvalidInput, match="M x N matrix with N >= 2"):
             third_moment_offdiag(np.ones(shape))
