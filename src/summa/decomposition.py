@@ -33,8 +33,12 @@ whose leave-out covariance fits take a few steps of the same update,
 corrects the bias that fixing v at its noisy estimate puts on the
 scale, and gives it a standard error.  Its leave-out covariances are
 applied, never formed, from the Gram matrix G of the matrix stage's
-covariance and the block-grouped C of :class:`summa.moments.CentredRanks`,
-as (G - C_b C_b^T) v re-centred; the triple sums take one more pass.
+covariance and :meth:`summa.moments.CentredRanks.block_products`, as
+(G - C_b C_b^T) v re-centred.  Where M <= ceil(N / B) the block Grams
+C_b C_b^T are kept and C_b C_b^T v costs M^2 a block; elsewhere it
+takes two passes over the block's M ceil(N / B) entries.  The triple
+sums take one more pass over the blocks, in chunks of at most
+``_CHUNK`` block entries and a quarter of the blocks.
 
 Recovery is only well-posed up to a global sign; :func:`resolve_sign`
 picks the orientation under which most methods look better than random,
@@ -69,8 +73,10 @@ _MAX_HALVINGS = 50
 # Off-diagonal magnitudes below this (relative) scale are treated as no signal.
 _SIGNAL_EPS = 1e-13
 
-# Methods times samples per chunk of the tensor stage's pass over C.
-_CHUNK = 1 << 13
+# Most block entries (blocks x methods x samples a block) in a chunk of
+# the tensor stage's pass over C; a chunk also holds at most a quarter
+# of the blocks.
+_CHUNK = 1 << 15
 
 # Rows per tile of the symmetry check.
 _SYMMETRY_TILE = 128
@@ -368,15 +374,17 @@ def _triple_sums(blocks: np.ndarray, vectors: np.ndarray):
 
     Entry (r, b) of the first result adds them up over the samples of
     ``blocks[b]`` for row r; the second result bounds the rounding in the
-    last row's total.  The blocks are taken in chunks along their sample
-    axis, so the temporaries stay small beside them; a zero-padded
-    sample adds exactly 0.
+    last row's total.  The blocks are taken in chunks of
+    w = min(``_CHUNK``, B M L / 4) // (M B) samples a block, at least
+    one, for L samples a block: a chunk holds at most ``_CHUNK`` of their
+    entries, and at most a quarter of them, so that the temporaries stay
+    small beside the blocks; a zero-padded sample adds exactly 0.
     """
     count, m, length = blocks.shape
     rows = vectors.shape[0]
     squares = vectors * vectors
     cubes = squares * vectors
-    width = max(1, _CHUNK // (max(m, rows) * count))
+    width = max(1, min(_CHUNK, blocks.size // 4) // (m * count))
     sums = scale = 0.0
     for lo in range(0, length, width):
         # every block's chunk in one M x (B w) copy: one product per power sum
@@ -421,7 +429,9 @@ def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRec
     Fixing u at its noisy estimate shrinks |lambda_t|, so both scales
     are bias-corrected by a jackknife over the ``JACKKNIFE_BLOCKS``
     blocks of samples, k mod blocks.  Each leave-one-block-out covariance,
-    re-centred on its own samples, is applied without being formed; its
+    re-centred on its own samples, is applied without being formed, as
+    G v less the block's C_b C_b^T v, which comes from the kept block
+    Grams where M <= ceil(N / blocks) and from the block otherwise; its
     (lambda_e, u) takes ``REFIT_STEPS`` steps of the matrix stage's
     update from the full fit; and all leave-out lambda_t come from one
     more pass over the blocks.
@@ -436,7 +446,7 @@ def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRec
     if m < TENSOR_MIN_METHODS:
         raise TooFewMethods(f"fewer than {TENSOR_MIN_METHODS} methods for the tensor stage")
 
-    blocks, n, gram = centred.blocks, centred.n, centred.gram
+    n, gram = centred.n, centred.gram
     if gram.shape[0] != m:
         raise InvalidInput(f"centred ranks of {gram.shape[0]} methods do not match {m} methods")
 
@@ -450,17 +460,17 @@ def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRec
 
     # the hollow leave-one-block-out covariances, each applied to its own
     # vector; a single sample leaves nothing out
-    left = len(blocks) if n > 1 else 0
-    leave = blocks[:left]
-    kept = n - np.bincount(np.arange(n) % len(blocks))[:left, None]
+    count = len(centred.blocks)
+    left = count if n > 1 else 0
+    whole, rest = divmod(n, count)
+    kept = (n - whole - (np.arange(left) < rest))[:, None]
     means = (centred.block_sums.sum(axis=0) - centred.block_sums[:left]) / kept
     diag = (np.diagonal(gram) - centred.block_squares[:left]) / kept - means * means
 
     def leave_out_products(vs):
         # cov_b v = ((G - C_b C_b^T) v) / kept_b - m_b (m_b . v) - diag_b o v
-        inner = np.matmul(np.matmul(vs[:, None, :], leave), leave.transpose(0, 2, 1))[:, 0]
         mean_v = (means * vs).sum(axis=1, keepdims=True)
-        return (vs @ gram - inner) / kept - means * mean_v - diag * vs
+        return (vs @ gram - centred.block_products(vs)) / kept - means * mean_v - diag * vs
 
     vs = np.tile(u, (left, 1))
     cov_v = leave_out_products(vs)
@@ -475,7 +485,7 @@ def recover_rank1_tensor(centred: CentredRanks, v_hint: np.ndarray) -> TensorRec
         raise NoSignal("a leave-out fit collapses onto fewer than three methods")
     lams = (vs * cov_v).sum(axis=1) / offs2
 
-    sums, scale = _triple_sums(blocks, np.vstack([vs, u]))
+    sums, scale = _triple_sums(centred.blocks, np.vstack([vs, u]))
     total = float(sums[-1].sum())
     if abs(total) <= 1e3 * np.finfo(float).eps * scale:
         raise NoSignal("the distinct-index third moments vanish along v_hint")

@@ -444,7 +444,9 @@ class TestRecoverRank1Tensor:
         # from one CentredRanks agree with each other
         data = simulate_ensemble(SimulationConfig(n_methods=12, n_samples=401, rho=0.3, seed=1))
         centred = third_moment_offdiag(rank_transform(data.scores, "midrank"))
-        fields = ("blocks", "gram", "block_sums", "block_squares")
+        # 12 methods and 21 samples a block: the block Grams are kept
+        assert centred.block_grams is not None
+        fields = ("blocks", "gram", "block_sums", "block_squares", "block_grams")
         before = [getattr(centred, name).copy() for name in fields]
         v = recover_rank1_matrix(covariance_matrix(centred)).v
         fits = [recover_rank1_tensor(centred, v), recover_rank1_tensor(centred, v)]
@@ -503,9 +505,13 @@ class TestRecoverRank1Tensor:
         # every leave-one-block-out fit, redone by hand on its re-centred
         # samples with the same warm refit and the dense tensor; N below
         # the block count, N = 0, 1 and 19 mod 20 (no, one and all but one
-        # block a sample short, so zero-padded) and N = 203
-        for n in (13, 200, 201, 219, 203):
+        # block a sample short, so zero-padded) and N = 203.  The 8 methods
+        # take the blocks route at N = 13 and 140, and the kept block
+        # Grams from N = 160 on, where 8 <= ceil(N / 20)
+        for n in (13, 140, 160, 200, 201, 219, 203):
             c, v = stage_inputs(8, n, 0.3, 4)
+            grouped = CentredRanks._grouped(c, np.zeros(len(c)))
+            assert (grouped.block_grams is None) == (n <= 140), n
             k = min(JACKKNIFE_BLOCKS, n)
             gram = c @ c.T / n
             np.fill_diagonal(gram, 0.0)
@@ -543,12 +549,26 @@ class TestRecoverRank1Tensor:
         assert math.isnan(rec.lambda_t_se)
 
     def test_chunked_pass_matches_one_chunk(self, monkeypatch):
+        # the 151 samples a block go in 5 chunks of a quarter of the blocks
+        # (37 samples a block) at the default _CHUNK, then in 22 chunks of
+        # _CHUNK // (M B) = 7; the triple sums match one pass by hand
         c, v = stage_inputs(12, 3001, 0.3, 8)
-        whole = fit_tensor(c, v)
+        blocks = CentredRanks._grouped(c, np.zeros(len(c))).blocks
+        vectors = v * np.linspace(0.9, 1.1, 21)[:, None]
+        x = vectors[:, :, None] * c
+        per_sample = decomposition._from_power_sums(
+            x.sum(axis=1), (x * x).sum(axis=1), (x * x * x).sum(axis=1))
+        one_pass = np.stack([per_sample[:, b::JACKKNIFE_BLOCKS].sum(axis=1)
+                             for b in range(JACKKNIFE_BLOCKS)], axis=1)
+        default = fit_tensor(c, v)
+        sums, scale = decomposition._triple_sums(blocks, vectors)
+        assert np.abs(sums - one_pass).max() <= 1e-12 * scale
         monkeypatch.setattr(decomposition, "_CHUNK", 12 * JACKKNIFE_BLOCKS * 7)
         chunked = fit_tensor(c, v)
-        assert chunked.lambda_t == pytest.approx(whole.lambda_t, rel=1e-12)
-        assert chunked.lambda_t_se == pytest.approx(whole.lambda_t_se, rel=1e-10)
+        sums, scale = decomposition._triple_sums(blocks, vectors)
+        assert np.abs(sums - one_pass).max() <= 1e-12 * scale
+        assert chunked.lambda_t == pytest.approx(default.lambda_t, rel=1e-12)
+        assert chunked.lambda_t_se == pytest.approx(default.lambda_t_se, rel=1e-10)
 
     def test_last_bit_of_input_does_not_move_rho(self):
         # scaling C by one ulp scales lambda_t by its cube and leaves rho

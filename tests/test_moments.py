@@ -91,10 +91,12 @@ class TestCovariance:
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 333, 1000])
     @pytest.mark.parametrize("policy", ["midrank", "strict"])
     def test_block_grams_sum_to_the_product(self, n, policy):
-        # the covariance_matrix bytes equal C C^T / N: centred ranks are
-        # multiples of 1/2, so every Gram entry is exact and the products
-        # of the min(20, N) zero-padded blocks sum to one product bit for
-        # bit; scores drawn from three values make midrank ties in every row
+        # the gram and covariance_matrix bytes equal C C^T and C C^T / N:
+        # centred ranks are multiples of 1/2, so every Gram entry is exact
+        # and the products of the min(20, N) zero-padded blocks sum to one
+        # product bit for bit; scores drawn from three values make midrank
+        # ties in every row.  The block Grams are kept from N = 333 on,
+        # where the 7 methods are no more than the ceil(N / 20) samples a block
         rng = np.random.default_rng(n)
         scores = rng.integers(0, 3, size=(7, n)).astype(float)
         scores[0] = rng.standard_normal(n)
@@ -108,14 +110,44 @@ class TestCovariance:
         padded = np.zeros((7, length * blocks))
         padded[:, :n] = c
         assert np.array_equal(centred.blocks, padded.reshape(7, length, blocks).transpose(2, 0, 1))
+        assert centred.gram.tobytes() == (c @ c.T).tobytes()
         assert covariance_matrix(centred).tobytes() == (c @ c.T / n).tobytes()
         assert np.array_equal(centred.block_sums, centred.blocks.sum(axis=2))
         assert np.array_equal(centred.block_squares, (centred.blocks**2).sum(axis=2))
+        assert (centred.block_grams is not None) == (7 <= length) == (n >= 333)
+        if centred.block_grams is not None:
+            assert centred.block_grams.shape == (blocks, 7, 7)
+            for b in range(blocks):
+                part = c[:, b::blocks]
+                assert centred.block_grams[b].tobytes() == (part @ part.T).tobytes(), b
+            assert np.array_equal(centred.block_squares,
+                                  np.diagonal(centred.block_grams, axis1=1, axis2=2))
+
+    @pytest.mark.parametrize("n", [13, 140, 160, 1000])
+    def test_block_products_on_both_routes(self, n):
+        # C_b C_b^T v_b, from the blocks at N = 13 and 140 and from the
+        # kept block Grams at N = 160 and 1000 (8 <= ceil(N / 20))
+        rng = np.random.default_rng(n)
+        ranks = rank_transform(ScoreMatrix.from_array(rng.standard_normal((8, n))), "midrank")
+        centred = third_moment_offdiag(ranks)
+        blocks = min(20, n)
+        assert (centred.block_grams is None) == (n < 160)
+        c = centre(ranks.ranks)
+        for count in (blocks, 3):
+            vs = rng.standard_normal((count, 8))
+            expected = [c[:, b::blocks] @ (c[:, b::blocks].T @ vs[b]) for b in range(count)]
+            got = centred.block_products(vs)
+            assert got.shape == (count, 8)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * n**3)
 
     def test_centred_ranks_are_read_only(self):
-        centred = third_moment_offdiag(np.arange(1.0, 41.0).reshape(4, 10))
-        for arr in (centred.blocks, centred.gram, centred.block_sums, centred.block_squares):
-            assert not arr.flags.writeable
+        # block Grams are kept at N = 100, 4 <= ceil(100 / 20), not at N = 10
+        for n in (10, 100):
+            centred = third_moment_offdiag(np.arange(1.0, 4 * n + 1).reshape(4, n))
+            assert (centred.block_grams is None) == (n == 10)
+            for arr in (centred.blocks, centred.gram, centred.block_sums,
+                        centred.block_squares, centred.block_grams):
+                assert arr is None or not arr.flags.writeable
 
     def test_raw_ranks_copied_and_checked(self):
         # a raw array is copied, not kept or written, and centred as by hand

@@ -213,18 +213,19 @@ def test_centred_ranks_dropped_before_aggregation(monkeypatch, case):
 
 def test_peak_memory_is_linear_in_ranks_and_gram():
     # the stages hold the grouped centred ranks, one M x M Gram matrix and
-    # a few M x M and O(MN) temporaries, never an array per jackknife
-    # block: at M = N = 300 twenty block matrices of M x M floats would
-    # alone take 14 MB, twice the bound
-    m = n = 300
-    ranks = ranks_for(n_methods=m, n_samples=n, rho=0.3, seed=0)
-    tracemalloc.start()
-    try:
-        run_pipeline(ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 8 * (m * n + m * m), peak
+    # a few M x M and O(MN) temporaries.  An M x M matrix per jackknife
+    # block is kept only where it is no larger than its block,
+    # M <= ceil(N / 20), as at (30, 3000): at M = N = 300 twenty block
+    # matrices of M x M floats would alone take 14 MB, twice the bound
+    for m, n in ((300, 300), (30, 3000)):
+        ranks = ranks_for(n_methods=m, n_samples=n, rho=0.3, seed=0)
+        tracemalloc.start()
+        try:
+            run_pipeline(ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * (m * n + m * m), (m, n, peak)
 
 
 class TestWeakRegimes:
