@@ -12,8 +12,8 @@ identity holds for both tie policies.  Scaling v by any positive
 constant changes no label and no ordering.
 
 :func:`evaluate_ensemble` scores aggregate scores against known labels
-by the rectangle rule on their strict ranks, which one ``argsort`` of
-the scores gives (:func:`summa.ranking._strict_auroc`); no one-row
+by the rectangle rule on their strict ranks, which one sort of the
+scores gives (:func:`summa.ranking._strict_auroc`); no one-row
 score or rank matrix is built for it.
 """
 

@@ -8,14 +8,20 @@ confident belongs to the positive class.  The performance measure
 is positive for an informative method under that convention and relates
 to the area under the ROC curve by ``auroc = delta / n + 1/2``.
 
-Ranks are computed in-house with one ``argsort`` per block of rows of
-about 1 MB; the sorted keys are gathered and the ranks scattered row by
-row, which is faster than numpy's ``take_along_axis`` and
-``put_along_axis`` over the block.  Equal scores (``-0.0`` equals
-``0.0``) form a tie group: midrank gives each member the group's mean
-position, strict orders the members by sample index, which
-:func:`_break_ties` does for a row with ties in one integer sort.  Both
-equal ``scipy.stats.rankdata`` of the negated scores with
+Ranks are computed in-house, a block of rows of about 1 MB at a time.
+:func:`_descending_order` sorts each row with one in-place ``np.sort``
+of int64 words: a score's key read as an integer that orders as the
+float does (the radix-sort map of floats to integers; Herf 2001, "Radix
+Tricks"), with the sample index in its low bits.  So equal scores
+(``-0.0`` equals ``0.0``) come out in index order, and the low bits of
+each sorted word are the order.  Only a row where neighbouring words
+share their high bits gathers its keys: to find its ties, and to put
+right, with a stable ``argsort``, distinct keys that the cleared bits
+left in index order.  The ranks are scattered row by row, which is
+faster than numpy's ``put_along_axis`` over the block.  Equal scores
+form a tie group: midrank gives each member the group's mean position,
+strict orders the members by sample index.  Both equal
+``scipy.stats.rankdata`` of the negated scores with
 ``method="average"`` and ``"ordinal"``.
 
 :func:`auroc_rectangle` is the one supervised measure here: it scores
@@ -23,7 +29,7 @@ a tie-free rank row against known labels, for ``summa evaluate``.  It
 counts concordant pairs in integers, so its float is the correctly
 rounded exact AUROC.  :func:`_strict_auroc`, behind
 :func:`summa.ensemble.evaluate_ensemble`, gives the same measure of a
-score row's strict ranks from one ``argsort`` of the scores, with no
+score row's strict ranks from the same sort of the scores, with no
 rank row built and no permutation checked; the two share the count,
 :func:`_rectangle_rule`, and the checks of the rank route.  The
 validations stay cheap: ``RankMatrix`` tests midrank row sums by their
@@ -51,6 +57,8 @@ from .exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 
 STRICT = "strict"
 MIDRANK = "midrank"
+# entries in a block of rows that ranking and its checks work on at once
+_BLOCK = 1 << 17
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -74,20 +82,26 @@ def _rows_are_permutations(ranks: np.ndarray) -> bool:
     """Whether every row of ``ranks`` is a permutation of 1..N.
 
     The entries must be integers in 1..N (NaN fails the range test);
-    then, with row k offset by kN, the M N flat positions they name
-    must all be hit, which for M N in-range positions means each once.
+    then, with row k of a block offset by kN, the flat positions they
+    name must all be hit, which for that many in-range positions means
+    each once.  Blocks of rows bound the temporaries.
     """
     rows = ranks.reshape(-1, ranks.shape[-1])
-    m, n = rows.shape
-    if not (rows.min() >= 1 and rows.max() <= n):
-        return False
-    index = rows.astype(np.intp)
-    if not (index == rows).all():
-        return False
-    index += np.arange(-1, m * n - 1, n)[:, None]
-    seen = np.zeros(m * n, dtype=bool)
-    seen[index.ravel()] = True
-    return bool(seen.all())
+    n = rows.shape[1]
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        if not (block.min() >= 1 and block.max() <= n):
+            return False
+        index = block.astype(np.intp)
+        if not (index == block).all():
+            return False
+        index += np.arange(-1, index.size - 1, n)[:, None]
+        seen = np.zeros(index.size, dtype=bool)
+        seen[index.ravel()] = True
+        if not seen.all():
+            return False
+    return True
 
 
 def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -219,19 +233,42 @@ class LabelVector:
             )
 
 
-def _break_ties(order: np.ndarray, tied: np.ndarray):
-    """Put each tie group's samples in index order, in place, in
-    ``order``, an argsort of one row; ``tied[p]`` says sorted positions
-    p and p + 1 tie.  One integer sort of (group, sample) keys does it,
-    several times faster than a stable argsort of the row."""
-    n = order.size
-    group = np.empty(n, dtype=np.int64)
-    group[0] = 0
-    np.cumsum(~tied, out=group[1:])
-    group *= n
-    order += group
-    order.sort()
-    order -= group
+def _descending_order(values: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Each row's sample order by descending value, equal values in
+    index order, and ``ties``: for each row i that holds equal values,
+    ``ties[i]`` lists the sorted positions where its groups of equal
+    values start.
+
+    ``values`` is a block of finite rows.  Each key, ``0.0 - value``
+    (so ``-0.0`` is ``0.0``), is read as an int64 that orders as the
+    float does; its low bits give way to the sample index and one sort
+    of these words orders each row, equal keys by index.  Only where
+    neighbouring words share their high bits can two keys tie or be out
+    of order: those rows gather their keys, and a stable argsort of the
+    nearly sorted keys reorders the runs of shared high bits.
+    """
+    n = values.shape[1]
+    mask = (1 << (n - 1).bit_length()) - 1
+    words = (0.0 - values).view(np.int64)
+    # flip a negative key's magnitude bits (numpy reuses the shift's temporary)
+    words ^= (words >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    words &= ~mask
+    words |= np.arange(n)
+    words.sort(axis=1)
+    # neighbours share their high bits where their xor, unsigned, is at most mask
+    shared = (words[:, 1:] ^ words[:, :-1]).view(np.uint64).min(axis=1) <= mask
+    order = np.bitwise_and(words, mask, out=words)
+    ties = {}
+    for i in np.flatnonzero(shared):
+        keys = (0.0 - values[i])[order[i]]
+        if (keys[1:] < keys[:-1]).any():
+            fix = np.argsort(keys, kind="stable")
+            order[i] = order[i][fix]
+            keys = keys[fix]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        if starts.size < n:
+            ties[i] = starts
+    return order, ties
 
 
 def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix:
@@ -244,40 +281,24 @@ def rank_transform(scores: ScoreMatrix, tie_policy: str = MIDRANK) -> RankMatrix
     if tie_policy not in (STRICT, MIDRANK):
         raise InvalidInput(f"unknown tie policy {tie_policy!r}")
     m, n = scores.values.shape
+    positions = np.arange(1.0, n + 1)
     # whole-matrix sort temporaries made repeated calls' peak memory erratic
-    step = max(1, (1 << 17) // n)
+    step = max(1, _BLOCK // n)
     for lo in range(0, m, step):
-        keys = -scores.values[lo:lo + step]
-        order = np.argsort(keys, axis=1)
-        ordered = np.empty_like(keys)
-        for i in range(keys.shape[0]):
-            # argsort's indices are in range, so "clip" changes none; it
-            # spares the copy of out that the default mode makes
-            keys[i].take(order[i], out=ordered[i], mode="clip")
-        tied = ordered[:, 1:] == ordered[:, :-1]  # sorted position k + 1 ties k
-        del ordered
-        by_position = np.broadcast_to(np.arange(1.0, n + 1), keys.shape)
-        if tie_policy == STRICT:
-            for i in np.flatnonzero(tied.any(axis=1)):
-                _break_ties(order[i], tied[i])
-        elif tied.any():
-            # the tie group spanning sorted positions first..last (0-based)
-            # shares the rank (first + last) / 2 + 1, exactly representable
-            positions = np.arange(n)
-            first = np.where(np.pad(tied, ((0, 0), (1, 0))), 0, positions)
-            np.maximum.accumulate(first, axis=1, out=first)
-            last = np.where(np.pad(tied, ((0, 0), (0, 1))), n - 1, positions)[:, ::-1]
-            np.minimum.accumulate(last, axis=1, out=last)
-            first += last[:, ::-1]
-            by_position = (first + 2) * 0.5
+        order, ties = _descending_order(scores.values[lo:lo + step])
         if lo == 0:
             # allocated above the first block's scratch arrays, which are
             # freed on return: glibc hands a free heap top past its trim
             # threshold back to the OS, and the next stage would fault it in
             ranks = np.empty((m, n))
-        block = ranks[lo:lo + step]
-        for i in range(block.shape[0]):
-            block[i][order[i]] = by_position[i]  # twice as fast as block[i, order[i]]
+        for i, row in enumerate(ranks[lo:lo + step]):
+            by_position = positions
+            if tie_policy == MIDRANK and i in ties:
+                # a tie group of size s from sorted position first (0-based)
+                # shares the rank first + (s + 1) / 2, exactly representable
+                size = np.diff(ties[i], append=n)
+                by_position = np.repeat(ties[i] + (size + 1) * 0.5, size)
+            row[order[i]] = by_position  # twice as fast as ranks[lo + i, order[i]]
     ranks.setflags(write=False)
     return RankMatrix(ranks, tie_policy, scores.method_ids, scores.sample_ids)
 
@@ -321,29 +342,24 @@ def _strict_auroc(scores, labels) -> float:
     """:func:`auroc_rectangle` of a score row's strict ranks, from one sort.
 
     Equals ``auroc_rectangle(rank_transform(ScoreMatrix.from_array(
-    scores[None]), "strict").ranks[0], labels)``.  The row is sorted by
-    descending score with one ``argsort``, tied samples are put in index
-    order by :func:`_break_ties`, as in :func:`rank_transform`, and the
+    scores[None]), "strict").ranks[0], labels)``.  The row is put in
+    descending order, tied samples in index order, by
+    :func:`_descending_order`, as in :func:`rank_transform`, and the
     labels are read in that order.
     The checks, in that route's order: equal lengths, at least 2
-    samples, finite scores (read off the sorted ends, where argsort puts
-    any infinity or NaN) and both classes present.
+    samples, finite scores and both classes present.
     """
     labels = LabelVector.coerce(labels)
-    keys = -np.asarray(scores, dtype=float)
-    if keys.ndim != 1:
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
         raise InvalidInput("scores must be 1-D")
-    n = keys.size
+    n = scores.size
     if len(labels) != n:
         raise InvalidInput("scores and labels must have equal length")
     if n < 2:
         raise InvalidInput(f"need at least 1 method and 2 samples, got 1x{n}")
-    order = np.argsort(keys)
-    ordered = keys[order]
-    if not (-np.inf < ordered[0] and ordered[-1] < np.inf):
+    if not np.isfinite(scores).all():
         raise InvalidInput("scores must be finite")
     labels.require_both_classes()
-    tied = ordered[1:] == ordered[:-1]
-    if tied.any():
-        _break_ties(order, tied)
+    order = _descending_order(scores[None])[0][0]
     return _rectangle_rule(labels.labels[order], labels)

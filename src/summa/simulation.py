@@ -127,10 +127,9 @@ def simulate_ensemble(config: SimulationConfig) -> SimulatedDataset:
     separations = np.array([separation_for_auroc(a) for a in true_aurocs.tolist()])
 
     values = np.empty((m, n))
-    shift = labels.labels.astype(float)
     for i in range(m):
-        row = stream(i).standard_normal(out=values[i])
-        row += separations[i] * shift
+        stream(i).standard_normal(out=values[i])
+        values[i, :n1] += separations[i]
     values.setflags(write=False)
 
     scores = ScoreMatrix.from_array(values)

@@ -159,11 +159,13 @@ class TestEvaluateEnsemble:
         with pytest.raises(InvalidInput, match="2 samples"):
             evaluate_ensemble(EnsembleScores(np.array([1.0]), "summa"), [1])
 
-    # few distinct values, so most rows tie; -0.0 and 0.0 compare equal
+    # few distinct values, so most rows tie; -0.0 and 0.0 compare equal, and
+    # the neighbours of 1.0 and 0.0 differ from them in their lowest bits only
     @settings(max_examples=400, deadline=None)
     @given(st.data(), st.integers(2, 60))
     def test_equals_rectangle_rule_on_strict_ranks(self, data, n):
-        values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+        values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.0, 1.0000000000000002,
+                                            0.9999999999999999, -1.0000000000000002, 5e-324]),
                            st.floats(-1e300, 1e300, allow_nan=False))
         s = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))

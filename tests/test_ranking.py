@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 
 import summa
 
-from summa.ensemble import EnsembleScores
+from summa.ensemble import EnsembleScores, evaluate_ensemble
 from summa.exceptions import DegenerateLabels, InvalidInput, TiesUnsupported
 from summa.ranking import (
     LabelVector,
@@ -87,9 +87,11 @@ class TestRankTransform:
         assert np.allclose(rm.ranks.sum(axis=1), n * (n + 1) / 2)
 
 
-# few distinct values, so most rows tie; -0.0 and 0.0 compare equal
+# few distinct values, so most rows tie; -0.0 and 0.0 compare equal, and
+# the neighbours of 1.0 and 0.0 differ from them in their lowest bits only
 TIE_PRONE = st.one_of(
-    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.0000000000000002, 0.9999999999999999,
+                     -1.0000000000000002, 5e-324]),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
 
@@ -146,6 +148,53 @@ class TestRankTransformOracle:
     def test_two_samples(self):
         rng = np.random.default_rng(6)
         self.assert_matches_rankdata(rng.integers(0, 2, size=(9, 2)).astype(float))
+
+
+class TestPackedSort:
+    """Rows whose keys differ only in the low bits that the sort words give
+    to the sample index, so that the sorted words leave them in index order
+    or tied, under both policies and through ``evaluate_ensemble``."""
+
+    @staticmethod
+    def check(scores):
+        TestRankTransformOracle.assert_matches_rankdata(scores)
+        strict = rank_transform(ScoreMatrix.from_array(scores), "strict").ranks
+        rng = np.random.default_rng(0)
+        for row, ranks in zip(scores, strict):
+            labels = rng.integers(0, 2, size=row.size)
+            labels[:2] = (0, 1)
+            expected = auroc_rectangle(ranks, labels)
+            assert evaluate_ensemble(EnsembleScores(row, "woc"), labels) == expected
+
+    @pytest.mark.parametrize("n", [2**14, 2**14 + 1])
+    def test_interleaved_nextafter_pairs(self, n):
+        # the sample index takes 14 low bits at 2**14 samples and 15 above
+        x = np.sort(np.random.default_rng(n).standard_normal(n - n // 2))
+        row = np.empty(n)
+        row[0::2] = x
+        row[1::2] = np.nextafter(x[:n // 2], np.inf)
+        self.check(np.stack([row, -row, row[::-1]]))
+
+    def test_distinct_keys_in_one_bucket(self):
+        # 1 + j ulp for j < 2**14 differ in the index bits alone, so every
+        # word shares its high bits with its neighbours
+        row = np.random.default_rng(12).permutation(1.0 + np.arange(10**4) * np.spacing(1.0))
+        self.check(np.stack([row, -row]))
+
+    def test_signed_zeros_among_extremes(self):
+        big, tiny = np.finfo(float).max, 5e-324
+        pool = [0.0, -0.0, tiny, -tiny, big, -big]
+        self.check(np.array([pool + pool[::-1]]))
+        self.check(np.random.default_rng(13).choice(pool, size=(5, 200)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_refused(self, bad):
+        # NaN and infinities would sort by their bits, so they are tested first
+        for at in (0, 2, 4):
+            scores = np.array([0.3, -1.0, 2.0, 0.0, 1.0])
+            scores[at] = bad
+            with pytest.raises(InvalidInput, match="^scores must be finite$"):
+                _strict_auroc(scores, [1, 0, 1, 0, 0])
 
 
 def test_import_leaves_scipy_stats_out():
@@ -332,8 +381,10 @@ PEAK_BOUND = 2 * PEAK_M * PEAK_N * 8
 
 
 def test_rank_transform_peak_memory(traced_peak):
+    # the strict policy adds the permutation check, run a block at a time
     scores = simulate_ensemble(SimulationConfig(n_methods=PEAK_M, n_samples=PEAK_N)).scores
-    assert traced_peak(lambda: rank_transform(scores, "midrank")) < PEAK_BOUND
+    for policy in ("midrank", "strict"):
+        assert traced_peak(lambda: rank_transform(scores, policy)) < PEAK_BOUND, policy
 
 
 def test_simulate_ensemble_peak_memory(traced_peak):
